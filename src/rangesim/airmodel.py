@@ -59,6 +59,8 @@ class TileLayout:
     def uniform(cls, n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, cp_data,
                 spacing=None) -> "TileLayout":
         """Layout with tiles spaced evenly across the spectrum."""
+        if n_tiles < 1:
+            raise ValidationError("a layout needs at least one tile")
         if spacing is None:
             spacing = n_subcarriers // n_tiles
         starts = tuple(q * spacing for q in range(n_tiles))
@@ -73,6 +75,11 @@ class TileLayout:
     def max_codes(self) -> int:
         """Largest number of simultaneously separable ranging codes."""
         return min(self.tile_width, self.n_blocks) - 1
+
+    @property
+    def delay_bound(self) -> float:
+        """Largest resolvable delay in samples (exclusive): one timing-code spacing."""
+        return self.n_subcarriers / (self.tile_width - 1)
 
     @property
     def tile_bins(self) -> np.ndarray:
@@ -194,8 +201,6 @@ def _check_users(users, layout: TileLayout) -> None:
     codes = [u.code for u in users]
     if len(set(codes)) != len(codes):
         raise ValidationError("active users must carry distinct ranging codes")
-    if len(users) > layout.max_codes:
-        raise ValidationError(f"at most {layout.max_codes} users fit this layout")
     for u in users:
         if not 0 <= u.code < layout.max_codes:
             raise ValidationError(f"code {u.code} outside [0, {layout.max_codes - 1}]")
@@ -284,21 +289,16 @@ def _ranging_grids(user: UserTruth, layout: TileLayout) -> np.ndarray:
 
 
 def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
-                             rng: np.random.Generator,
-                             data_load: str = "off") -> TileObservations:
+                             rng: np.random.Generator) -> TileObservations:
     """Tile observations from a full transmit/channel/receive simulation.
 
     Each user's code symbols are placed on its ranging bins in every block,
     modulated, cyclically extended, delayed, convolved with its channel and
     rotated by its frequency offset; users are summed, time-domain noise of
     the given variance is added, and the receiver strips prefixes, takes the
-    DFT and extracts the tile bins.  With ``data_load="qpsk"`` every
-    non-ranging bin carries unit-power QPSK from perfectly aligned stations,
-    which by construction never leaks into the tiles.
+    DFT and extracts the tile bins.
     """
     _check_users(users, layout)
-    if data_load not in ("off", "qpsk"):
-        raise ValidationError(f"unknown data_load {data_load!r}")
     for u in users:
         if u.delay + np.asarray(u.cir).size > layout.cp_ranging:
             raise ValidationError("delay plus channel length must fit inside the ranging prefix")
@@ -307,14 +307,5 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     for user in users:
         slot = modulate_slot(_ranging_grids(user, layout), layout)
         total += apply_channel_and_cfo(slot, user.cir, user.delay, user.cfo, layout)
-
-    # noise precedes the data draw so toggling the load cannot perturb it
     total += _complex_noise(rng, total.shape, noise_var)
-
-    if data_load == "qpsk":
-        quadrants = rng.integers(0, 4, size=(layout.n_blocks, layout.n_subcarriers))
-        data = np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrants))
-        data[:, layout.tile_bins.reshape(-1)] = 0.0
-        total += modulate_slot(data, layout)
-
     return TileObservations(layout, extract_tiles(demodulate_slot(total, layout), layout))

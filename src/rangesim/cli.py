@@ -7,17 +7,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .airmodel import synthesize_model_mode
 from .errors import RangingError
-from .ranger import RangerConfig, range_subchannel
 from .simlab import (
     SimConfig,
-    draw_users,
     emit_csv,
     esprit_periodogram_gap,
     load_config,
+    noiseless_exactness,
+    parse_snr_list,
     run_sweep,
     write_gnuplot_script,
 )
@@ -52,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     overrides = {}
     if args.snr is not None:
-        overrides["snr_list_db"] = tuple(float(t) for t in args.snr.replace(",", " ").split())
+        overrides["snr_list_db"] = parse_snr_list(args.snr)
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.k is not None:
@@ -107,25 +104,8 @@ def _cmd_oracle() -> int:
     print(f"subspace vs periodogram gap over 50 noiseless trials: {gap:.2e} "
           f"{'PASS' if passed else 'FAIL'} (limit 2e-4)")
 
-    cfg = SimConfig(mode="model")
-    layout = cfg.layout()
-    worst_cfo = 0.0
-    worst_delay = 0.0
-    exact = True
-    for trial in range(20):
-        rng = np.random.default_rng([99, trial])
-        users = draw_users(cfg, rng, count=1 + trial % 3)
-        obs = synthesize_model_mode(users, layout, 0.0, rng)
-        report = range_subchannel(
-            obs, RangerConfig(max_delay=cfg.max_delay, known_num_codes=len(users))
-        )
-        if report.detected != {u.code for u in users}:
-            exact = False
-            break
-        for u in users:
-            cfo_hat, delay_hat = report.per_code[u.code]
-            worst_cfo = max(worst_cfo, abs(cfo_hat - u.cfo))
-            worst_delay = max(worst_delay, abs(delay_hat - u.delay))
+    exact_trials, worst_cfo, worst_delay = noiseless_exactness(seed=99, trials=20, max_cfo=0.05)
+    exact = exact_trials == 20
     passed = exact and worst_cfo <= 1e-5 and worst_delay <= 1e-2
     ok &= passed
     print(f"noiseless end-to-end: detection {'exact' if exact else 'WRONG'}, "

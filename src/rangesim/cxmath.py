@@ -1,41 +1,31 @@
-"""Dense complex linear algebra kernels sized for tiny ranging problems.
+"""Dense complex linear algebra for the ranging receiver, backed by LAPACK.
 
-Every matrix this package touches is a few entries wide (correlation
-matrices are at most the block or tile count, 4 in the reference setup),
-so the routines below favour unconditional robustness and explicit error
-reporting over asymptotic speed: cyclic Jacobi rotations for Hermitian
-eigenproblems, characteristic-polynomial root finding for general
-eigenvalues, and a pivoted Cholesky solve behind the least-squares
-rotation estimate.  All functions are pure and safe to call from any
-number of threads.
+Each kernel is a thin :mod:`numpy.linalg` call that keeps this package's
+error contract: bad input raises :class:`ValidationError` or
+:class:`DimensionError`, and every LAPACK failure surfaces as
+:class:`NumericalError`, never as ``LinAlgError``.  All functions are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, RankDeficiencyError, ValidationError
 
-MAX_EVD_DIM = 64
-
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_REL_TOL = 1e-13
 _HERMITIAN_REL_TOL = 1e-12
-_ROOT_ITER_CAP = 200
-_ROOT_TOL = 1e-12
-_PIVOT_REL_TOL = 1e-12
+# Singular values below this fraction of the largest count as zero: the
+# same as a 1e-12 relative bound on the eigenvalues of the Gram matrix Z1^H Z1.
+_RANK_RCOND = 1e-6
 
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
     """Eigenvalues in non-increasing order with matching orthonormal eigenvectors.
 
-    Column ``j`` of ``eigenvectors`` pairs with ``eigenvalues[j]``.  Ties keep
-    their first-encountered order; nothing downstream depends on order within
-    a tie.
+    Column ``j`` of ``eigenvectors`` pairs with ``eigenvalues[j]``.  The
+    order within a tie is unspecified; nothing downstream depends on it.
     """
 
     eigenvalues: np.ndarray
@@ -60,117 +50,33 @@ def forward_backward(r) -> np.ndarray:
     return 0.5 * (r + r[::-1, ::-1].T)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] (and its mirror) with a unitary two-sided rotation."""
-    apq = a[p, q]
-    if apq == 0:
-        return
-    abs_apq = abs(apq)
-    phase = apq / abs_apq
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * abs_apq)
-    if abs(tau) < 1e8:
-        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    else:
-        # asymptotic branch; keeps tau**2 from overflowing
-        t = 1.0 / (2.0 * tau)
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = (t * c) * phase
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - np.conj(s) * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = np.conj(s) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - np.conj(s) * vec_q
-    v[:, q] = s * vec_p + c * vec_q
-
-
 def hermitian_evd(a) -> HermitianSpectrum:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
-    The input must be Hermitian to a relative tolerance of 1e-12 and no
-    larger than 64x64.  Raises :class:`ValidationError` for non-Hermitian
-    input and :class:`NumericalError` if the off-diagonal norm has not
-    dropped below ``1e-13 * ||A||_F`` after 100 sweeps.
+    Raises :class:`ValidationError` for non-finite entries or input that is
+    not Hermitian to a relative tolerance of 1e-12.  Eigenvalues come back
+    in non-increasing order; the order within a tie is unspecified.
     """
     a = _as_square(a, "hermitian_evd")
-    n = a.shape[0]
-    if n > MAX_EVD_DIM:
-        raise DimensionError(f"hermitian_evd supports up to {MAX_EVD_DIM}x{MAX_EVD_DIM}, got {n}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
     norm = float(np.linalg.norm(a))
     if float(np.linalg.norm(a - a.conj().T)) > _HERMITIAN_REL_TOL * max(norm, 1e-300):
         raise ValidationError("matrix is not Hermitian to working tolerance")
-
-    work = 0.5 * (a + a.conj().T)
-    vectors = np.eye(n, dtype=complex)
-    threshold = _JACOBI_REL_TOL * norm
-    sweeps = 0
-    while _offdiag_norm(work) > threshold:
-        if sweeps >= _JACOBI_SWEEP_CAP:
-            raise NumericalError(
-                f"Jacobi iteration did not converge in {_JACOBI_SWEEP_CAP} sweeps"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(work, vectors, p, q)
-        sweeps += 1
-
-    eigenvalues = np.diag(work).real.copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    return HermitianSpectrum(eigenvalues[order], np.ascontiguousarray(vectors[:, order]))
-
-
-def _cholesky_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve G X = B for Hermitian positive-definite G with pivot checks."""
-    k = g.shape[0]
-    scale = max((g[i, i].real for i in range(k)), default=0.0)
-    if scale <= 0.0:
-        raise RankDeficiencyError("normal-equation matrix has no positive diagonal")
-    lower = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        d = g[j, j].real - float(np.sum(np.abs(lower[j, :j]) ** 2))
-        if d <= _PIVOT_REL_TOL * scale:
-            raise RankDeficiencyError(
-                "normal-equation matrix is singular to working precision; "
-                "the requested subspace dimension is likely too large"
-            )
-        lower[j, j] = math.sqrt(d)
-        for i in range(j + 1, k):
-            lower[i, j] = (g[i, j] - lower[i, :j] @ lower[j, :j].conj()) / lower[j, j]
-
-    # forward then backward substitution, column by column
-    y = np.zeros_like(rhs)
-    for i in range(k):
-        y[i] = (rhs[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.zeros_like(rhs)
-    upper = lower.conj().T
-    for i in range(k - 1, -1, -1):
-        x[i] = (y[i] - upper[i, i + 1 :] @ x[i + 1 :]) / upper[i, i]
-    return x
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hermitian eigendecomposition failed: {exc}") from exc
+    return HermitianSpectrum(eigenvalues[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1]))
 
 
 def ls_rotation(z1, z2) -> np.ndarray:
-    """Least-squares solution X of ``Z1 @ X ~= Z2`` via the normal equations.
+    """Least-squares solution X of ``Z1 @ X ~= Z2`` by LAPACK (``np.linalg.lstsq``).
 
     Both inputs must share the same (rows, k) shape with rows >= k >= 1.
-    Raises :class:`RankDeficiencyError` when Z1 is rank deficient to working
-    precision, which downstream signals that the subspace dimension was
-    overestimated or the snapshot set is degenerate.
+    Raises :class:`RankDeficiencyError` when a singular value of Z1 falls
+    below 1e-6 of its largest: the subspace dimension was overestimated or
+    the snapshot set is degenerate.
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
@@ -179,70 +85,19 @@ def ls_rotation(z1, z2) -> np.ndarray:
     rows, k = z1.shape
     if k < 1 or rows < k:
         raise DimensionError(f"ls_rotation needs rows >= cols >= 1, got {z1.shape}")
-    return _cholesky_solve(z1.conj().T @ z1, z1.conj().T @ z2)
-
-
-def _char_poly(a: np.ndarray) -> list[complex]:
-    """Monic characteristic-polynomial coefficients, highest power first."""
-    k = a.shape[0]
-    coeffs: list[complex] = [1.0 + 0.0j]
-    work = a.copy()
-    eye = np.eye(k, dtype=complex)
-    for i in range(1, k + 1):
-        c = -np.trace(work) / i
-        coeffs.append(complex(c))
-        if i < k:
-            work = a @ (work + c * eye)
-    return coeffs
-
-
-def _poly_eval(coeffs: list[complex], z: complex) -> complex:
-    value = coeffs[0]
-    for c in coeffs[1:]:
-        value = value * z + c
-    return value
-
-
-def _durand_kerner(coeffs: list[complex]) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous iteration."""
-    degree = len(coeffs) - 1
-    bound = 1.0 + max(abs(c) for c in coeffs[1:])
-    seed = 0.4 + 0.9j
-    roots = np.array([bound * seed**i for i in range(degree)], dtype=complex)
-    for _ in range(_ROOT_ITER_CAP):
-        moved = 0.0
-        for i in range(degree):
-            z = roots[i]
-            denom = 1.0 + 0.0j
-            for j in range(degree):
-                if j != i:
-                    denom *= z - roots[j]
-            if denom == 0:
-                # coincident iterates: nudge deterministically and retry next pass
-                roots[i] = z * (1.0 + 1e-8) + 1e-8 * (i + 1)
-                moved = math.inf
-                continue
-            step = _poly_eval(coeffs, z) / denom
-            roots[i] = z - step
-            moved = max(moved, abs(step))
-        scale = max(1.0, float(np.max(np.abs(roots))))
-        if moved <= _ROOT_TOL * scale:
-            return roots
-    raise NumericalError(f"root iteration did not converge in {_ROOT_ITER_CAP} passes")
+    try:
+        x, _, rank, _ = np.linalg.lstsq(z1, z2, rcond=_RANK_RCOND)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"least-squares solve failed: {exc}") from exc
+    if rank < k:
+        raise RankDeficiencyError(f"Z1 has rank {rank} < {k}: subspace dimension overestimated")
+    return x
 
 
 def general_eigenvalues(a) -> np.ndarray:
-    """All eigenvalues (with multiplicity, unordered) of a tiny complex matrix.
-
-    Supported sizes are 1x1 through 4x4; the characteristic polynomial is
-    built by trace recursion and its roots located by simultaneous
-    iteration.
-    """
+    """All eigenvalues (with multiplicity, unordered) of a square matrix (``np.linalg.eigvals``)."""
     a = _as_square(a, "general_eigenvalues")
-    k = a.shape[0]
-    if k not in (1, 2, 3, 4):
-        raise DimensionError(f"general_eigenvalues supports sizes 1..4, got {k}")
-    coeffs = _char_poly(a)
-    if k == 1:
-        return np.array([-coeffs[1]], dtype=complex)
-    return _durand_kerner(coeffs)
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc

@@ -14,7 +14,7 @@ class ValidationError(RangingError):
 
 
 class NumericalError(RangingError):
-    """An iterative routine failed to converge within its cap."""
+    """A linear-algebra kernel failed on its input (LAPACK error or rank loss)."""
 
 
 class RankDeficiencyError(NumericalError):

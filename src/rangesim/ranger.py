@@ -75,7 +75,6 @@ class RangerConfig:
     """
 
     max_delay: int
-    num_codes_cap: int | None = None
     known_num_codes: int | None = None
 
 
@@ -167,11 +166,9 @@ def map_cfo(effective_cfo: float, layout: TileLayout) -> FreqEstimate:
 
 def map_timing(effective_timing: float, layout: TileLayout, max_delay: int) -> TimingEstimate:
     """Split an effective timing into its code index and delay in samples."""
+    if not 0 <= max_delay < layout.delay_bound:
+        raise ConfigError(f"max delay must lie in [0, {layout.delay_bound:.0f}) samples")
     span = layout.tile_width - 1
-    if not 0 <= max_delay < layout.n_subcarriers / span:
-        raise ConfigError(
-            f"max delay must lie in [0, {layout.n_subcarriers / span:.0f}) samples"
-        )
     half_bias = max_delay * span / (2.0 * layout.n_subcarriers)
     raw = _round_half_up(span * effective_timing + half_bias)
     timing = layout.n_subcarriers * (raw / span - effective_timing)
@@ -214,19 +211,17 @@ def _stage(name: str, fn, *args):
 def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     """Run the full three-step receiver over one subchannel's observations."""
     layout = obs.layout
-    cap_limit = min(layout.max_codes, layout.n_blocks - 1, layout.tile_width - 1)
-    cap = cap_limit if cfg.num_codes_cap is None else min(cfg.num_codes_cap, cap_limit)
 
     snaps_f = freq_snapshots(obs)
     corr_f = forward_backward(sample_corr(snaps_f))
     spectrum_f = _stage("frequency-stage eigendecomposition", hermitian_evd, corr_f)
 
     if cfg.known_num_codes is not None:
-        if not 0 <= cfg.known_num_codes <= cap_limit:
-            raise ConfigError(f"known code count must lie in [0, {cap_limit}]")
+        if not 0 <= cfg.known_num_codes <= layout.max_codes:
+            raise ConfigError(f"known code count must lie in [0, {layout.max_codes}]")
         num_codes = cfg.known_num_codes
     else:
-        num_codes = estimate_num_codes(spectrum_f, snaps_f.shape[0], cap)
+        num_codes = estimate_num_codes(spectrum_f, snaps_f.shape[0], layout.max_codes)
 
     if num_codes == 0:
         return RangingReport(num_codes=0)

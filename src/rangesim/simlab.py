@@ -11,8 +11,9 @@ any degree of parallelism as long as results reduce in index order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from .errors import ConfigError
+from .errors import ConfigError, RangingError
 from .ranger import RangerConfig, RangingReport, esprit_phases, freq_snapshots, range_subchannel, sample_corr
 from .cxmath import forward_backward, hermitian_evd
 
@@ -57,7 +58,6 @@ class SimConfig:
     trials: int = 1000
     mode: str = "waveform"
     master_seed: int = 1
-    data_subcarrier_load: str = "off"
 
     def layout(self) -> TileLayout:
         return TileLayout.uniform(
@@ -98,7 +98,7 @@ class SimConfig:
         try:
             layout = self.layout()
             self.channel_profile()
-        except Exception as exc:
+        except RangingError as exc:
             raise ConfigError(str(exc)) from exc
         if self.max_cfo < 0:
             raise ConfigError("max_cfo cannot be negative")
@@ -107,10 +107,8 @@ class SimConfig:
                 f"max_cfo {self.max_cfo} is at or beyond the acquisition bound "
                 f"{self.acquisition_bound:.6g}"
             )
-        if not 0 <= self.max_delay < self.n_subcarriers / (self.tile_width - 1):
-            raise ConfigError(
-                f"max_delay must lie in [0, {self.n_subcarriers / (self.tile_width - 1):.0f})"
-            )
+        if not 0 <= self.max_delay < layout.delay_bound:
+            raise ConfigError(f"max_delay must lie in [0, {layout.delay_bound:.0f})")
         if not 0 <= self.num_users <= layout.max_codes:
             raise ConfigError(f"num_users must lie in [0, {layout.max_codes}]")
         if self.max_delay + self.channel_taps > self.cp_ranging:
@@ -121,10 +119,10 @@ class SimConfig:
             raise ConfigError("trials must be positive")
         if not self.snr_list_db:
             raise ConfigError("snr_list_db cannot be empty")
+        if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_list_db):
+            raise ConfigError(f"snr_list_db entries must be numbers or +inf, got {self.snr_list_db}")
         if self.mode not in ("model", "waveform"):
             raise ConfigError(f"mode must be 'model' or 'waveform', got {self.mode!r}")
-        if self.data_subcarrier_load not in ("off", "qpsk"):
-            raise ConfigError("data_subcarrier_load must be 'off' or 'qpsk'")
 
 
 @dataclass
@@ -200,7 +198,7 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     if cfg.mode == "model":
         obs = synthesize_model_mode(truth, layout, var, rng)
     else:
-        obs = synthesize_waveform_mode(truth, layout, var, rng, data_load=cfg.data_subcarrier_load)
+        obs = synthesize_waveform_mode(truth, layout, var, rng)
 
     report = range_subchannel(obs, cfg.ranger_config())
 
@@ -233,7 +231,7 @@ def compute_metrics(results: list[TrialResult], snr_db: float, cfg: SimConfig) -
     """
     if not results:
         raise ConfigError("compute_metrics needs at least one trial result")
-    max_codes = min(cfg.tile_width, cfg.n_blocks) - 1
+    max_codes = cfg.layout().max_codes
     bad_trials = 0
     bad_codes = 0
     squared = []
@@ -291,14 +289,13 @@ def oracle_periodogram(snapshots, grid_resolution: float) -> float:
     return float(grid[int(np.argmax(power))])
 
 
-def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: float = 1e-4,
-                           cfg: SimConfig | None = None) -> float:
+def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: float = 1e-4) -> float:
     """Worst disagreement between the pipeline and the grid oracle.
 
     Runs noiseless single-user scenarios and compares the subspace
     frequency estimate against :func:`oracle_periodogram`, wrap-aware.
     """
-    cfg = cfg or SimConfig()
+    cfg = SimConfig()
     layout = cfg.layout()
     worst = 0.0
     for trial in range(trials):
@@ -312,6 +309,35 @@ def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: fl
         diff = xi_subspace - xi_grid
         worst = max(worst, abs(diff - round(diff)))
     return worst
+
+
+def noiseless_exactness(seed: int, trials: int, max_cfo: float) -> tuple[int, float, float]:
+    """Noiseless model-mode ranging with the true code count given.
+
+    Trial ``i`` draws ``1 + i % 3`` users of the reference setup, with
+    |CFO| up to ``max_cfo``, from the stream ``(seed, i)``.  Returns the
+    number of trials whose detected set is exact, and the worst CFO error
+    and delay error over the users of those trials.
+    """
+    cfg = SimConfig(max_cfo=max_cfo, mode="model")
+    layout = cfg.layout()
+    exact = 0
+    worst_cfo = worst_delay = 0.0
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        users = draw_users(cfg, rng, count=1 + trial % 3)
+        obs = synthesize_model_mode(users, layout, 0.0, rng)
+        report = range_subchannel(
+            obs, RangerConfig(max_delay=cfg.max_delay, known_num_codes=len(users))
+        )
+        if report.detected != {u.code for u in users}:
+            continue
+        exact += 1
+        for u in users:
+            cfo_hat, delay_hat = report.per_code[u.code]
+            worst_cfo = max(worst_cfo, abs(cfo_hat - u.cfo))
+            worst_delay = max(worst_delay, abs(delay_hat - u.delay))
+    return exact, worst_cfo, worst_delay
 
 
 def _fmt(value) -> str:
@@ -379,21 +405,31 @@ plot "{csv_name}" using 1:4 with linespoints title "p_err"
         raise OSError(f"could not write gnuplot script to {path}: {exc}") from exc
 
 
-_INT_FIELDS = {
-    "n_subcarriers", "n_blocks", "n_tiles", "tile_width", "cp_ranging", "cp_data",
-    "tile_spacing", "channel_taps", "num_users", "max_delay", "trials", "master_seed",
-}
-_FLOAT_FIELDS = {"channel_decay", "max_cfo"}
-_STR_FIELDS = {"mode", "data_subcarrier_load"}
+def parse_snr_list(text: str) -> tuple[float, ...]:
+    """SNR points in dB from comma- or space-separated values ("inf" allowed)."""
+    try:
+        return tuple(float(t) for t in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"bad SNR list {text!r}: {exc}") from exc
+
+
+def _field_parser(hint):
+    """The text-to-value parser for one ``SimConfig`` field type; ``int | None`` parses as int."""
+    if hint == tuple[float, ...]:
+        return parse_snr_list
+    return get_args(hint)[0] if get_args(hint) else hint
+
+
+_FIELD_PARSERS = {name: _field_parser(hint) for name, hint in get_type_hints(SimConfig).items()}
 
 
 def parse_config_text(text: str) -> SimConfig:
     """Parse flat ``key = value`` lines into a configuration.
 
     Blank lines and ``#`` comments are ignored; unknown keys are errors.
-    ``snr_list_db`` takes comma- or space-separated values ("inf" allowed).
+    Each value is parsed by its ``SimConfig`` field type; ``snr_list_db``
+    takes comma- or space-separated values ("inf" allowed).
     """
-    known = {f.name for f in fields(SimConfig)}
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -403,18 +439,11 @@ def parse_config_text(text: str) -> SimConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in known:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         try:
-            if key == "snr_list_db":
-                overrides[key] = tuple(float(t) for t in value.replace(",", " ").split())
-            elif key in _INT_FIELDS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                overrides[key] = float(value)
-            elif key in _STR_FIELDS:
-                overrides[key] = value
-        except ValueError as exc:
+            overrides[key] = _FIELD_PARSERS[key](value)
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return replace(SimConfig(), **overrides)
 

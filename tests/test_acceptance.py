@@ -13,13 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from rangesim.airmodel import synthesize_model_mode
 from rangesim.cxmath import forward_backward, general_eigenvalues, hermitian_evd
-from rangesim.ranger import RangerConfig, map_cfo, map_timing, range_subchannel
+from rangesim.ranger import map_cfo, map_timing
 from rangesim.simlab import (
     SimConfig,
-    draw_users,
     esprit_periodogram_gap,
+    noiseless_exactness,
     run_sweep,
     run_trial,
 )
@@ -147,25 +146,9 @@ def k2_grid():
 
 def test_criterion_1_noiseless_exactness():
     t0 = time.perf_counter()
-    detected_all = 0
-    worst_cfo = 0.0
-    worst_delay = 0.0
     trials = 100
-    for trial in range(trials):
-        k = 1 + trial % 3
-        cfg = SimConfig(num_users=k, max_cfo=0.1, mode="model")
-        rng = np.random.default_rng([555, trial])
-        users = draw_users(cfg, rng)
-        obs = synthesize_model_mode(users, cfg.layout(), 0.0, rng)
-        report = range_subchannel(
-            obs, RangerConfig(max_delay=cfg.max_delay, known_num_codes=k)
-        )
-        if report.detected == {u.code for u in users}:
-            detected_all += 1
-            for u in users:
-                cfo_hat, delay_hat = report.per_code[u.code]
-                worst_cfo = max(worst_cfo, abs(cfo_hat - u.cfo))
-                worst_delay = max(worst_delay, abs(delay_hat - u.delay))
+    # trial i ranges k = 1 + i % 3 users, drawn from stream (555, i)
+    detected_all, worst_cfo, worst_delay = noiseless_exactness(seed=555, trials=trials, max_cfo=0.1)
     elapsed = time.perf_counter() - t0
     ok = detected_all == trials and worst_cfo <= 1e-5 and worst_delay <= 1e-2 and elapsed < 10
     verdict(

@@ -285,16 +285,6 @@ class TestWaveformMode:
         model = synthesize_model_mode([user], layout, 0.0, np.random.default_rng(0))
         np.testing.assert_allclose(wave.grid, model.grid, atol=1e-10)
 
-    def test_data_load_does_not_touch_tiles(self):
-        layout = small_layout()
-        rng = np.random.default_rng(8)
-        user = UserTruth(0, 4, 0.05, draw_channel(ChannelProfile(4, 3.0), rng))
-        quiet = synthesize_waveform_mode([user], layout, 0.0, np.random.default_rng(1))
-        loaded = synthesize_waveform_mode(
-            [user], layout, 0.0, np.random.default_rng(1), data_load="qpsk"
-        )
-        np.testing.assert_allclose(loaded.grid, quiet.grid, atol=1e-10)
-
     def test_tile_power_accounting(self):
         # aligned, offset-free: waveform tile power exceeds the flat-tile power
         # by exactly the within-tile variance of the channel response

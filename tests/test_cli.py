@@ -83,6 +83,14 @@ class TestRun:
         main(["run", "--config", str(config_path), "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("snr", ["ten", "nan"])
+    def test_bad_snr_override_fails_cleanly(self, config_path, tmp_path, capsys, snr):
+        code = main(
+            ["run", "--config", str(config_path), "--snr", snr, "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_invalid_override_fails_cleanly(self, config_path, tmp_path, capsys):
         code = main(
             ["run", "--config", str(config_path), "--omega", "0.9",

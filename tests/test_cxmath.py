@@ -10,7 +10,7 @@ from rangesim.cxmath import (
     hermitian_evd,
     ls_rotation,
 )
-from rangesim.errors import DimensionError, RankDeficiencyError, ValidationError
+from rangesim.errors import DimensionError, NumericalError, RankDeficiencyError, ValidationError
 
 
 def random_complex(rng, shape):
@@ -106,9 +106,21 @@ class TestHermitianEvd:
         with pytest.raises(ValidationError):
             hermitian_evd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_rejects_oversized(self):
-        with pytest.raises(DimensionError):
-            hermitian_evd(np.eye(65))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            hermitian_evd(a)
+
+    def test_large_matrix_matches_numpy_eigh(self):
+        # no size cap: 65x65 is far past the 4x4 matrices the receiver builds
+        rng = np.random.default_rng(16)
+        a = random_hermitian(rng, 65)
+        spec = hermitian_evd(a)
+        np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(a)[::-1], atol=1e-10)
+        recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
+        np.testing.assert_allclose(recon, a, atol=1e-10)
 
     def test_zero_matrix(self):
         spec = hermitian_evd(np.zeros((3, 3)))
@@ -146,6 +158,12 @@ class TestLsRotation:
         z1 = np.hstack([col, col])  # duplicated column
         with pytest.raises(RankDeficiencyError):
             ls_rotation(z1, z1)
+
+    def test_non_finite_input_raises_numerical_error(self):
+        z1 = np.ones((3, 2), dtype=complex)
+        z1[0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            ls_rotation(z1, np.ones((3, 2)))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -200,9 +218,17 @@ class TestGeneralEigenvalues:
         a = np.array([[2.0, 1.0], [0.0, 2.0]])  # defective, eigenvalue 2 twice
         np.testing.assert_allclose(np.sort_complex(general_eigenvalues(a)), [2.0, 2.0], atol=1e-6)
 
-    def test_unsupported_size(self):
-        with pytest.raises(DimensionError):
-            general_eigenvalues(np.eye(5))
+    def test_five_by_five_matches_numpy_eigvals(self):
+        # no size cap: 5x5 is past the 3x3 rotations the receiver builds
+        rng = np.random.default_rng(34)
+        a = random_complex(rng, (5, 5))
+        got = np.sort_complex(general_eigenvalues(a))
+        want = np.sort_complex(np.linalg.eigvals(a))
+        np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_non_finite_input_raises_numerical_error(self):
+        with pytest.raises(NumericalError):
+            general_eigenvalues(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 def test_spectrum_is_reusable_container():

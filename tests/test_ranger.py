@@ -329,6 +329,14 @@ class TestRangeSubchannel:
         assert report.num_codes == 0
         assert report.detected == set()
 
+    def test_non_finite_grid_is_rejected(self):
+        # a NaN grid must not read as "no users"
+        layout = reference_layout()
+        grid = np.ones((4, 16, 4), dtype=complex)
+        grid[1, 3, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            range_subchannel(TileObservations(layout, grid), RangerConfig(max_delay=204))
+
     def test_single_user_noiseless(self):
         layout = reference_layout()
         rng = np.random.default_rng(10)

@@ -157,19 +157,6 @@ class TestRunTrial:
         assert res.cfo_errors == []
         assert res.report.num_codes >= 0
 
-    def test_data_load_wiring(self):
-        # loaded data bins never reach the tiles, and the load switch must not
-        # perturb the noise stream, so the whole trial outcome is unchanged
-        quiet = SimConfig(num_users=2, mode="waveform", master_seed=21)
-        loaded = SimConfig(
-            num_users=2, mode="waveform", master_seed=21, data_subcarrier_load="qpsk"
-        )
-        a = run_trial(quiet, 20.0, 4)
-        b = run_trial(loaded, 20.0, 4)
-        assert a.report.detected == b.report.detected
-        for x, y in zip(a.cfo_errors, b.cfo_errors):
-            assert x == pytest.approx(y, abs=1e-9)
-
 
 class TestRunSweep:
     def cfg(self):
@@ -300,6 +287,30 @@ class TestConfigParsing:
     def test_inf_snr_parses(self):
         cfg = parse_config_text("snr_list_db = inf\n")
         assert cfg.snr_list_db == (float("inf"),)
+        cfg.validate()
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_non_numeric_snr_rejected(self, snr):
+        # NaN would score every trial a miss; -inf means infinite noise power
+        cfg = parse_config_text(f"snr_list_db = 0, {snr}\n")
+        with pytest.raises(ConfigError, match="snr_list_db"):
+            cfg.validate()
+
+    def test_bad_snr_value_names_line(self):
+        with pytest.raises(ConfigError, match="line 2: bad value for snr_list_db"):
+            parse_config_text("trials = 5\nsnr_list_db = 0, ten\n")
+
+    def test_bad_int_value_rejected(self):
+        with pytest.raises(ConfigError, match="bad value for trials"):
+            parse_config_text("trials = 2.5\n")
+
+    def test_removed_knob_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            parse_config_text("data_subcarrier_load = qpsk\n")
+
+    def test_zero_tiles_rejected_with_config_error(self):
+        with pytest.raises(ConfigError, match="tile"):
+            SimConfig(n_tiles=0).validate()
 
     def test_acquisition_bound_enforced(self):
         cfg = parse_config_text("max_cfo = 0.1334\n")
