@@ -5,31 +5,12 @@ complex linear algebra), :mod:`rangesim.airmodel` (ground truth and uplink
 signal synthesis), :mod:`rangesim.ranger` (the subspace-based detector and
 estimators) and :mod:`rangesim.simlab` (Monte Carlo harness, metrics, CSV
 output).  The ``rangesim`` console script in :mod:`rangesim.cli` drives
-sweeps from flat config files.
+sweeps from flat config files.  The top level exports the library API the
+README documents and the error classes; everything else is imported from
+its submodule.
 """
 
-from .airmodel import (
-    ChannelProfile,
-    TileLayout,
-    TileObservations,
-    UserTruth,
-    cfo_attenuation,
-    channel_freq_response,
-    code_entry,
-    code_matrix,
-    draw_channel,
-    effective_offsets,
-    synthesize_model_mode,
-    synthesize_waveform_mode,
-    tile_average_response,
-)
-from .cxmath import (
-    HermitianSpectrum,
-    forward_backward,
-    general_eigenvalues,
-    hermitian_evd,
-    ls_rotation,
-)
+from .airmodel import UserTruth, draw_channel, synthesize_waveform_mode
 from .errors import (
     ConfigError,
     DimensionError,
@@ -38,35 +19,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .ranger import (
-    FreqEstimate,
-    RangerConfig,
-    RangingReport,
-    TimingEstimate,
-    detect_codes,
-    esprit_phases,
-    estimate_num_codes,
-    freq_snapshots,
-    map_cfo,
-    map_timing,
-    range_subchannel,
-    sample_corr,
-    tile_snapshots,
-)
-from .simlab import (
-    MetricsRow,
-    SimConfig,
-    TrialResult,
-    compute_metrics,
-    draw_users,
-    emit_csv,
-    esprit_periodogram_gap,
-    load_config,
-    noise_variance,
-    oracle_periodogram,
-    run_sweep,
-    run_trial,
-    timing_error_event,
-)
+from .ranger import RangerConfig, range_subchannel
+from .simlab import SimConfig, load_config, run_sweep
 
 __version__ = "0.1.0"

@@ -47,6 +47,8 @@ class TileLayout:
             raise ValidationError("tile_starts must list one start index per tile")
         if self.cp_ranging < 0 or self.cp_data < 0:
             raise ValidationError("cyclic prefix lengths cannot be negative")
+        if self.cp_ranging > self.n_subcarriers:
+            raise ValidationError("the ranging prefix cannot be longer than the block it extends")
         occupied = set()
         for start in self.tile_starts:
             if start < 0 or start + self.tile_width > self.n_subcarriers:
@@ -129,15 +131,6 @@ class TileObservations:
             raise ValidationError(f"grid shape {self.grid.shape} does not match layout {expected}")
 
 
-def code_entry(code: int, v: int, m: int, tile_width: int, n_blocks: int) -> complex:
-    """One symbol of a ranging code: unit modulus, linear phase in both axes."""
-    if tile_width < 2 or n_blocks < 2:
-        raise ValidationError("codes need tile_width >= 2 and n_blocks >= 2")
-    if not (0 <= v < tile_width and 0 <= m < n_blocks):
-        raise ValidationError("symbol position outside the code matrix")
-    return complex(np.exp(2j * np.pi * code * (v / (tile_width - 1) + m / (n_blocks - 1))))
-
-
 def code_matrix(code: int, tile_width: int, n_blocks: int) -> np.ndarray:
     """Full (tile_width, n_blocks) ranging code matrix."""
     if tile_width < 2 or n_blocks < 2:
@@ -173,20 +166,10 @@ def effective_offsets(user: UserTruth, layout: TileLayout) -> tuple[float, float
     return xi, eta
 
 
-def channel_freq_response(cir, bins, n_subcarriers: int):
-    """Frequency response of a tapped channel at the given subcarrier(s)."""
+def channel_freq_response(cir, bins, n_subcarriers: int) -> np.ndarray:
+    """Frequency response of a tapped channel at the given subcarriers, shaped like ``bins``."""
     cir = np.asarray(cir, dtype=complex)
-    bins_arr = np.atleast_1d(np.asarray(bins))
-    phases = np.exp(-2j * np.pi * np.outer(bins_arr, np.arange(cir.size)) / n_subcarriers)
-    out = phases @ cir
-    return complex(out[0]) if np.isscalar(bins) or np.ndim(bins) == 0 else out
-
-
-def tile_average_response(cir, tile_index: int, layout: TileLayout) -> complex:
-    """Mean channel response over one tile (the flat-per-tile approximation)."""
-    start = layout.tile_starts[tile_index]
-    bins = np.arange(start, start + layout.tile_width)
-    return complex(np.mean(channel_freq_response(cir, bins, layout.n_subcarriers)))
+    return np.exp(-2j * np.pi * np.multiply.outer(bins, np.arange(cir.size)) / n_subcarriers) @ cir
 
 
 def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarray:
@@ -225,22 +208,16 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     i.i.d. circular Gaussian of the given variance per grid entry.
     """
     _check_users(users, layout)
-    m_count, q_count, v_count = layout.n_blocks, layout.n_tiles, layout.tile_width
-    grid = np.zeros((m_count, q_count, v_count), dtype=complex)
     n = layout.n_subcarriers
+    bins = layout.tile_bins
+    grid = np.zeros((layout.n_blocks, layout.n_tiles, layout.tile_width), dtype=complex)
     for user in users:
         xi, eta = effective_offsets(user, layout)
-        gain = cfo_attenuation(user.cfo, n)
-        amps = np.array(
-            [
-                gain
-                * tile_average_response(user.cir, q, layout)
-                * np.exp(-2j * np.pi * layout.tile_starts[q] * user.delay / n)
-                for q in range(q_count)
-            ]
-        )
-        block_phase = np.exp(2j * np.pi * xi * np.arange(m_count))
-        tile_phase = np.exp(2j * np.pi * eta * np.arange(v_count))
+        tile_means = channel_freq_response(user.cir, bins, n).mean(axis=1)
+        delay_phase = np.exp(-2j * np.pi * bins[:, 0] * user.delay / n)
+        amps = cfo_attenuation(user.cfo, n) * tile_means * delay_phase
+        block_phase = np.exp(2j * np.pi * xi * np.arange(layout.n_blocks))
+        tile_phase = np.exp(2j * np.pi * eta * np.arange(layout.tile_width))
         grid += np.einsum("m,q,v->mqv", block_phase, amps, tile_phase)
     grid += _complex_noise(rng, grid.shape, noise_var)
     return TileObservations(layout, grid)
@@ -283,8 +260,7 @@ def extract_tiles(spectra: np.ndarray, layout: TileLayout) -> np.ndarray:
 def _ranging_grids(user: UserTruth, layout: TileLayout) -> np.ndarray:
     grids = np.zeros((layout.n_blocks, layout.n_subcarriers), dtype=complex)
     symbols = code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
-    for start in layout.tile_starts:
-        grids[:, start : start + layout.tile_width] = symbols
+    grids[:, layout.tile_bins] = symbols[:, None, :]
     return grids
 
 

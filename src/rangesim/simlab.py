@@ -25,9 +25,8 @@ from .airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from .errors import ConfigError, RangingError
-from .ranger import RangerConfig, RangingReport, esprit_phases, freq_snapshots, range_subchannel, sample_corr
-from .cxmath import forward_backward, hermitian_evd
+from .errors import ConfigError, RangingError, ValidationError
+from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
 
@@ -175,6 +174,8 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
     layout = cfg.layout()
     profile = cfg.channel_profile()
     k = cfg.num_users if count is None else count
+    if not 0 <= k <= layout.max_codes:
+        raise ValidationError(f"user count {k} outside [0, {layout.max_codes}]")
     codes = rng.choice(layout.max_codes, size=k, replace=False)
     delays = rng.integers(0, cfg.max_delay + 1, size=k)
     cfos = rng.uniform(-cfg.max_cfo, cfg.max_cfo, size=k)
@@ -197,8 +198,10 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     var = noise_variance(snr_db)
     if cfg.mode == "model":
         obs = synthesize_model_mode(truth, layout, var, rng)
-    else:
+    elif cfg.mode == "waveform":
         obs = synthesize_waveform_mode(truth, layout, var, rng)
+    else:
+        raise ConfigError(f"mode must be 'model' or 'waveform', got {cfg.mode!r}")
 
     report = range_subchannel(obs, cfg.ranger_config())
 
@@ -302,10 +305,9 @@ def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: fl
         rng = np.random.default_rng([seed, trial])
         users = draw_users(cfg, rng, count=1)
         obs = synthesize_model_mode(users, layout, 0.0, rng)
-        snaps = freq_snapshots(obs)
-        spectrum = hermitian_evd(forward_backward(sample_corr(snaps)))
-        xi_subspace = float(esprit_phases(spectrum, 1)[0])
-        xi_grid = oracle_periodogram(snaps, grid_resolution)
+        report = range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay, known_num_codes=1))
+        xi_subspace = report.freq_estimates[0].effective_cfo
+        xi_grid = oracle_periodogram(freq_snapshots(obs), grid_resolution)
         diff = xi_subspace - xi_grid
         worst = max(worst, abs(diff - round(diff)))
     return worst

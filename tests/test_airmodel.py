@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangesim.airmodel import (
     ChannelProfile,
@@ -11,7 +13,6 @@ from rangesim.airmodel import (
     apply_channel_and_cfo,
     cfo_attenuation,
     channel_freq_response,
-    code_entry,
     code_matrix,
     demodulate_slot,
     draw_channel,
@@ -20,7 +21,6 @@ from rangesim.airmodel import (
     modulate_slot,
     synthesize_model_mode,
     synthesize_waveform_mode,
-    tile_average_response,
 )
 from rangesim.errors import ValidationError
 
@@ -32,6 +32,11 @@ def reference_layout():
 
 def small_layout():
     return TileLayout.uniform(64, 4, 4, 4, cp_ranging=16, cp_data=8)
+
+
+def closed_form_symbol(code, v, m, tile_width, n_blocks):
+    """Ranging code symbol at tile position v, block m, straight from its definition."""
+    return np.exp(2j * np.pi * code * (v / (tile_width - 1) + m / (n_blocks - 1)))
 
 
 class TestTileLayout:
@@ -53,35 +58,39 @@ class TestTileLayout:
         with pytest.raises(ValidationError):
             TileLayout(16, 4, 2, 1, (0, 4), 4, 2)
 
+    def test_prefix_longer_than_block_rejected(self):
+        with pytest.raises(ValidationError):
+            TileLayout.uniform(64, 4, 4, 4, cp_ranging=100, cp_data=20)
+
 
 class TestCodeEntry:
+    """Entries of the ranging code matrix against their closed form."""
+
     def test_code_zero_is_all_ones(self):
-        for v in range(4):
-            for m in range(4):
-                assert code_entry(0, v, m, 4, 4) == 1.0
+        np.testing.assert_array_equal(code_matrix(0, 4, 4), np.ones((4, 4)))
 
     def test_origin_entry(self):
-        assert code_entry(1, 0, 0, 4, 4) == pytest.approx(1.0)
+        assert code_matrix(1, 4, 4)[0, 0] == pytest.approx(1.0)
 
     def test_phase_wraps_to_one(self):
         # code 2 at (v=1, m=2): exponent 2*(1/3 + 2/3) = 2, a full turn twice
-        assert code_entry(2, 1, 2, 4, 4) == pytest.approx(1.0)
+        assert code_matrix(2, 4, 4)[1, 2] == pytest.approx(1.0)
 
     def test_unit_modulus(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            c, v, m = rng.integers(0, 3), rng.integers(0, 4), rng.integers(0, 4)
-            assert abs(code_entry(int(c), int(v), int(m), 4, 4)) == pytest.approx(1.0)
+        for code in range(3):
+            np.testing.assert_allclose(np.abs(code_matrix(code, 4, 4)), 1.0, atol=1e-15)
 
     def test_matrix_agrees_with_entries(self):
-        cm = code_matrix(2, 4, 4)
-        for v in range(4):
-            for m in range(4):
-                assert cm[v, m] == pytest.approx(code_entry(2, v, m, 4, 4))
+        # unequal sides pin the axis order: rows are tile positions, columns blocks
+        cm = code_matrix(2, 5, 3)
+        assert cm.shape == (5, 3)
+        for v in range(5):
+            for m in range(3):
+                assert cm[v, m] == pytest.approx(closed_form_symbol(2, v, m, 5, 3))
 
     def test_degenerate_layout_rejected(self):
         with pytest.raises(ValidationError):
-            code_entry(1, 0, 0, 1, 4)
+            code_matrix(1, 1, 4)
 
 
 class TestCfoAttenuation:
@@ -138,24 +147,14 @@ class TestChannelFrequencyResponse:
         got = channel_freq_response(cir, np.arange(64), 64)
         np.testing.assert_allclose(got, np.fft.fft(cir, 64), atol=1e-12)
 
-
-class TestTileAverageResponse:
-    def test_flat_channel(self):
-        assert tile_average_response([1.0], 3, small_layout()) == pytest.approx(1.0)
-
-    def test_two_term_mean(self):
-        layout = TileLayout(64, 4, 1, 2, (0,), 16, 8)
-        want = (1 + np.exp(-2j * np.pi / 64)) / 2
-        assert tile_average_response([0.0, 1.0], 0, layout) == pytest.approx(want)
-
-    def test_mean_bounded_by_max(self):
-        rng = np.random.default_rng(3)
-        layout = small_layout()
-        cir = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        for q in range(layout.n_tiles):
-            bins = np.arange(layout.tile_starts[q], layout.tile_starts[q] + layout.tile_width)
-            peak = np.max(np.abs(channel_freq_response(cir, bins, 64)))
-            assert abs(tile_average_response(cir, q, layout)) <= peak + 1e-12
+    @pytest.mark.parametrize("bins", [5, np.arange(3, 9), np.arange(12).reshape(3, 4)])
+    def test_shape_follows_bins(self, bins):
+        cir = np.array([0.5 + 0.5j, -0.25j, 0.1])
+        got = channel_freq_response(cir, bins, 64)
+        assert got.shape == np.shape(bins)
+        for idx, b in np.ndenumerate(bins):
+            want = sum(h * np.exp(-2j * np.pi * b * tap / 64) for tap, h in enumerate(cir))
+            assert got[idx] == pytest.approx(want, abs=1e-12)
 
 
 class TestDrawChannel:
@@ -200,7 +199,8 @@ class TestModelMode:
 
     def test_matches_direct_evaluation(self):
         # independent oracle: product of code symbol, block rotation, attenuation,
-        # tile-averaged channel and delay phase, assembled entry by entry
+        # tile-averaged channel and delay phase, assembled entry by entry and
+        # tile by tile
         layout = small_layout()
         rng = np.random.default_rng(5)
         cir = draw_channel(ChannelProfile(6, 4.0), rng)
@@ -210,11 +210,13 @@ class TestModelMode:
         gain = cfo_attenuation(0.04, n)
         for m in range(layout.n_blocks):
             for q in range(layout.n_tiles):
-                avg = tile_average_response(cir, q, layout)
+                start = layout.tile_starts[q]
+                bins = np.arange(start, start + layout.tile_width)
+                avg = np.mean(channel_freq_response(cir, bins, n))
                 for v in range(layout.tile_width):
-                    bin_idx = layout.tile_starts[q] + v
+                    bin_idx = start + v
                     want = (
-                        code_entry(1, v, m, layout.tile_width, layout.n_blocks)
+                        closed_form_symbol(1, v, m, layout.tile_width, layout.n_blocks)
                         * np.exp(2j * np.pi * 0.04 * m * layout.block_len / n)
                         * gain
                         * avg
@@ -256,7 +258,7 @@ class TestWaveformMode:
                 for v in range(layout.tile_width):
                     bin_idx = layout.tile_starts[q] + v
                     want = (
-                        code_entry(2, v, m, layout.tile_width, layout.n_blocks)
+                        closed_form_symbol(2, v, m, layout.tile_width, layout.n_blocks)
                         * channel_freq_response(cir, bin_idx, n)
                         * np.exp(-2j * np.pi * bin_idx * 6 / n)
                     )
@@ -295,13 +297,11 @@ class TestWaveformMode:
         wave = synthesize_waveform_mode([user], layout, 0.0, np.random.default_rng(0))
         p_wave = float(np.sum(np.abs(wave.grid) ** 2))
         m, v = layout.n_blocks, layout.tile_width
-        p_flat = m * v * sum(
-            abs(tile_average_response(cir, q, layout)) ** 2 for q in range(layout.n_tiles)
-        )
-        spread = 0.0
+        p_flat = spread = 0.0
         for q in range(layout.n_tiles):
             bins = np.arange(layout.tile_starts[q], layout.tile_starts[q] + v)
             h = channel_freq_response(cir, bins, layout.n_subcarriers)
+            p_flat += m * v * abs(np.mean(h)) ** 2
             spread += m * float(np.sum(np.abs(h - np.mean(h)) ** 2))
         assert p_wave == pytest.approx(p_flat + spread, rel=1e-9)
         assert p_wave >= p_flat
@@ -317,6 +317,34 @@ class TestWaveformMode:
         spectra = np.arange(4 * 64, dtype=float).reshape(4, 64).astype(complex)
         tiles = extract_tiles(spectra, layout)
         assert tiles[2, 1, 3] == spectra[2, layout.tile_starts[1] + 3]
+
+
+@st.composite
+def flat_aligned_scenarios(draw):
+    """A small valid layout and CFO-free single-tap users whose delays fit the prefix."""
+    tile_width = draw(st.integers(2, 5))
+    n_blocks = draw(st.integers(2, 5))
+    n_tiles = draw(st.integers(1, 4))
+    n_subcarriers = draw(st.integers(n_tiles * tile_width, 64))
+    cp_ranging = draw(st.integers(1, n_subcarriers))
+    layout = TileLayout.uniform(n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, 0)
+    codes = draw(st.lists(st.integers(0, layout.max_codes - 1), unique=True))
+    gain = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    users = [
+        UserTruth(code, draw(st.integers(0, cp_ranging - 1)), 0.0, np.array([draw(gain)]))
+        for code in codes
+    ]
+    return layout, users
+
+
+@settings(deadline=None, derandomize=True)
+@given(flat_aligned_scenarios())
+def test_model_matches_waveform_on_flat_aligned_channels(scenario):
+    # a single tap and no CFO make the flat-per-tile closed form exact
+    layout, users = scenario
+    model = synthesize_model_mode(users, layout, 0.0, np.random.default_rng(0))
+    wave = synthesize_waveform_mode(users, layout, 0.0, np.random.default_rng(0))
+    np.testing.assert_allclose(model.grid, wave.grid, rtol=0, atol=1e-10)
 
 
 def test_observation_shape_guard():

@@ -38,6 +38,14 @@ class TestValidate:
         assert main(["validate", "--config", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_prefix_longer_than_block(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            "n_subcarriers = 64\nn_tiles = 4\ncp_ranging = 100\ncp_data = 20\nmax_delay = 20\n"
+        )
+        assert main(["validate", "--config", str(bad)]) == 1
+        assert "prefix" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err

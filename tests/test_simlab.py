@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rangesim.errors import ConfigError
+from rangesim.errors import ConfigError, ValidationError
 from rangesim.ranger import RangingReport
 from rangesim.simlab import (
     CSV_HEADER,
@@ -14,6 +14,7 @@ from rangesim.simlab import (
     SimConfig,
     TrialResult,
     compute_metrics,
+    draw_users,
     emit_csv,
     esprit_periodogram_gap,
     load_config,
@@ -156,6 +157,18 @@ class TestRunTrial:
         assert res.truth == []
         assert res.cfo_errors == []
         assert res.report.num_codes >= 0
+
+    @pytest.mark.parametrize("count", [-1, 4])
+    def test_user_count_outside_layout_rejected(self, count):
+        # the reference layout separates at most 3 codes
+        with pytest.raises(ValidationError, match="user count"):
+            draw_users(SimConfig(), np.random.default_rng(0), count=count)
+        with pytest.raises(ValidationError, match="user count"):
+            run_trial(SimConfig(num_users=count), 0.0, 0)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="mode"):
+            run_trial(SimConfig(mode="modle"), 0.0, 0)
 
 
 class TestRunSweep:
@@ -325,6 +338,11 @@ class TestConfigParsing:
     def test_prefix_budget_enforced(self):
         with pytest.raises(ConfigError, match="cp_ranging"):
             parse_config_text("max_delay = 250\n").validate()
+
+    def test_prefix_longer_than_block_rejected(self):
+        cfg = SimConfig(n_subcarriers=64, n_tiles=4, cp_ranging=100, cp_data=20, max_delay=20)
+        with pytest.raises(ConfigError, match="prefix"):
+            cfg.validate()
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="could not read"):
