@@ -4,10 +4,12 @@ Two generators produce the tile observations the receiver consumes:
 
 * model mode evaluates the flat-per-tile closed form directly in the DFT
   domain, which makes it an exact oracle for estimator unit tests;
-* waveform mode modulates real OFDMA blocks, passes them through a
-  multipath channel with per-user delay and carrier frequency offset,
-  and demodulates at the base station, so intercarrier leakage shows up
-  exactly the way it would on air.
+* waveform mode modulates real OFDMA blocks, rotates each user's slot by
+  its carrier frequency offset in the time domain, and demodulates at the
+  base station, so intercarrier leakage shows up exactly the way it would
+  on air.  Multipath channel and delay enter as per-bin gains on the
+  transmitted tiles, which is exact because together they fit inside the
+  ranging prefix.
 
 Both modes draw from an injected random generator and share no state, so
 independent trials can run concurrently on independent streams.
@@ -15,6 +17,7 @@ independent trials can run concurrently on independent streams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,18 +52,22 @@ class TileLayout:
             raise ValidationError("cyclic prefix lengths cannot be negative")
         if self.cp_ranging > self.n_subcarriers:
             raise ValidationError("the ranging prefix cannot be longer than the block it extends")
-        occupied = set()
-        for start in self.tile_starts:
-            if start < 0 or start + self.tile_width > self.n_subcarriers:
-                raise ValidationError(f"tile at {start} exceeds the subcarrier range")
-            occupied.update(range(start, start + self.tile_width))
-        if len(occupied) != self.n_tiles * self.tile_width:
+        bins = self.tile_bins
+        outside = (bins[:, 0] < 0) | (bins[:, -1] >= self.n_subcarriers)
+        if outside.any():
+            raise ValidationError(f"tile at {bins[outside, 0][0]} exceeds the subcarrier range")
+        if np.bincount(bins.ravel()).max() > 1:
             raise ValidationError("tiles overlap; they must be pairwise disjoint")
 
     @classmethod
+    @functools.lru_cache(maxsize=32)
     def uniform(cls, n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, cp_data,
                 spacing=None) -> "TileLayout":
-        """Layout with tiles spaced evenly across the spectrum."""
+        """Layout with tiles spaced evenly across the spectrum.
+
+        Cached: equal arguments return the same frozen instance, so callers
+        may ask for the layout as often as they like.
+        """
         if n_tiles < 1:
             raise ValidationError("a layout needs at least one tile")
         if spacing is None:
@@ -110,8 +117,8 @@ class ChannelProfile:
     def __post_init__(self):
         if self.n_taps < 1:
             raise ValidationError("a channel needs at least one tap")
-        if self.decay <= 0:
-            raise ValidationError("decay constant must be positive")
+        if not self.decay > 0:
+            raise ValidationError(f"decay constant must be a positive number, got {self.decay}")
 
     def tap_variances(self) -> np.ndarray:
         raw = np.exp(-np.arange(self.n_taps) / self.decay)
@@ -174,10 +181,7 @@ def channel_freq_response(cir, bins, n_subcarriers: int) -> np.ndarray:
 
 def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarray:
     """Sample one channel realisation: independent circular Gaussian taps."""
-    var = profile.tap_variances()
-    re = rng.standard_normal(profile.n_taps)
-    im = rng.standard_normal(profile.n_taps)
-    return np.sqrt(var / 2.0) * (re + 1j * im)
+    return _complex_noise(rng, profile.n_taps, profile.tap_variances())
 
 
 def _check_users(users, layout: TileLayout) -> None:
@@ -230,22 +234,6 @@ def modulate_slot(freq_grids: np.ndarray, layout: TileLayout) -> np.ndarray:
     return with_cp.reshape(-1)
 
 
-def apply_channel_and_cfo(slot: np.ndarray, cir, delay: int, cfo: float,
-                          layout: TileLayout) -> np.ndarray:
-    """Delay, convolve with the channel and spin up the frequency offset.
-
-    The offset phase accumulates continuously over the whole slot, so the
-    rotation each block sees grows by one extended block length per block.
-    """
-    total = slot.size
-    full = np.convolve(slot, np.asarray(cir, dtype=complex))
-    out = np.zeros(total, dtype=complex)
-    out[delay:] = full[: total - delay]
-    if cfo != 0:
-        out *= np.exp(2j * np.pi * cfo * np.arange(total) / layout.n_subcarriers)
-    return out
-
-
 def demodulate_slot(samples: np.ndarray, layout: TileLayout) -> np.ndarray:
     """Drop each block's prefix and return the unitary DFT per block."""
     blocks = samples.reshape(layout.n_blocks, layout.block_len)[:, layout.cp_ranging:]
@@ -257,31 +245,35 @@ def extract_tiles(spectra: np.ndarray, layout: TileLayout) -> np.ndarray:
     return spectra[:, layout.tile_bins]
 
 
-def _ranging_grids(user: UserTruth, layout: TileLayout) -> np.ndarray:
-    grids = np.zeros((layout.n_blocks, layout.n_subcarriers), dtype=complex)
-    symbols = code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
-    grids[:, layout.tile_bins] = symbols[:, None, :]
-    return grids
-
-
 def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
                              rng: np.random.Generator) -> TileObservations:
     """Tile observations from a full transmit/channel/receive simulation.
 
-    Each user's code symbols are placed on its ranging bins in every block,
-    modulated, cyclically extended, delayed, convolved with its channel and
-    rotated by its frequency offset; users are summed, time-domain noise of
-    the given variance is added, and the receiver strips prefixes, takes the
-    DFT and extracts the tile bins.
+    Each user's code symbols go onto its ranging bins in every block,
+    already multiplied by its channel's frequency response and its delay's
+    phase ramp; the blocks are modulated, cyclically extended and rotated
+    by the user's frequency offset over the whole slot, prefixes included.
+    The per-bin gains are exact, not an approximation: delay plus channel
+    length must fit inside the ranging prefix (checked here), so every kept
+    DFT window sees a circular convolution.  The offset stays a continuous
+    time-domain rotation, which is what leaks energy between bins.  Users
+    are summed, time-domain noise of the given variance is added, and the
+    receiver strips prefixes, takes the DFT and extracts the tile bins.
     """
     _check_users(users, layout)
     for u in users:
         if u.delay + np.asarray(u.cir).size > layout.cp_ranging:
             raise ValidationError("delay plus channel length must fit inside the ranging prefix")
 
-    total = np.zeros(layout.n_blocks * layout.block_len, dtype=complex)
+    n = layout.n_subcarriers
+    bins = layout.tile_bins
+    sample = np.arange(layout.n_blocks * layout.block_len)
+    total = np.zeros(sample.size, dtype=complex)
     for user in users:
-        slot = modulate_slot(_ranging_grids(user, layout), layout)
-        total += apply_channel_and_cfo(slot, user.cir, user.delay, user.cfo, layout)
+        gains = channel_freq_response(user.cir, bins, n) * np.exp(-2j * np.pi * bins * user.delay / n)
+        symbols = code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
+        grids = np.zeros((layout.n_blocks, n), dtype=complex)
+        grids[:, bins] = symbols[:, None, :] * gains
+        total += modulate_slot(grids, layout) * np.exp(2j * np.pi * user.cfo * sample / n)
     total += _complex_noise(rng, total.shape, noise_var)
     return TileObservations(layout, extract_tiles(demodulate_slot(total, layout), layout))

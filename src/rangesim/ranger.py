@@ -115,12 +115,13 @@ def estimate_num_codes(spectrum: HermitianSpectrum, num_snapshots: int, cap: int
         raise ValidationError(f"model-order cap must lie in [0, {n - 1}], got {cap}")
     if num_snapshots < 1:
         raise ValidationError("need a positive snapshot count")
-    log_s = math.log(num_snapshots)
-    scores = np.empty(cap + 1)
-    for k in range(cap + 1):
-        tail = lam[k:]
-        log_ratio = float(np.mean(np.log(tail)) - math.log(np.mean(tail)))
-        scores[k] = 0.5 * k * (2 * n - k) * log_s - num_snapshots * (n - k) * log_ratio
+    k = np.arange(cap + 1)
+    tail_len = n - k
+    # sums over the trailing eigenvalues lam[k:] for every candidate k at once
+    tail_log_sum = np.cumsum(np.log(lam)[::-1])[::-1][: cap + 1]
+    tail_sum = np.cumsum(lam[::-1])[::-1][: cap + 1]
+    log_ratio = tail_log_sum / tail_len - np.log(tail_sum / tail_len)
+    scores = 0.5 * k * (2 * n - k) * math.log(num_snapshots) - num_snapshots * tail_len * log_ratio
     return int(np.argmin(scores))
 
 

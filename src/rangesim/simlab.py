@@ -99,8 +99,8 @@ class SimConfig:
             self.channel_profile()
         except RangingError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.max_cfo < 0:
-            raise ConfigError("max_cfo cannot be negative")
+        if not self.max_cfo >= 0:
+            raise ConfigError(f"max_cfo must be a non-negative number, got {self.max_cfo}")
         if self.acquisition_margin >= 0.5:
             raise ConfigError(
                 f"max_cfo {self.max_cfo} is at or beyond the acquisition bound "
@@ -178,7 +178,8 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
         raise ValidationError(f"user count {k} outside [0, {layout.max_codes}]")
     codes = rng.choice(layout.max_codes, size=k, replace=False)
     delays = rng.integers(0, cfg.max_delay + 1, size=k)
-    cfos = rng.uniform(-cfg.max_cfo, cfg.max_cfo, size=k)
+    omega = abs(cfg.max_cfo)  # -0.0 draws as zero offset, not as an empty interval
+    cfos = rng.uniform(-omega, omega, size=k)
     return [
         UserTruth(int(codes[i]), int(delays[i]), float(cfos[i]), draw_channel(profile, rng))
         for i in range(k)

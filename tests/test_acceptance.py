@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines on passing runs too.  The trend sweeps are seeded and deterministic;
-they dominate the runtime (a few minutes).
+they dominate the runtime (a few minutes), and the criteria that read them
+(5-7) carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them.
 """
 
 import math
@@ -214,6 +215,7 @@ def failure_counts(rows):
     return [round(row.p_f * row.trials) for row in rows], trials
 
 
+@pytest.mark.slow
 def test_criterion_5_detection_error_trend(k3_grid):
     all_ok = True
     details = []
@@ -245,6 +247,7 @@ def test_criterion_5_detection_error_trend(k3_grid):
     assert elapsed < 600
 
 
+@pytest.mark.slow
 def test_criterion_6_cfo_rmse_trend(k3_grid, k2_grid):
     ref = k2_grid[0.05][2].rmse_eps   # K=2, omega=0.05, 20 dB
     hard = k3_grid[0.1][2].rmse_eps   # K=3, omega=0.1, 20 dB
@@ -265,6 +268,7 @@ def test_criterion_6_cfo_rmse_trend(k3_grid, k2_grid):
     assert mono_ok
 
 
+@pytest.mark.slow
 def test_criterion_7_timing_error_trend(k3_grid, k2_grid):
     ok = True
     details = []

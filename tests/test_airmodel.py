@@ -10,7 +10,6 @@ from rangesim.airmodel import (
     TileLayout,
     TileObservations,
     UserTruth,
-    apply_channel_and_cfo,
     cfo_attenuation,
     channel_freq_response,
     code_matrix,
@@ -39,6 +38,39 @@ def closed_form_symbol(code, v, m, tile_width, n_blocks):
     return np.exp(2j * np.pi * code * (v / (tile_width - 1) + m / (n_blocks - 1)))
 
 
+def spin(cfo, n_samples, n_subcarriers):
+    """Continuous frequency-offset rotation over a slot's sample index, prefixes included."""
+    return np.exp(2j * np.pi * cfo * np.arange(n_samples) / n_subcarriers)
+
+
+def time_domain_oracle(users, layout):
+    """Noiseless waveform tiles by the literal time-domain chain.
+
+    Per user: place the code on the tile bins, unitary IDFT per block, prepend
+    each block's cyclic prefix, convolve the slot with the channel, delay it
+    by whole samples (zeros shift in), rotate by the CFO, then sum the users,
+    drop the prefixes, take the unitary DFT and pick the tile bins.
+    """
+    n, cp = layout.n_subcarriers, layout.cp_ranging
+    total = np.zeros(layout.n_blocks * layout.block_len, dtype=complex)
+    for user in users:
+        spectra = np.zeros((layout.n_blocks, n), dtype=complex)
+        for start in layout.tile_starts:
+            for v in range(layout.tile_width):
+                for m in range(layout.n_blocks):
+                    spectra[m, start + v] = closed_form_symbol(
+                        user.code, v, m, layout.tile_width, layout.n_blocks
+                    )
+        blocks = np.fft.ifft(spectra, axis=1, norm="ortho")
+        slot = np.concatenate([blocks[:, n - cp:], blocks], axis=1).reshape(-1)
+        received = np.zeros_like(slot)
+        received[user.delay:] = np.convolve(slot, user.cir)[: slot.size - user.delay]
+        total += received * spin(user.cfo, slot.size, n)
+    kept = total.reshape(layout.n_blocks, layout.block_len)[:, cp:]
+    spectra = np.fft.fft(kept, axis=1, norm="ortho")
+    return spectra[:, np.asarray(layout.tile_starts)[:, None] + np.arange(layout.tile_width)]
+
+
 class TestTileLayout:
     def test_reference_numbers(self):
         layout = reference_layout()
@@ -51,8 +83,10 @@ class TestTileLayout:
             TileLayout(16, 4, 2, 4, (0, 2), 4, 2)
 
     def test_tile_past_edge_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="tile at 14 "):
             TileLayout(16, 4, 2, 4, (0, 14), 4, 2)
+        with pytest.raises(ValidationError, match="tile at -1 "):
+            TileLayout(16, 4, 2, 4, (-1, 8), 4, 2)
 
     def test_degenerate_width_rejected(self):
         with pytest.raises(ValidationError):
@@ -61,6 +95,10 @@ class TestTileLayout:
     def test_prefix_longer_than_block_rejected(self):
         with pytest.raises(ValidationError):
             TileLayout.uniform(64, 4, 4, 4, cp_ranging=100, cp_data=20)
+
+    def test_uniform_returns_one_instance_per_geometry(self):
+        assert TileLayout.uniform(64, 4, 4, 4, 16, 8) is TileLayout.uniform(64, 4, 4, 4, 16, 8)
+        assert TileLayout.uniform(64, 4, 4, 4, 16, 8) != TileLayout.uniform(64, 4, 4, 4, 16, 4)
 
 
 class TestCodeEntry:
@@ -182,6 +220,8 @@ class TestDrawChannel:
             ChannelProfile(0, 12.0)
         with pytest.raises(ValidationError):
             ChannelProfile(3, 0.0)
+        with pytest.raises(ValidationError):
+            ChannelProfile(3, float("nan"))
 
 
 class TestModelMode:
@@ -272,8 +312,7 @@ class TestWaveformMode:
         grids = np.zeros((layout.n_blocks, layout.n_subcarriers), dtype=complex)
         grids[:, 5] = 1.0
         slot = modulate_slot(grids, layout)
-        received = apply_channel_and_cfo(slot, [1.0], 0, eps, layout)
-        spectra = demodulate_slot(received, layout)
+        spectra = demodulate_slot(slot * spin(eps, slot.size, layout.n_subcarriers), layout)
         want_mag = abs(cfo_attenuation(eps, layout.n_subcarriers))
         for m in range(layout.n_blocks):
             assert abs(spectra[m, 5]) == pytest.approx(want_mag, abs=1e-10)
@@ -320,18 +359,24 @@ class TestWaveformMode:
 
 
 @st.composite
-def flat_aligned_scenarios(draw):
-    """A small valid layout and CFO-free single-tap users whose delays fit the prefix."""
+def small_layouts(draw):
+    """A small valid layout with a nonempty ranging prefix."""
     tile_width = draw(st.integers(2, 5))
     n_blocks = draw(st.integers(2, 5))
     n_tiles = draw(st.integers(1, 4))
     n_subcarriers = draw(st.integers(n_tiles * tile_width, 64))
     cp_ranging = draw(st.integers(1, n_subcarriers))
-    layout = TileLayout.uniform(n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, 0)
+    return TileLayout.uniform(n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, 0)
+
+
+@st.composite
+def flat_aligned_scenarios(draw):
+    """A small valid layout and CFO-free single-tap users whose delays fit the prefix."""
+    layout = draw(small_layouts())
     codes = draw(st.lists(st.integers(0, layout.max_codes - 1), unique=True))
     gain = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
     users = [
-        UserTruth(code, draw(st.integers(0, cp_ranging - 1)), 0.0, np.array([draw(gain)]))
+        UserTruth(code, draw(st.integers(0, layout.cp_ranging - 1)), 0.0, np.array([draw(gain)]))
         for code in codes
     ]
     return layout, users
@@ -345,6 +390,50 @@ def test_model_matches_waveform_on_flat_aligned_channels(scenario):
     model = synthesize_model_mode(users, layout, 0.0, np.random.default_rng(0))
     wave = synthesize_waveform_mode(users, layout, 0.0, np.random.default_rng(0))
     np.testing.assert_allclose(model.grid, wave.grid, rtol=0, atol=1e-10)
+
+
+@st.composite
+def prefix_filling_scenarios(draw):
+    """A small valid layout and users with CFOs and multi-tap channels whose delay
+    plus length fill up to the ranging prefix."""
+    layout = draw(small_layouts())
+    codes = draw(st.lists(st.integers(0, layout.max_codes - 1), min_size=1, unique=True))
+    gain = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    cfo = st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True)
+    users = []
+    for code in codes:
+        taps = draw(st.integers(1, layout.cp_ranging))
+        delay = draw(st.integers(0, layout.cp_ranging - taps))
+        cir = np.array(draw(st.lists(gain, min_size=taps, max_size=taps)), dtype=complex)
+        users.append(UserTruth(code, delay, draw(cfo), cir))
+    return layout, users
+
+
+def assert_matches_oracle(layout, users):
+    want = time_domain_oracle(users, layout)
+    got = synthesize_waveform_mode(users, layout, 0.0, np.random.default_rng(0)).grid
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+
+
+@settings(deadline=None, derandomize=True)
+@given(prefix_filling_scenarios())
+def test_waveform_matches_time_domain_oracle(scenario):
+    # per-bin channel and delay gains are exact while delay plus channel fit the prefix
+    assert_matches_oracle(*scenario)
+
+
+@pytest.mark.parametrize("delays, cfos", [
+    ((0, 37, 204), (0.0, 0.04, -0.1)),
+    ((244, 120, 1), (0.1333, -0.49, 0.25)),
+])
+def test_waveform_matches_time_domain_oracle_on_reference_layout(delays, cfos):
+    rng = np.random.default_rng(11)
+    profile = ChannelProfile(12, 12.0)
+    users = [
+        UserTruth(code, delay, cfo, draw_channel(profile, rng))
+        for code, delay, cfo in zip(range(3), delays, cfos)
+    ]
+    assert_matches_oracle(reference_layout(), users)
 
 
 def test_observation_shape_guard():

@@ -108,6 +108,15 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_nan_omega_fails_cleanly(self, config_path, tmp_path, capsys):
+        code = main(
+            ["run", "--config", str(config_path), "--omega", "nan",
+             "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_oracle_passes(self, capsys):
         assert main(["oracle"]) == 0

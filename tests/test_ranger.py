@@ -1,7 +1,11 @@
 """Receiver pipeline checks: snapshot shaping, order selection, phase recovery."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangesim.airmodel import (
     ChannelProfile,
@@ -425,3 +429,53 @@ class TestWrapConsistency:
                 est = map_timing(float(wrap_half(eta)), layout, 204)
                 assert est.code == code
                 assert est.timing == pytest.approx(delay, abs=1e-9)
+
+
+@st.composite
+def small_layouts(draw):
+    """A small valid layout, tile geometry and prefix drawn freely."""
+    tile_width = draw(st.integers(2, 6))
+    n_blocks = draw(st.integers(2, 6))
+    n_tiles = draw(st.integers(1, 4))
+    n_subcarriers = draw(st.integers(n_tiles * tile_width, 64))
+    cp_ranging = draw(st.integers(0, n_subcarriers))
+    return TileLayout.uniform(n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, 0)
+
+
+# Largest |CFO| drawn, as a fraction of the acquisition bound: at the bound itself
+# the code decision is a rounding tie, which round-off may break either way.
+ACQUISITION_EDGE = 1 - 1e-6
+
+
+@settings(deadline=None, derandomize=True)
+@given(small_layouts(), st.data())
+def test_mapping_recovers_every_code_from_wrapped_offsets(layout, data):
+    acquisition_bound = layout.n_subcarriers / (2.0 * layout.block_len * (layout.n_blocks - 1))
+    max_delay = data.draw(st.integers(0, math.ceil(layout.delay_bound) - 1))
+    for code in range(layout.max_codes):
+        cfo = data.draw(st.floats(-ACQUISITION_EDGE, ACQUISITION_EDGE)) * acquisition_bound
+        delay = data.draw(st.integers(0, max_delay))
+        xi, eta = effective_offsets(UserTruth(code, delay, cfo, np.ones(1)), layout)
+        freq = map_cfo(float(wrap_half(xi)), layout)
+        timing = map_timing(float(wrap_half(eta)), layout, max_delay)
+        assert freq.code == timing.code == code
+        assert freq.cfo == pytest.approx(cfo, abs=1e-9)
+        assert timing.timing == pytest.approx(delay, abs=1e-9)
+
+
+@settings(deadline=None, derandomize=True)
+@given(small_layouts(), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0), st.data())
+def test_reported_codes_stay_in_range(layout, seed, noise_var, data):
+    # any offsets and noise: the detector may err, but never names a code outside the layout
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(0, layout.max_codes))
+    codes = rng.choice(layout.max_codes, size=k, replace=False)
+    users = [
+        UserTruth(int(c), int(rng.integers(0, layout.n_subcarriers)), float(rng.uniform(-0.5, 0.5)),
+                  draw_channel(ChannelProfile(3, 2.0), rng))
+        for c in codes
+    ]
+    obs = synthesize_model_mode(users, layout, noise_var, rng)
+    max_delay = math.ceil(layout.delay_bound) - 1
+    report = range_subchannel(obs, RangerConfig(max_delay=max_delay))
+    assert all(0 <= c < layout.max_codes for c in report.detected | set(report.per_code))

@@ -325,6 +325,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="tile"):
             SimConfig(n_tiles=0).validate()
 
+    def test_nan_max_cfo_rejected(self):
+        # NaN slipped past every bound and crashed the first trial inside numpy
+        with pytest.raises(ConfigError, match="max_cfo"):
+            parse_config_text("max_cfo = nan\n").validate()
+
+    def test_negative_zero_max_cfo_runs_as_zero_offset(self):
+        cfg = parse_config_text("max_cfo = -0.0\nmode = model\n")
+        cfg.validate()
+        assert [u.cfo for u in draw_users(cfg, np.random.default_rng(0))] == [0.0, 0.0, 0.0]
+        assert all(run_trial(cfg, float("inf"), 0).detected_flags)
+
+    def test_nan_channel_decay_rejected(self):
+        with pytest.raises(ConfigError, match="decay"):
+            parse_config_text("channel_decay = nan\n").validate()
+
     def test_acquisition_bound_enforced(self):
         cfg = parse_config_text("max_cfo = 0.1334\n")
         with pytest.raises(ConfigError, match="acquisition"):
