@@ -4,15 +4,15 @@ Two generators produce the tile observations the receiver consumes:
 
 * model mode evaluates the flat-per-tile closed form directly in the DFT
   domain, which makes it an exact oracle for estimator unit tests;
-* waveform mode modulates real OFDMA blocks, rotates each user's slot by
-  its carrier frequency offset in the time domain, and demodulates at the
-  base station, so intercarrier leakage shows up exactly the way it would
-  on air.  Multipath channel and delay enter as per-bin gains on the
-  transmitted tiles, which is exact because together they fit inside the
-  ranging prefix.
+* waveform mode is exact for the full OFDMA chain: channel and delay are
+  per-bin gains (together they fit inside the ranging prefix), and each
+  user's frequency offset leaks every tile bin into every other one through
+  the DFT window's Dirichlet kernel, as intercarrier leakage does on air.
 
-Both modes draw from an injected random generator and share no state, so
-independent trials can run concurrently on independent streams.
+Both modes share that kernel (:func:`cfo_attenuation`) and one noise model,
+i.i.d. circular Gaussian per tile bin.  They draw from an injected random
+generator and share no state, so independent trials can run concurrently
+on independent streams.
 """
 
 from __future__ import annotations
@@ -96,6 +96,16 @@ class TileLayout:
         starts = np.asarray(self.tile_starts)[:, None]
         return starts + np.arange(self.tile_width)[None, :]
 
+    @functools.cached_property
+    def _bin_distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct distances d = b - b' between tile bins, and the index that
+        gathers the (QV, QV) matrix of d over flat tile bins (b, b') from them."""
+        bins = self.tile_bins.ravel()
+        shifted = bins[:, None] - bins[None, :] + self.n_subcarriers - 1  # >= 0
+        present = np.bincount(shifted.ravel()) > 0
+        distances = np.flatnonzero(present) - (self.n_subcarriers - 1)
+        return distances, (np.cumsum(present) - 1)[shifted]
+
 
 @dataclass(frozen=True)
 class UserTruth:
@@ -147,17 +157,20 @@ def code_matrix(code: int, tile_width: int, n_blocks: int) -> np.ndarray:
     return np.exp(2j * np.pi * code * (v + m))
 
 
-def cfo_attenuation(cfo: float, n_subcarriers: int) -> complex:
-    """Complex gain a frequency offset imposes on the matching DFT bin.
+def cfo_attenuation(offset, n_subcarriers: int):
+    """Dirichlet kernel D(x) = (1/N) sum_t exp(2j pi x t / N) of the DFT window.
 
-    Magnitude is at most 1 and even in the offset; the phase term reflects
-    that the DFT window sits after half a block of accumulated rotation.
+    The gain a tone picks up in the bin ``x`` subcarrier spacings below it:
+    ``x = d + cfo`` for a tone sent ``d`` bins above, so ``D(cfo)`` is what a
+    frequency offset leaves on the tone's own bin.  Magnitude is at most 1
+    and even in ``x``; the phase reflects half a block of rotation inside
+    the window.  ``offset`` may be a scalar or an array, with |x| < N.
     """
-    if cfo == 0:
-        return 1.0 + 0.0j
     n = n_subcarriers
-    gain = np.sin(np.pi * cfo) / (n * np.sin(np.pi * cfo / n))
-    return complex(gain * np.exp(1j * np.pi * cfo * (n - 1) / n))
+    t = np.pi * offset
+    den = n * np.sin(t / n)
+    at_zero = den == 0  # D(0) = 1, the limit of the ratio below
+    return (np.sin(t) + at_zero) / (den + at_zero) * np.exp(1j * t * (n - 1) / n)
 
 
 def effective_offsets(user: UserTruth, layout: TileLayout) -> tuple[float, float]:
@@ -227,38 +240,21 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     return TileObservations(layout, grid)
 
 
-def modulate_slot(freq_grids: np.ndarray, layout: TileLayout) -> np.ndarray:
-    """Unitary IDFT per block plus cyclic prefix; returns the slot samples."""
-    time = np.fft.ifft(freq_grids, axis=1, norm="ortho")
-    with_cp = np.concatenate([time[:, time.shape[1] - layout.cp_ranging:], time], axis=1)
-    return with_cp.reshape(-1)
-
-
-def demodulate_slot(samples: np.ndarray, layout: TileLayout) -> np.ndarray:
-    """Drop each block's prefix and return the unitary DFT per block."""
-    blocks = samples.reshape(layout.n_blocks, layout.block_len)[:, layout.cp_ranging:]
-    return np.fft.fft(blocks, axis=1, norm="ortho")
-
-
-def extract_tiles(spectra: np.ndarray, layout: TileLayout) -> np.ndarray:
-    """Pick the ranging bins out of full per-block spectra."""
-    return spectra[:, layout.tile_bins]
-
-
 def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
                              rng: np.random.Generator) -> TileObservations:
-    """Tile observations from a full transmit/channel/receive simulation.
+    """Tile observations of the full OFDMA transmit/channel/receive chain.
 
     Each user's code symbols go onto its ranging bins in every block,
-    already multiplied by its channel's frequency response and its delay's
-    phase ramp; the blocks are modulated, cyclically extended and rotated
-    by the user's frequency offset over the whole slot, prefixes included.
-    The per-bin gains are exact, not an approximation: delay plus channel
-    length must fit inside the ranging prefix (checked here), so every kept
-    DFT window sees a circular convolution.  The offset stays a continuous
-    time-domain rotation, which is what leaks energy between bins.  Users
-    are summed, time-domain noise of the given variance is added, and the
-    receiver strips prefixes, takes the DFT and extracts the tile bins.
+    multiplied by its channel's frequency response and its delay's phase
+    ramp; this is exact because delay plus channel length must fit inside
+    the ranging prefix (checked here), so every kept DFT window sees a
+    circular convolution.  The frequency offset, a continuous rotation of
+    the slot, sends each loaded bin into every bin of kept window m with
+    the Dirichlet kernel ``cfo_attenuation(d + cfo)`` of their distance d,
+    times the rotation at the window start,
+    exp(2j pi cfo (m * block_len + cp_ranging) / N).  Users are summed and
+    i.i.d. circular Gaussian noise of the given variance is added per tile
+    bin, as in model mode: the unitary DFT of white time-domain noise.
     """
     _check_users(users, layout)
     for u in users:
@@ -267,13 +263,15 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
 
     n = layout.n_subcarriers
     bins = layout.tile_bins
-    sample = np.arange(layout.n_blocks * layout.block_len)
-    total = np.zeros(sample.size, dtype=complex)
+    distances, gather = layout._bin_distances
+    window_start = np.arange(layout.n_blocks) * layout.block_len + layout.cp_ranging
+    grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
     for user in users:
         gains = channel_freq_response(user.cir, bins, n) * np.exp(-2j * np.pi * bins * user.delay / n)
         symbols = code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
-        grids = np.zeros((layout.n_blocks, n), dtype=complex)
-        grids[:, bins] = symbols[:, None, :] * gains
-        total += modulate_slot(grids, layout) * np.exp(2j * np.pi * user.cfo * sample / n)
-    total += _complex_noise(rng, total.shape, noise_var)
-    return TileObservations(layout, extract_tiles(demodulate_slot(total, layout), layout))
+        tiles = (symbols[:, None, :] * gains).reshape(layout.n_blocks, -1)
+        leakage = cfo_attenuation(distances + user.cfo, n)[gather]
+        grid += (tiles @ leakage) * np.exp(2j * np.pi * user.cfo * window_start / n)[:, None]
+    grid = grid.reshape(layout.n_blocks, layout.n_tiles, layout.tile_width)
+    grid += _complex_noise(rng, grid.shape, noise_var)
+    return TileObservations(layout, grid)

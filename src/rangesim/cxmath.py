@@ -74,9 +74,10 @@ def ls_rotation(z1, z2) -> np.ndarray:
     """Least-squares solution X of ``Z1 @ X ~= Z2`` by LAPACK (``np.linalg.lstsq``).
 
     Both inputs must share the same (rows, k) shape with rows >= k >= 1.
-    Raises :class:`RankDeficiencyError` when a singular value of Z1 falls
-    below 1e-6 of its largest: the subspace dimension was overestimated or
-    the snapshot set is degenerate.
+    Raises :class:`ValidationError` for non-finite entries, and
+    :class:`RankDeficiencyError` when a singular value of Z1 falls below
+    1e-6 of its largest: the subspace dimension was overestimated or the
+    snapshot set is degenerate.
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
@@ -85,6 +86,8 @@ def ls_rotation(z1, z2) -> np.ndarray:
     rows, k = z1.shape
     if k < 1 or rows < k:
         raise DimensionError(f"ls_rotation needs rows >= cols >= 1, got {z1.shape}")
+    if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
+        raise ValidationError("ls_rotation input has non-finite entries")
     try:
         x, _, rank, _ = np.linalg.lstsq(z1, z2, rcond=_RANK_RCOND)
     except np.linalg.LinAlgError as exc:

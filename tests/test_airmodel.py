@@ -13,11 +13,8 @@ from rangesim.airmodel import (
     cfo_attenuation,
     channel_freq_response,
     code_matrix,
-    demodulate_slot,
     draw_channel,
     effective_offsets,
-    extract_tiles,
-    modulate_slot,
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
@@ -305,19 +302,38 @@ class TestWaveformMode:
                     assert obs.grid[m, q, v] == pytest.approx(want, abs=1e-10)
 
     def test_single_bin_cfo_identity(self):
-        # one loaded subcarrier: its own bin comes back scaled by exactly the
-        # attenuation factor, and energy leaks into the other bins
+        # one loaded subcarrier through the literal chain (IDFT, prefix, spin,
+        # drop prefix, DFT): every output bin is the Dirichlet kernel at its
+        # distance below the tone, times the rotation at the window start
         layout = small_layout()
-        eps = 0.08
-        grids = np.zeros((layout.n_blocks, layout.n_subcarriers), dtype=complex)
-        grids[:, 5] = 1.0
-        slot = modulate_slot(grids, layout)
-        spectra = demodulate_slot(slot * spin(eps, slot.size, layout.n_subcarriers), layout)
-        want_mag = abs(cfo_attenuation(eps, layout.n_subcarriers))
-        for m in range(layout.n_blocks):
-            assert abs(spectra[m, 5]) == pytest.approx(want_mag, abs=1e-10)
-        leakage = np.sum(np.abs(spectra[:, np.arange(64) != 5]) ** 2)
-        assert leakage > 1e-6
+        n, cp, loaded = layout.n_subcarriers, layout.cp_ranging, 5
+        distance = loaded - np.arange(n)
+        for eps in (0.0, 0.08, -0.08, 0.49, -0.49):
+            spectra = np.zeros((layout.n_blocks, n), dtype=complex)
+            spectra[:, loaded] = 1.0
+            blocks = np.fft.ifft(spectra, axis=1, norm="ortho")
+            slot = np.concatenate([blocks[:, n - cp:], blocks], axis=1).reshape(-1)
+            received = (slot * spin(eps, slot.size, n)).reshape(layout.n_blocks, layout.block_len)
+            got = np.fft.fft(received[:, cp:], axis=1, norm="ortho")
+            for m in range(layout.n_blocks):
+                window_start = np.exp(2j * np.pi * eps * (m * layout.block_len + cp) / n)
+                want = cfo_attenuation(distance + eps, n) * window_start
+                np.testing.assert_allclose(got[m], want, rtol=0, atol=1e-12)
+
+    def test_noise_is_model_mode_noise(self):
+        # one noise model: with no users both synthesizers return the same
+        # i.i.d. bin draw.  Over B seeds each entry's mean |z|^2 / noise_var is
+        # Gamma(B, 1/B), standard deviation 1/sqrt(B); 5/sqrt(B) bounds it.
+        layout = small_layout()
+        noise_var, batch = 0.3, 2000
+        draws = []
+        for seed in range(batch):
+            wave = synthesize_waveform_mode([], layout, noise_var, np.random.default_rng(seed))
+            model = synthesize_model_mode([], layout, noise_var, np.random.default_rng(seed))
+            np.testing.assert_array_equal(wave.grid, model.grid)
+            draws.append(wave.grid)
+        power = np.mean(np.abs(np.array(draws)) ** 2, axis=0) / noise_var
+        assert np.max(np.abs(power - 1.0)) < 5 / np.sqrt(batch)
 
     def test_matches_model_mode_when_aligned_and_flat(self):
         layout = small_layout()
@@ -350,12 +366,6 @@ class TestWaveformMode:
         user = UserTruth(0, 15, 0.0, np.ones(4, dtype=complex))
         with pytest.raises(ValidationError):
             synthesize_waveform_mode([user], layout, 0.0, np.random.default_rng(0))
-
-    def test_extract_tiles_positions(self):
-        layout = small_layout()
-        spectra = np.arange(4 * 64, dtype=float).reshape(4, 64).astype(complex)
-        tiles = extract_tiles(spectra, layout)
-        assert tiles[2, 1, 3] == spectra[2, layout.tile_starts[1] + 3]
 
 
 @st.composite

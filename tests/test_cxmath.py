@@ -159,11 +159,16 @@ class TestLsRotation:
         with pytest.raises(RankDeficiencyError):
             ls_rotation(z1, z1)
 
-    def test_non_finite_input_raises_numerical_error(self):
-        z1 = np.ones((3, 2), dtype=complex)
-        z1[0, 0] = np.nan
-        with pytest.raises(NumericalError):
-            ls_rotation(z1, np.ones((3, 2)))
+    def test_non_finite_input_raises_validation_error(self, capfd):
+        # rejected before LAPACK, which would print DLASCL/ZLASCL errors to stderr
+        for bad in (np.nan, np.inf):
+            z = np.ones((3, 2), dtype=complex)
+            z[0, 0] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                ls_rotation(z, np.ones((3, 2)))
+            with pytest.raises(ValidationError, match="non-finite"):
+                ls_rotation(np.ones((3, 2)), z)
+        assert "LASCL" not in capfd.readouterr().err
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
