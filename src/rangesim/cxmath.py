@@ -8,8 +8,6 @@ error contract: bad input raises :class:`ValidationError` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NumericalError, RankDeficiencyError, ValidationError
@@ -18,18 +16,6 @@ _HERMITIAN_REL_TOL = 1e-12
 # Singular values below this fraction of the largest count as zero: the
 # same as a 1e-12 relative bound on the eigenvalues of the Gram matrix Z1^H Z1.
 _RANK_RCOND = 1e-6
-
-
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigenvalues in non-increasing order with matching orthonormal eigenvectors.
-
-    Column ``j`` of ``eigenvectors`` pairs with ``eigenvalues[j]``.  The
-    order within a tie is unspecified; nothing downstream depends on it.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -50,12 +36,15 @@ def forward_backward(r) -> np.ndarray:
     return 0.5 * (r + r[::-1, ::-1].T)
 
 
-def hermitian_evd(a) -> HermitianSpectrum:
+def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
 
-    Raises :class:`ValidationError` for non-finite entries or input that is
-    not Hermitian to a relative tolerance of 1e-12.  Eigenvalues come back
-    in non-increasing order; the order within a tie is unspecified.
+    Returns ``(eigenvalues, eigenvectors)`` as contiguous copies: real
+    eigenvalues in non-increasing order, and orthonormal eigenvectors whose
+    column ``j`` pairs with ``eigenvalues[j]``.  The order within a tie is
+    unspecified; nothing downstream depends on it.  Raises
+    :class:`ValidationError` for non-finite entries or input that is not
+    Hermitian to a relative tolerance of 1e-12.
     """
     a = _as_square(a, "hermitian_evd")
     if not np.isfinite(a).all():
@@ -67,7 +56,7 @@ def hermitian_evd(a) -> HermitianSpectrum:
         eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigendecomposition failed: {exc}") from exc
-    return HermitianSpectrum(eigenvalues[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1]))
+    return eigenvalues[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1])
 
 
 def ls_rotation(z1, z2) -> np.ndarray:

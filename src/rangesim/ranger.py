@@ -16,6 +16,9 @@ runs two subspace stages over the same observations:
    physical offset from the residual, and declare a code detected only
    when both stages agree on it.
 
+After the correlation, every stage takes and returns plain numpy arrays
+(eigenvalues, eigenvectors, or one entry per estimate, strongest first).
+
 Everything here is a deterministic pure function of its inputs: the same
 observations produce bit-identical reports.
 """
@@ -28,30 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airmodel import TileLayout, TileObservations
-from .cxmath import HermitianSpectrum, forward_backward, general_eigenvalues, hermitian_evd, ls_rotation
+from .cxmath import forward_backward, general_eigenvalues, hermitian_evd, ls_rotation
 from .errors import ConfigError, DimensionError, RangingError, ValidationError
 
 EIGENVALUE_FLOOR = 1e-18
-
-
-@dataclass(frozen=True)
-class FreqEstimate:
-    """One frequency-stage estimate and its code/CFO decomposition."""
-
-    effective_cfo: float   # raw phase estimate, cycles per block, in [-1/2, 1/2)
-    code_raw: int          # nearest code index before modular reduction
-    code: int              # code index reduced to [0, n_blocks - 2]
-    cfo: float             # normalized CFO recovered from the residual
-
-
-@dataclass(frozen=True)
-class TimingEstimate:
-    """One timing-stage estimate and its code/delay decomposition."""
-
-    effective_timing: float  # raw phase estimate, cycles per tile position
-    code_raw: int
-    code: int                # code index reduced to [0, tile_width - 2]
-    timing: float            # delay estimate in samples (real-valued)
 
 
 @dataclass
@@ -59,8 +42,9 @@ class RangingReport:
     """Detector output for one subchannel."""
 
     num_codes: int
-    freq_estimates: list[FreqEstimate] = field(default_factory=list)
-    timing_estimates: list[TimingEstimate] = field(default_factory=list)
+    # raw phase estimates in cycles, one per code, strongest first
+    effective_cfos: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    effective_timings: np.ndarray = field(default_factory=lambda: np.zeros(0))
     detected: set[int] = field(default_factory=set)
     per_code: dict[int, tuple[float, float]] = field(default_factory=dict)  # code -> (cfo, timing)
     collisions: int = 0
@@ -96,17 +80,18 @@ def sample_corr(snapshots) -> np.ndarray:
     return (snaps.T @ snaps.conj()) / snaps.shape[0]
 
 
-def estimate_num_codes(spectrum: HermitianSpectrum, num_snapshots: int, cap: int) -> int:
+def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     """Active-code count by the minimum-description-length criterion.
 
-    Scores every candidate count against the geometric/arithmetic mean
+    Takes the correlation's eigenvalues in non-increasing order.  Scores
+    every candidate count against the geometric/arithmetic mean
     ratio of the trailing eigenvalues plus a parameter-count penalty, and
     returns the first minimiser in {0, ..., cap}.  Eigenvalues within
     round-off of zero (relative to the largest) are snapped to a common
     floor first: their mutual ratios are numerical noise and would
     otherwise bias the score in exactly-noiseless runs.
     """
-    lam = np.asarray(spectrum.eigenvalues, dtype=float).copy()
+    lam = np.array(eigenvalues, dtype=float)
     numerical_zero = 1e-12 * float(np.max(lam, initial=0.0))
     lam[lam < numerical_zero] = 0.0
     lam = np.maximum(lam, EIGENVALUE_FLOOR)
@@ -125,9 +110,10 @@ def estimate_num_codes(spectrum: HermitianSpectrum, num_snapshots: int, cap: int
     return int(np.argmin(scores))
 
 
-def esprit_phases(spectrum: HermitianSpectrum, num_sources: int) -> np.ndarray:
+def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     """Frequencies of the dominant complex exponentials, in cycles, [-1/2, 1/2).
 
+    Takes the eigenvalues and eigenvectors as :func:`hermitian_evd` returns them.
     Splits the leading eigenvectors into their first and last rows, solves
     for the rotation between the two, and reads each rotation eigenvalue's
     phase.  The result is ordered by descending strength (power the
@@ -135,69 +121,64 @@ def esprit_phases(spectrum: HermitianSpectrum, num_sources: int) -> np.ndarray:
     the source count was overestimated the junk estimate sorts last; no
     ordering is otherwise guaranteed or meaningful.
     """
-    n = spectrum.eigenvectors.shape[0]
+    n = eigenvectors.shape[0]
     if not 1 <= num_sources < n:
         raise DimensionError(f"source count must lie in [1, {n - 1}], got {num_sources}")
-    basis = spectrum.eigenvectors[:, :num_sources]
+    basis = eigenvectors[:, :num_sources]
     rotation = ls_rotation(basis[:-1, :], basis[1:, :])
     phases = np.angle(general_eigenvalues(rotation)) / (2.0 * np.pi)
     phases[phases >= 0.5] -= 1.0
 
     steering = np.exp(2j * np.pi * np.outer(np.arange(n), phases)) / math.sqrt(n)
-    weights = spectrum.eigenvectors.conj().T @ steering  # (eigenvector, phase)
-    strength = spectrum.eigenvalues @ (np.abs(weights) ** 2)
+    weights = eigenvectors.conj().T @ steering  # (eigenvector, phase)
+    strength = eigenvalues @ (np.abs(weights) ** 2)
     return phases[np.argsort(-strength, kind="stable")]
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def map_cfo(effective_cfo: float, layout: TileLayout) -> FreqEstimate:
-    """Split an effective CFO into its code index and physical offset.
+def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Split effective CFOs elementwise into ``(codes, cfos)``, codes in [0, n_blocks - 2].
 
     Valid whenever the configured maximum offset keeps the per-code
     intervals disjoint (checked at configuration time, not here).
     """
     span = layout.n_blocks - 1
-    raw = _round_half_up(span * effective_cfo)
-    cfo = (layout.n_subcarriers / layout.block_len) * (effective_cfo - raw / span)
-    return FreqEstimate(effective_cfo, raw, raw % span, cfo)
+    effective_cfos = np.asarray(effective_cfos, dtype=float)
+    raw = np.floor(span * effective_cfos + 0.5)
+    cfos = (layout.n_subcarriers / layout.block_len) * (effective_cfos - raw / span)
+    return raw.astype(int) % span, cfos
 
 
-def map_timing(effective_timing: float, layout: TileLayout, max_delay: int) -> TimingEstimate:
-    """Split an effective timing into its code index and delay in samples."""
+def _check_max_delay(layout: TileLayout, max_delay: int) -> None:
     if not 0 <= max_delay < layout.delay_bound:
         raise ConfigError(f"max delay must lie in [0, {layout.delay_bound:.0f}) samples")
+
+
+def map_timing(effective_timings, layout: TileLayout,
+               max_delay: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split effective timings elementwise into ``(codes, delays)``, delays in samples."""
+    _check_max_delay(layout, max_delay)
     span = layout.tile_width - 1
     half_bias = max_delay * span / (2.0 * layout.n_subcarriers)
-    raw = _round_half_up(span * effective_timing + half_bias)
-    timing = layout.n_subcarriers * (raw / span - effective_timing)
-    return TimingEstimate(effective_timing, raw, raw % span, timing)
+    effective_timings = np.asarray(effective_timings, dtype=float)
+    raw = np.floor(span * effective_timings + half_bias + 0.5)
+    delays = layout.n_subcarriers * (raw / span - effective_timings)
+    return raw.astype(int) % span, delays
 
 
-def detect_codes(freq_estimates, timing_estimates) -> tuple[set[int], dict, int]:
+def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[set[int], dict, int]:
     """Codes both stages agree on, with per-code parameter attribution.
 
-    Returns ``(detected, per_code, collisions)``.  When two estimates of a
-    stage reduce to the same code index, the first one in list order keeps
-    the attribution and the clash is counted; the detected set itself is
-    unaffected.
+    Takes each stage's code and value arrays as :func:`map_cfo` and
+    :func:`map_timing` return them, and returns
+    ``(detected, per_code, collisions)``.  When two estimates of a stage
+    reduce to the same code index, the first one keeps the attribution and
+    the clash is counted; the detected set itself is unaffected.
     """
-    collisions = 0
-    cfo_by_code: dict[int, float] = {}
-    for est in freq_estimates:
-        if est.code in cfo_by_code:
-            collisions += 1
-        else:
-            cfo_by_code[est.code] = est.cfo
-    timing_by_code: dict[int, float] = {}
-    for est in timing_estimates:
-        if est.code in timing_by_code:
-            collisions += 1
-        else:
-            timing_by_code[est.code] = est.timing
-    detected = set(cfo_by_code) & set(timing_by_code)
+    # built from the back, so the first estimate of each code is written last
+    cfo_by_code = dict(zip(cfo_codes[::-1].tolist(), cfos[::-1].tolist()))
+    timing_by_code = dict(zip(timing_codes[::-1].tolist(), delays[::-1].tolist()))
+    collisions = len(cfo_codes) - len(cfo_by_code) + len(timing_codes) - len(timing_by_code)
+    detected = cfo_by_code.keys() & timing_by_code.keys()
     per_code = {code: (cfo_by_code[code], timing_by_code[code]) for code in detected}
     return detected, per_code, collisions
 
@@ -212,36 +193,26 @@ def _stage(name: str, fn, *args):
 def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     """Run the full three-step receiver over one subchannel's observations."""
     layout = obs.layout
+    if cfg.known_num_codes is not None and not 0 <= cfg.known_num_codes <= layout.max_codes:
+        raise ConfigError(f"known code count must lie in [0, {layout.max_codes}]")
+    _check_max_delay(layout, cfg.max_delay)
 
     snaps_f = freq_snapshots(obs)
     corr_f = forward_backward(sample_corr(snaps_f))
-    spectrum_f = _stage("frequency-stage eigendecomposition", hermitian_evd, corr_f)
-
+    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, corr_f)
     if cfg.known_num_codes is not None:
-        if not 0 <= cfg.known_num_codes <= layout.max_codes:
-            raise ConfigError(f"known code count must lie in [0, {layout.max_codes}]")
         num_codes = cfg.known_num_codes
     else:
-        num_codes = estimate_num_codes(spectrum_f, snaps_f.shape[0], layout.max_codes)
-
+        num_codes = estimate_num_codes(lam_f, snaps_f.shape[0], layout.max_codes)
     if num_codes == 0:
         return RangingReport(num_codes=0)
 
-    eff_cfos = _stage("frequency-stage rotation", esprit_phases, spectrum_f, num_codes)
+    eff_cfos = _stage("frequency-stage rotation", esprit_phases, lam_f, vec_f, num_codes)
+    corr_t = forward_backward(sample_corr(tile_snapshots(obs)))
+    lam_t, vec_t = _stage("timing-stage eigendecomposition", hermitian_evd, corr_t)
+    eff_timings = _stage("timing-stage rotation", esprit_phases, lam_t, vec_t, num_codes)
 
-    snaps_t = tile_snapshots(obs)
-    corr_t = forward_backward(sample_corr(snaps_t))
-    spectrum_t = _stage("timing-stage eigendecomposition", hermitian_evd, corr_t)
-    eff_timings = _stage("timing-stage rotation", esprit_phases, spectrum_t, num_codes)
-
-    freq_estimates = [map_cfo(float(x), layout) for x in eff_cfos]
-    timing_estimates = [map_timing(float(x), layout, cfg.max_delay) for x in eff_timings]
-    detected, per_code, collisions = detect_codes(freq_estimates, timing_estimates)
-    return RangingReport(
-        num_codes=num_codes,
-        freq_estimates=freq_estimates,
-        timing_estimates=timing_estimates,
-        detected=detected,
-        per_code=per_code,
-        collisions=collisions,
+    detected, per_code, collisions = detect_codes(
+        *map_cfo(eff_cfos, layout), *map_timing(eff_timings, layout, cfg.max_delay)
     )
+    return RangingReport(num_codes, eff_cfos, eff_timings, detected, per_code, collisions)

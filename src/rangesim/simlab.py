@@ -11,6 +11,7 @@ any degree of parallelism as long as results reduce in index order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -29,6 +30,8 @@ from .errors import ConfigError, RangingError, ValidationError
 from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
+# At or below this SNR (about -3082.5 dB) the noise power overflows a float.
+_MIN_SNR_DB = -10.0 * math.log10(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,13 @@ class SimConfig:
             raise ConfigError("trials must be positive")
         if not self.snr_list_db:
             raise ConfigError("snr_list_db cannot be empty")
-        if any(math.isnan(snr) or snr == -math.inf for snr in self.snr_list_db):
-            raise ConfigError(f"snr_list_db entries must be numbers or +inf, got {self.snr_list_db}")
+        if not all(snr > _MIN_SNR_DB for snr in self.snr_list_db):  # also rejects NaN
+            raise ConfigError(f"snr_list_db entries must be numbers above {_MIN_SNR_DB:.6g} dB "
+                              f"or +inf, got {self.snr_list_db}")
         if self.mode not in ("model", "waveform"):
             raise ConfigError(f"mode must be 'model' or 'waveform', got {self.mode!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 @dataclass
@@ -293,6 +299,15 @@ def oracle_periodogram(snapshots, grid_resolution: float) -> float:
     return float(grid[int(np.argmax(power))])
 
 
+def _noiseless_known_k_trial(cfg: SimConfig, seed: int, trial: int, count: int):
+    """``(users, obs, report)`` of one noiseless model-mode trial ranged with ``count`` given."""
+    rng = np.random.default_rng([seed, trial])
+    users = draw_users(cfg, rng, count=count)
+    obs = synthesize_model_mode(users, cfg.layout(), 0.0, rng)
+    report = range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay, known_num_codes=count))
+    return users, obs, report
+
+
 def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: float = 1e-4) -> float:
     """Worst disagreement between the pipeline and the grid oracle.
 
@@ -300,18 +315,12 @@ def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: fl
     frequency estimate against :func:`oracle_periodogram`, wrap-aware.
     """
     cfg = SimConfig()
-    layout = cfg.layout()
     worst = 0.0
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        users = draw_users(cfg, rng, count=1)
-        obs = synthesize_model_mode(users, layout, 0.0, rng)
-        report = range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay, known_num_codes=1))
-        xi_subspace = report.freq_estimates[0].effective_cfo
-        xi_grid = oracle_periodogram(freq_snapshots(obs), grid_resolution)
-        diff = xi_subspace - xi_grid
+        _, obs, report = _noiseless_known_k_trial(cfg, seed, trial, 1)
+        diff = report.effective_cfos[0] - oracle_periodogram(freq_snapshots(obs), grid_resolution)
         worst = max(worst, abs(diff - round(diff)))
-    return worst
+    return float(worst)
 
 
 def noiseless_exactness(seed: int, trials: int, max_cfo: float) -> tuple[int, float, float]:
@@ -323,16 +332,10 @@ def noiseless_exactness(seed: int, trials: int, max_cfo: float) -> tuple[int, fl
     and delay error over the users of those trials.
     """
     cfg = SimConfig(max_cfo=max_cfo, mode="model")
-    layout = cfg.layout()
     exact = 0
     worst_cfo = worst_delay = 0.0
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        users = draw_users(cfg, rng, count=1 + trial % 3)
-        obs = synthesize_model_mode(users, layout, 0.0, rng)
-        report = range_subchannel(
-            obs, RangerConfig(max_delay=cfg.max_delay, known_num_codes=len(users))
-        )
+        users, _, report = _noiseless_known_k_trial(cfg, seed, trial, 1 + trial % 3)
         if report.detected != {u.code for u in users}:
             continue
         exact += 1

@@ -169,17 +169,17 @@ def test_criterion_2_wrap_consistency_grid():
     worst_cfo = 0.0
     worst_delay = 0.0
     codes_ok = True
+    cfos = np.linspace(-0.1, 0.1, 201)
+    delays = np.arange(0, 205)
     for code in (0, 1, 2):
-        for cfo in np.linspace(-0.1, 0.1, 201):
-            xi = code / (layout.n_blocks - 1) + cfo * layout.block_len / layout.n_subcarriers
-            est = map_cfo(float(wrap_half(xi)), layout)
-            codes_ok &= est.code == code
-            worst_cfo = max(worst_cfo, abs(est.cfo - cfo))
-        for delay in range(0, 205):
-            eta = code / (layout.tile_width - 1) - delay / layout.n_subcarriers
-            est = map_timing(float(wrap_half(eta)), layout, 204)
-            codes_ok &= est.code == code
-            worst_delay = max(worst_delay, abs(est.timing - delay))
+        xi = code / (layout.n_blocks - 1) + cfos * layout.block_len / layout.n_subcarriers
+        got_codes, got_cfos = map_cfo(wrap_half(xi), layout)
+        codes_ok &= bool(np.all(got_codes == code))
+        worst_cfo = max(worst_cfo, float(np.max(np.abs(got_cfos - cfos))))
+        eta = code / (layout.tile_width - 1) - delays / layout.n_subcarriers
+        got_codes, got_delays = map_timing(wrap_half(eta), layout, 204)
+        codes_ok &= bool(np.all(got_codes == code))
+        worst_delay = max(worst_delay, float(np.max(np.abs(got_delays - delays))))
     elapsed = time.perf_counter() - t0
     ok = codes_ok and worst_cfo <= 1e-12 and worst_delay <= 1e-9 and elapsed < 5
     verdict(
@@ -308,16 +308,16 @@ def test_criterion_8_linear_algebra_property_suite():
         n = int(rng.integers(2, 7))
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = 0.5 * (b + b.conj().T)
-        spec = hermitian_evd(a)
-        recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
+        lam, vecs = hermitian_evd(a)
+        recon = vecs @ np.diag(lam) @ vecs.conj().T
         scale = max(1.0, float(np.linalg.norm(a)))
         evd_worst = max(evd_worst, float(np.max(np.abs(recon - a))) / scale)
         trace_worst = max(
-            trace_worst, abs(np.sum(spec.eigenvalues) - np.trace(a).real) / scale
+            trace_worst, abs(np.sum(lam) - np.trace(a).real) / scale
         )
         fro_worst = max(
             fro_worst,
-            abs(np.sum(spec.eigenvalues**2) - np.linalg.norm(a) ** 2) / max(1.0, scale**2),
+            abs(np.sum(lam**2) - np.linalg.norm(a) ** 2) / max(1.0, scale**2),
         )
 
     eig_worst = 0.0

@@ -108,6 +108,16 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("override", [["--seed", "-1"], ["--snr", "-4000"]])
+    def test_override_that_would_crash_a_trial_fails_cleanly(
+        self, config_path, tmp_path, capsys, override
+    ):
+        code = main(["run", "--config", str(config_path), *override,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_nan_omega_fails_cleanly(self, config_path, tmp_path, capsys):
         code = main(
             ["run", "--config", str(config_path), "--omega", "nan",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rangesim.cxmath import (
-    HermitianSpectrum,
     forward_backward,
     general_eigenvalues,
     hermitian_evd,
@@ -55,36 +54,36 @@ class TestForwardBackward:
 
 class TestHermitianEvd:
     def test_diagonal(self):
-        spec = hermitian_evd(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(spec.eigenvalues, [3.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(spec.eigenvectors), np.eye(2), atol=1e-12)
+        lam, vecs = hermitian_evd(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(lam, [3.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(vecs), np.eye(2), atol=1e-12)
 
     def test_two_by_two_hand_solved(self):
         # characteristic polynomial x^2 - 4x + 3 has roots 3 and 1
         a = np.array([[2.0, 1j], [-1j, 2.0]])
-        spec = hermitian_evd(a)
-        np.testing.assert_allclose(spec.eigenvalues, [3.0, 1.0], atol=1e-12)
+        lam, _ = hermitian_evd(a)
+        np.testing.assert_allclose(lam, [3.0, 1.0], atol=1e-12)
 
     def test_psd_reconstruction(self):
         rng = np.random.default_rng(11)
         b = random_complex(rng, (4, 4))
         a = b.conj().T @ b
-        spec = hermitian_evd(a)
-        assert np.min(spec.eigenvalues) >= -1e-12
-        recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
+        lam, vecs = hermitian_evd(a)
+        assert np.min(lam) >= -1e-12
+        recon = vecs @ np.diag(lam) @ vecs.conj().T
         np.testing.assert_allclose(recon, a, atol=1e-10)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(12)
-        spec = hermitian_evd(random_hermitian(rng, 6))
-        gram = spec.eigenvectors.conj().T @ spec.eigenvectors
+        _, vecs = hermitian_evd(random_hermitian(rng, 6))
+        gram = vecs.conj().T @ vecs
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
 
     def test_matches_numpy_eigh(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             a = random_hermitian(rng, int(rng.integers(2, 9)))
-            ours = hermitian_evd(a).eigenvalues
+            ours = hermitian_evd(a)[0]
             ref = np.linalg.eigvalsh(a)[::-1]
             np.testing.assert_allclose(ours, ref, atol=1e-10)
 
@@ -92,14 +91,14 @@ class TestHermitianEvd:
         rng = np.random.default_rng(14)
         for _ in range(50):
             a = random_hermitian(rng, 4)
-            lam = hermitian_evd(a).eigenvalues
+            lam = hermitian_evd(a)[0]
             assert abs(np.sum(lam) - np.trace(a).real) <= 1e-10 * max(1.0, abs(np.trace(a)))
             fro2 = np.linalg.norm(a) ** 2
             assert abs(np.sum(lam**2) - fro2) <= 1e-10 * max(1.0, fro2)
 
     def test_descending_order(self):
         rng = np.random.default_rng(15)
-        lam = hermitian_evd(random_hermitian(rng, 8)).eigenvalues
+        lam = hermitian_evd(random_hermitian(rng, 8))[0]
         assert np.all(np.diff(lam) <= 0)
 
     def test_rejects_non_hermitian(self):
@@ -117,14 +116,19 @@ class TestHermitianEvd:
         # no size cap: 65x65 is far past the 4x4 matrices the receiver builds
         rng = np.random.default_rng(16)
         a = random_hermitian(rng, 65)
-        spec = hermitian_evd(a)
-        np.testing.assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(a)[::-1], atol=1e-10)
-        recon = spec.eigenvectors @ np.diag(spec.eigenvalues) @ spec.eigenvectors.conj().T
+        lam, vecs = hermitian_evd(a)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(a)[::-1], atol=1e-10)
+        recon = vecs @ np.diag(lam) @ vecs.conj().T
         np.testing.assert_allclose(recon, a, atol=1e-10)
 
+    def test_returns_contiguous_copies(self):
+        lam, vecs = hermitian_evd(random_hermitian(np.random.default_rng(17), 4))
+        assert lam.flags.c_contiguous and lam.flags.owndata
+        assert vecs.flags.c_contiguous and vecs.flags.owndata
+
     def test_zero_matrix(self):
-        spec = hermitian_evd(np.zeros((3, 3)))
-        np.testing.assert_array_equal(spec.eigenvalues, np.zeros(3))
+        lam, _ = hermitian_evd(np.zeros((3, 3)))
+        np.testing.assert_array_equal(lam, np.zeros(3))
 
 
 class TestLsRotation:
@@ -215,7 +219,7 @@ class TestGeneralEigenvalues:
         rng = np.random.default_rng(33)
         a = random_hermitian(rng, 4)
         got = np.sort(general_eigenvalues(a).real)
-        want = np.sort(hermitian_evd(a).eigenvalues)
+        want = np.sort(hermitian_evd(a)[0])
         np.testing.assert_allclose(got, want, atol=1e-8)
         assert np.max(np.abs(general_eigenvalues(a).imag)) < 1e-8
 
@@ -234,8 +238,3 @@ class TestGeneralEigenvalues:
     def test_non_finite_input_raises_numerical_error(self):
         with pytest.raises(NumericalError):
             general_eigenvalues(np.array([[1.0, np.inf], [0.0, 1.0]]))
-
-
-def test_spectrum_is_reusable_container():
-    spec = HermitianSpectrum(np.array([1.0]), np.eye(1, dtype=complex))
-    assert spec.eigenvalues[0] == 1.0

@@ -16,7 +16,7 @@ from rangesim.airmodel import (
     effective_offsets,
     synthesize_model_mode,
 )
-from rangesim.cxmath import HermitianSpectrum, forward_backward, hermitian_evd
+from rangesim.cxmath import forward_backward, hermitian_evd
 from rangesim.errors import ConfigError, DimensionError, RankDeficiencyError, ValidationError
 from rangesim.ranger import (
     RangerConfig,
@@ -121,19 +121,12 @@ class TestSampleCorr:
             sample_corr(np.zeros((0, 4)))
 
 
-def spectrum_from(values, vectors=None):
-    values = np.asarray(values, dtype=float)
-    if vectors is None:
-        vectors = np.eye(values.size, dtype=complex)
-    return HermitianSpectrum(values, vectors)
-
-
 class TestEstimateNumCodes:
     def test_equal_eigenvalues_mean_noise_only(self):
-        assert estimate_num_codes(spectrum_from([2.0, 2.0, 2.0, 2.0]), 64, 3) == 0
+        assert estimate_num_codes(np.array([2.0, 2.0, 2.0, 2.0]), 64, 3) == 0
 
     def test_two_dominant_eigenvalues(self):
-        assert estimate_num_codes(spectrum_from([100.0, 100.0, 1.0, 1.0]), 64, 3) == 2
+        assert estimate_num_codes(np.array([100.0, 100.0, 1.0, 1.0]), 64, 3) == 2
 
     def test_against_direct_scoring(self):
         # independent evaluation of the description-length objective
@@ -153,15 +146,15 @@ class TestEstimateNumCodes:
         rng = np.random.default_rng(4)
         for _ in range(50):
             lams = np.sort(rng.uniform(0.01, 50.0, size=4))[::-1]
-            assert estimate_num_codes(spectrum_from(lams), 64, 3) == direct(lams, 64, 3)
+            assert estimate_num_codes(lams, 64, 3) == direct(lams, 64, 3)
 
     def test_scale_invariance_of_argmin(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             lams = np.sort(rng.uniform(0.1, 30.0, size=4))[::-1]
-            base = estimate_num_codes(spectrum_from(lams), 64, 3)
+            base = estimate_num_codes(lams, 64, 3)
             for c in (1e-6, 1e3, 1e6):
-                assert estimate_num_codes(spectrum_from(c * lams), 64, 3) == base
+                assert estimate_num_codes(c * lams, 64, 3) == base
 
     def test_high_snr_model_order(self):
         layout = reference_layout()
@@ -170,14 +163,14 @@ class TestEstimateNumCodes:
             rng = np.random.default_rng(1000 + trial)
             users = random_users(rng, layout, 3, max_cfo=0.05)
             obs = synthesize_model_mode(users, layout, 1e-3, rng)  # 30 dB
-            spec = hermitian_evd(forward_backward(sample_corr(freq_snapshots(obs))))
-            if estimate_num_codes(spec, 64, 3) == 3:
+            lam, _ = hermitian_evd(forward_backward(sample_corr(freq_snapshots(obs))))
+            if estimate_num_codes(lam, 64, 3) == 3:
                 hits += 1
         assert hits >= 99
 
     def test_cap_validated(self):
         with pytest.raises(ValidationError):
-            estimate_num_codes(spectrum_from([1.0, 1.0]), 16, 2)
+            estimate_num_codes(np.array([1.0, 1.0]), 16, 2)
 
 
 class TestEspritPhases:
@@ -189,7 +182,7 @@ class TestEspritPhases:
         for xi in (0.2, -0.41, 0.49):
             amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
             snaps = amps[:, None] * steering(4, xi)[None, :]
-            got = esprit_phases(self.make_spectrum(snaps), 1)
+            got = esprit_phases(*self.make_spectrum(snaps), 1)
             assert abs(got[0] - xi) < 1e-9
 
     def test_two_sources_noiseless(self):
@@ -197,7 +190,7 @@ class TestEspritPhases:
         a1 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         a2 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         snaps = a1[:, None] * steering(4, 0.1) + a2[:, None] * steering(4, 0.4)
-        got = np.sort(esprit_phases(self.make_spectrum(snaps), 2))
+        got = np.sort(esprit_phases(*self.make_spectrum(snaps), 2))
         np.testing.assert_allclose(got, [0.1, 0.4], atol=1e-7)
 
     def test_invariant_to_subspace_remixing(self):
@@ -205,13 +198,12 @@ class TestEspritPhases:
         a1 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         a2 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         snaps = a1[:, None] * steering(4, -0.3) + a2[:, None] * steering(4, 0.25)
-        spec = self.make_spectrum(snaps)
-        base = np.sort(esprit_phases(spec, 2))
+        lam, vecs = self.make_spectrum(snaps)
+        base = np.sort(esprit_phases(lam, vecs, 2))
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        remixed_vecs = spec.eigenvectors.copy()
+        remixed_vecs = vecs.copy()
         remixed_vecs[:, :2] = remixed_vecs[:, :2] @ q
-        remixed = HermitianSpectrum(spec.eigenvalues, remixed_vecs)
-        np.testing.assert_allclose(np.sort(esprit_phases(remixed, 2)), base, atol=1e-7)
+        np.testing.assert_allclose(np.sort(esprit_phases(lam, remixed_vecs, 2)), base, atol=1e-7)
 
     def test_rank_deficiency_propagates(self):
         # second "eigenvector" lives entirely on the last row, so the upper
@@ -221,99 +213,122 @@ class TestEspritPhases:
         vectors[3, 1] = 1.0
         vectors[1, 2] = 1.0
         vectors[2, 3] = 1.0
-        spec = HermitianSpectrum(np.array([4.0, 3.0, 0.0, 0.0]), vectors)
         with pytest.raises(RankDeficiencyError):
-            esprit_phases(spec, 2)
+            esprit_phases(np.array([4.0, 3.0, 0.0, 0.0]), vectors, 2)
 
     def test_source_count_bounds(self):
-        spec = spectrum_from([1.0, 0.5, 0.1])
+        lam, vecs = np.array([1.0, 0.5, 0.1]), np.eye(3, dtype=complex)
         with pytest.raises(DimensionError):
-            esprit_phases(spec, 0)
+            esprit_phases(lam, vecs, 0)
         with pytest.raises(DimensionError):
-            esprit_phases(spec, 3)
+            esprit_phases(lam, vecs, 3)
 
 
 class TestMapCfo:
     def test_zero(self):
-        est = map_cfo(0.0, reference_layout())
-        assert (est.code_raw, est.cfo, est.code) == (0, 0.0, 0)
+        (code,), (cfo,) = map_cfo(np.array([0.0]), reference_layout())
+        assert (code, cfo) == (0, 0.0)
 
     def test_wrapped_negative_branch(self):
         layout = reference_layout()
         xi = wrap_half(2 / 3 + 0.05 * layout.block_len / 1024)  # -0.2708333...
-        est = map_cfo(float(xi), layout)
-        assert est.code_raw == -1
-        assert est.cfo == pytest.approx(0.05, abs=1e-12)
-        assert est.code == 2
+        (code,), (cfo,) = map_cfo(np.array([xi]), layout)
+        assert cfo == pytest.approx(0.05, abs=1e-12)
+        assert code == 2
 
     def test_positive_branch(self):
         layout = reference_layout()
-        est = map_cfo(1 / 3 + 0.05 * layout.block_len / 1024, layout)
-        assert est.code_raw == 1
-        assert est.cfo == pytest.approx(0.05, abs=1e-12)
-        assert est.code == 1
+        (code,), (cfo,) = map_cfo(np.array([1 / 3 + 0.05 * layout.block_len / 1024]), layout)
+        assert cfo == pytest.approx(0.05, abs=1e-12)
+        assert code == 1
+
+    def test_matches_scalar_reference(self):
+        # the array form does the per-estimate arithmetic it replaced, bit for bit
+        layout = reference_layout()
+        xs = np.random.default_rng(12).uniform(-0.5, 0.5, 200)
+        codes, cfos = map_cfo(xs, layout)
+        for x, code, cfo in zip(xs.tolist(), codes.tolist(), cfos.tolist()):
+            raw = math.floor(3 * x + 0.5)
+            assert (code, cfo) == (raw % 3, (1024 / 1280) * (x - raw / 3))
 
 
 class TestMapTiming:
     def test_zero(self):
-        est = map_timing(0.0, reference_layout(), 0)
-        assert (est.code_raw, est.timing, est.code) == (0, 0.0, 0)
+        (code,), (timing,) = map_timing(np.array([0.0]), reference_layout(), 0)
+        assert (code, timing) == (0, 0.0)
 
     def test_wrapped_negative_branch(self):
         layout = reference_layout()
-        est = map_timing(float(wrap_half(2 / 3)), layout, 204)  # code 2, zero delay
-        assert est.code_raw == -1
-        assert est.timing == pytest.approx(0.0, abs=1e-9)
-        assert est.code == 2
+        (code,), (timing,) = map_timing(np.array([wrap_half(2 / 3)]), layout, 204)  # zero delay
+        assert timing == pytest.approx(0.0, abs=1e-9)
+        assert code == 2
 
     def test_positive_branch(self):
         layout = reference_layout()
-        est = map_timing(2 / 3 - 204 / 1024, layout, 204)
-        assert est.code_raw == 2
-        assert est.timing == pytest.approx(204.0, abs=1e-9)
-        assert est.code == 2
+        (code,), (timing,) = map_timing(np.array([2 / 3 - 204 / 1024]), layout, 204)
+        assert timing == pytest.approx(204.0, abs=1e-9)
+        assert code == 2
+
+    def test_matches_scalar_reference(self):
+        layout = reference_layout()
+        etas = np.random.default_rng(13).uniform(-0.5, 0.5, 200)
+        codes, delays = map_timing(etas, layout, 204)
+        for eta, code, delay in zip(etas.tolist(), codes.tolist(), delays.tolist()):
+            raw = math.floor(3 * eta + 204 * 3 / (2.0 * 1024) + 0.5)
+            assert (code, delay) == (raw % 3, 1024 * (raw / 3 - eta))
 
     def test_excessive_max_delay_rejected(self):
         with pytest.raises(ConfigError):
-            map_timing(0.1, reference_layout(), 342)
+            map_timing(np.array([0.1]), reference_layout(), 342)
 
 
 class TestDetectCodes:
-    def freq(self, code, cfo=0.01):
-        return map_cfo(code / 3 + cfo * 1280 / 1024, reference_layout())
+    def freq(self, codes, cfos=0.01):
+        return map_cfo(np.asarray(codes) / 3 + np.asarray(cfos) * 1280 / 1024, reference_layout())
 
-    def timing(self, code, delay=10):
-        return map_timing(code / 3 - delay / 1024, reference_layout(), 204)
+    def timing(self, codes, delay=10):
+        return map_timing(np.asarray(codes) / 3 - delay / 1024, reference_layout(), 204)
 
     def test_full_agreement(self):
-        detected, per_code, coll = detect_codes(
-            [self.freq(0), self.freq(2)], [self.timing(0), self.timing(2)]
-        )
+        detected, per_code, coll = detect_codes(*self.freq([0, 2]), *self.timing([0, 2]))
         assert detected == {0, 2}
         assert set(per_code) == {0, 2}
         assert coll == 0
 
     def test_partial_agreement(self):
-        detected, _, _ = detect_codes(
-            [self.freq(0), self.freq(1)], [self.timing(0), self.timing(2)]
-        )
+        detected, _, _ = detect_codes(*self.freq([0, 1]), *self.timing([0, 2]))
         assert detected == {0}
 
     def test_permutation_symmetry(self):
-        f = [self.freq(0), self.freq(1), self.freq(2)]
-        t = [self.timing(2), self.timing(0), self.timing(1)]
-        d1, p1, _ = detect_codes(f, t)
-        d2, p2, _ = detect_codes(f[::-1], t[::-1])
+        f = self.freq([0, 1, 2])
+        t = self.timing([2, 0, 1])
+        d1, p1, _ = detect_codes(*f, *t)
+        d2, p2, _ = detect_codes(*(a[::-1] for a in f), *(a[::-1] for a in t))
         assert d1 == d2 == {0, 1, 2}
         assert p1 == p2
 
     def test_collision_keeps_first_and_counts(self):
-        first = self.freq(1, cfo=0.01)
-        second = self.freq(1, cfo=0.03)
-        detected, per_code, coll = detect_codes([first, second], [self.timing(1)])
+        codes, cfos = self.freq([1, 1], cfos=[0.01, 0.03])
+        detected, per_code, coll = detect_codes(codes, cfos, *self.timing([1]))
         assert detected == {1}
-        assert per_code[1][0] == pytest.approx(first.cfo)
+        assert per_code[1][0] == cfos[0]
         assert coll == 1
+
+    def test_matches_first_wins_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            cfo_codes, timing_codes = rng.integers(0, 3, size=(2, int(rng.integers(1, 5))))
+            cfos, delays = rng.standard_normal((2, cfo_codes.size))
+            first_cfo, first_delay, clashes = {}, {}, 0
+            for table, codes, values in ((first_cfo, cfo_codes, cfos),
+                                         (first_delay, timing_codes, delays)):
+                for code, value in zip(codes.tolist(), values.tolist()):
+                    clashes += code in table
+                    table.setdefault(code, value)
+            both = first_cfo.keys() & first_delay.keys()
+            want = {c: (first_cfo[c], first_delay[c]) for c in both}
+            detected, per_code, coll = detect_codes(cfo_codes, cfos, timing_codes, delays)
+            assert (detected, per_code, coll) == (set(want), want, clashes)
 
 
 class TestRangeSubchannel:
@@ -323,7 +338,7 @@ class TestRangeSubchannel:
         obs = synthesize_model_mode([], layout, 1.0, rng)
         report = range_subchannel(obs, RangerConfig(max_delay=204))
         assert 0 <= report.num_codes <= 3
-        assert len(report.freq_estimates) == report.num_codes
+        assert len(report.effective_cfos) == len(report.effective_timings) == report.num_codes
         assert set(report.per_code) <= report.detected
 
     def test_zero_grid_reports_nothing(self):
@@ -362,10 +377,10 @@ class TestRangeSubchannel:
             report = range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=k))
             assert report.detected == {u.code for u in users}
             want_xi = np.sort([wrap_half(effective_offsets(u, layout)[0]) for u in users])
-            got_xi = np.sort([e.effective_cfo for e in report.freq_estimates])
+            got_xi = np.sort(report.effective_cfos)
             np.testing.assert_allclose(got_xi, want_xi, atol=1e-6)
             want_eta = np.sort([wrap_half(effective_offsets(u, layout)[1]) for u in users])
-            got_eta = np.sort([e.effective_timing for e in report.timing_estimates])
+            got_eta = np.sort(report.effective_timings)
             np.testing.assert_allclose(got_eta, want_eta, atol=1e-6)
             for u in users:
                 cfo_hat, timing_hat = report.per_code[u.code]
@@ -400,9 +415,8 @@ class TestRangeSubchannel:
         other = range_subchannel(rotated, RangerConfig(max_delay=204))
         assert other.detected == base.detected
         assert other.num_codes == base.num_codes
-        got = np.sort([e.effective_cfo for e in other.freq_estimates])
-        want = np.sort([e.effective_cfo for e in base.freq_estimates])
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        got = np.sort(other.effective_cfos)
+        np.testing.assert_allclose(got, np.sort(base.effective_cfos), atol=1e-10)
 
     def test_known_count_validated(self):
         layout = reference_layout()
@@ -410,25 +424,32 @@ class TestRangeSubchannel:
         with pytest.raises(ConfigError):
             range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=4))
 
+    @pytest.mark.parametrize("max_delay", [10**6, -5])
+    def test_max_delay_validated_without_codes(self, max_delay):
+        # checked on entry, not only once the grid yields codes to map
+        layout = reference_layout()
+        obs = TileObservations(layout, np.zeros((4, 16, 4), dtype=complex))
+        with pytest.raises(ConfigError, match="max delay"):
+            range_subchannel(obs, RangerConfig(max_delay=max_delay))
+
 
 class TestWrapConsistency:
     def test_cfo_round_trip_grid(self):
         layout = reference_layout()
+        cfos = np.linspace(-0.1, 0.1, 41)
         for code in range(3):
-            for cfo in np.linspace(-0.1, 0.1, 41):
-                xi = code / 3 + cfo * layout.block_len / 1024
-                est = map_cfo(float(wrap_half(xi)), layout)
-                assert est.code == code
-                assert est.cfo == pytest.approx(cfo, abs=1e-12)
+            xi = wrap_half(code / 3 + cfos * layout.block_len / 1024)
+            got_codes, got_cfos = map_cfo(xi, layout)
+            np.testing.assert_array_equal(got_codes, code)
+            np.testing.assert_allclose(got_cfos, cfos, rtol=0, atol=1e-12)
 
     def test_timing_round_trip_grid(self):
         layout = reference_layout()
+        delays = np.arange(0, 205, 17)
         for code in range(3):
-            for delay in range(0, 205, 17):
-                eta = code / 3 - delay / 1024
-                est = map_timing(float(wrap_half(eta)), layout, 204)
-                assert est.code == code
-                assert est.timing == pytest.approx(delay, abs=1e-9)
+            got_codes, got_delays = map_timing(wrap_half(code / 3 - delays / 1024), layout, 204)
+            np.testing.assert_array_equal(got_codes, code)
+            np.testing.assert_allclose(got_delays, delays, rtol=0, atol=1e-9)
 
 
 @st.composite
@@ -452,15 +473,20 @@ ACQUISITION_EDGE = 1 - 1e-6
 def test_mapping_recovers_every_code_from_wrapped_offsets(layout, data):
     acquisition_bound = layout.n_subcarriers / (2.0 * layout.block_len * (layout.n_blocks - 1))
     max_delay = data.draw(st.integers(0, math.ceil(layout.delay_bound) - 1))
-    for code in range(layout.max_codes):
-        cfo = data.draw(st.floats(-ACQUISITION_EDGE, ACQUISITION_EDGE)) * acquisition_bound
-        delay = data.draw(st.integers(0, max_delay))
-        xi, eta = effective_offsets(UserTruth(code, delay, cfo, np.ones(1)), layout)
-        freq = map_cfo(float(wrap_half(xi)), layout)
-        timing = map_timing(float(wrap_half(eta)), layout, max_delay)
-        assert freq.code == timing.code == code
-        assert freq.cfo == pytest.approx(cfo, abs=1e-9)
-        assert timing.timing == pytest.approx(delay, abs=1e-9)
+    codes = np.arange(layout.max_codes)
+    cfos, delays, xis, etas = [], [], [], []
+    for code in codes:
+        cfos.append(data.draw(st.floats(-ACQUISITION_EDGE, ACQUISITION_EDGE)) * acquisition_bound)
+        delays.append(data.draw(st.integers(0, max_delay)))
+        xi, eta = effective_offsets(UserTruth(int(code), delays[-1], cfos[-1], np.ones(1)), layout)
+        xis.append(xi)
+        etas.append(eta)
+    freq_codes, got_cfos = map_cfo(wrap_half(np.array(xis)), layout)
+    timing_codes, got_delays = map_timing(wrap_half(np.array(etas)), layout, max_delay)
+    np.testing.assert_array_equal(freq_codes, codes)
+    np.testing.assert_array_equal(timing_codes, codes)
+    np.testing.assert_allclose(got_cfos, cfos, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got_delays, delays, rtol=0, atol=1e-9)
 
 
 @settings(deadline=None, derandomize=True)

@@ -369,6 +369,21 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.trials == 50
 
+    @pytest.mark.parametrize("line", ["master_seed = -1", "snr_list_db = 0, -4000"])
+    def test_value_that_would_crash_a_trial_rejected(self, tmp_path, line):
+        # a negative seed fails in default_rng, and below about -3082 dB the
+        # noise power overflows a float: both must fail validation instead
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_config(path)
+
+    def test_extreme_but_finite_snr_runs(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("snr_list_db = -300\ntrials = 2\nmode = model\nmaster_seed = 0\n")
+        (row,) = run_sweep(load_config(path))
+        assert row.trials == 2
+
     def test_custom_tile_spacing(self):
         cfg = parse_config_text("tile_spacing = 40\nn_tiles = 8\n")
         cfg.validate()
