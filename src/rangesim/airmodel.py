@@ -27,29 +27,27 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class TileLayout:
-    """Ranging subcarrier geometry for one subchannel.
+    """Ranging geometry of one subchannel, and the limits it sets.
 
-    A subchannel consists of ``n_tiles`` disjoint tiles of ``tile_width``
-    adjacent subcarriers each, observed over ``n_blocks`` consecutive
-    OFDMA blocks.  ``cp_ranging`` is the cyclic prefix used while ranging,
-    ``cp_data`` the (shorter) one used during data traffic.
+    One disjoint tile of ``tile_width`` adjacent subcarriers starts at each
+    entry of ``tile_starts``; tiles are observed over ``n_blocks`` OFDMA
+    blocks, each extended by the ranging prefix ``cp_ranging``.  Codes stay
+    separable while CFO and delay stay below their bounds.
     """
 
     n_subcarriers: int
     n_blocks: int
-    n_tiles: int
     tile_width: int
     tile_starts: tuple[int, ...]
     cp_ranging: int
-    cp_data: int
 
     def __post_init__(self):
         if self.tile_width < 2 or self.n_blocks < 2:
             raise ValidationError("tile_width and n_blocks must both be at least 2")
-        if self.n_tiles < 1 or len(self.tile_starts) != self.n_tiles:
-            raise ValidationError("tile_starts must list one start index per tile")
-        if self.cp_ranging < 0 or self.cp_data < 0:
-            raise ValidationError("cyclic prefix lengths cannot be negative")
+        if not self.tile_starts:
+            raise ValidationError("a layout needs at least one tile")
+        if self.cp_ranging < 0:
+            raise ValidationError("the ranging prefix cannot be negative")
         if self.cp_ranging > self.n_subcarriers:
             raise ValidationError("the ranging prefix cannot be longer than the block it extends")
         bins = self.tile_bins
@@ -61,9 +59,9 @@ class TileLayout:
 
     @classmethod
     @functools.lru_cache(maxsize=32)
-    def uniform(cls, n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, cp_data,
+    def uniform(cls, n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging,
                 spacing=None) -> "TileLayout":
-        """Layout with tiles spaced evenly across the spectrum.
+        """Layout with ``n_tiles`` tiles spaced evenly across the spectrum.
 
         Cached: equal arguments return the same frozen instance, so callers
         may ask for the layout as often as they like.
@@ -73,7 +71,12 @@ class TileLayout:
         if spacing is None:
             spacing = n_subcarriers // n_tiles
         starts = tuple(q * spacing for q in range(n_tiles))
-        return cls(n_subcarriers, n_blocks, n_tiles, tile_width, starts, cp_ranging, cp_data)
+        return cls(n_subcarriers, n_blocks, tile_width, starts, cp_ranging)
+
+    @property
+    def n_tiles(self) -> int:
+        """Number of tiles: one per entry of ``tile_starts``."""
+        return len(self.tile_starts)
 
     @property
     def block_len(self) -> int:
@@ -86,15 +89,22 @@ class TileLayout:
         return min(self.tile_width, self.n_blocks) - 1
 
     @property
+    def acquisition_bound(self) -> float:
+        """Largest resolvable |CFO| in subcarrier spacings (exclusive): it keeps
+        the scaled offset cfo * block_len * (n_blocks - 1) / n_subcarriers below 1/2."""
+        return self.n_subcarriers / (2.0 * self.block_len * (self.n_blocks - 1))
+
+    @property
     def delay_bound(self) -> float:
         """Largest resolvable delay in samples (exclusive): one timing-code spacing."""
         return self.n_subcarriers / (self.tile_width - 1)
 
-    @property
+    @functools.cached_property
     def tile_bins(self) -> np.ndarray:
-        """All subcarrier indices of this subchannel, shape (n_tiles, tile_width)."""
-        starts = np.asarray(self.tile_starts)[:, None]
-        return starts + np.arange(self.tile_width)[None, :]
+        """All subcarrier indices of this subchannel, shape (n_tiles, tile_width); read-only."""
+        bins = np.asarray(self.tile_starts)[:, None] + np.arange(self.tile_width)
+        bins.flags.writeable = False
+        return bins
 
     @functools.cached_property
     def _bin_distances(self) -> tuple[np.ndarray, np.ndarray]:

@@ -23,11 +23,11 @@ from rangesim.errors import ValidationError
 
 def reference_layout():
     """The documented default geometry: 1024 carriers, 16 tiles of 4, 4 blocks."""
-    return TileLayout.uniform(1024, 4, 16, 4, cp_ranging=256, cp_data=32)
+    return TileLayout.uniform(1024, 4, 16, 4, cp_ranging=256)
 
 
 def small_layout():
-    return TileLayout.uniform(64, 4, 4, 4, cp_ranging=16, cp_data=8)
+    return TileLayout.uniform(64, 4, 4, 4, cp_ranging=16)
 
 
 def closed_form_symbol(code, v, m, tile_width, n_blocks):
@@ -74,28 +74,42 @@ class TestTileLayout:
         assert layout.block_len == 1280
         assert layout.max_codes == 3
         assert layout.tile_starts[:3] == (0, 64, 128)
+        assert layout.n_tiles == 16
+        assert layout.acquisition_bound == 1024 / (2 * 1280 * 3)
+        assert layout.delay_bound == 1024 / 3
+
+    def test_tile_bins_built_once_and_read_only(self):
+        layout = small_layout()
+        assert layout.tile_bins is layout.tile_bins
+        assert not layout.tile_bins.flags.writeable
+        np.testing.assert_array_equal(layout.tile_bins, [[0, 1, 2, 3], [16, 17, 18, 19],
+                                                         [32, 33, 34, 35], [48, 49, 50, 51]])
+
+    def test_empty_layout_rejected(self):
+        with pytest.raises(ValidationError, match="at least one tile"):
+            TileLayout(16, 4, 4, (), 4)
 
     def test_overlapping_tiles_rejected(self):
         with pytest.raises(ValidationError):
-            TileLayout(16, 4, 2, 4, (0, 2), 4, 2)
+            TileLayout(16, 4, 4, (0, 2), 4)
 
     def test_tile_past_edge_rejected(self):
         with pytest.raises(ValidationError, match="tile at 14 "):
-            TileLayout(16, 4, 2, 4, (0, 14), 4, 2)
+            TileLayout(16, 4, 4, (0, 14), 4)
         with pytest.raises(ValidationError, match="tile at -1 "):
-            TileLayout(16, 4, 2, 4, (-1, 8), 4, 2)
+            TileLayout(16, 4, 4, (-1, 8), 4)
 
     def test_degenerate_width_rejected(self):
         with pytest.raises(ValidationError):
-            TileLayout(16, 4, 2, 1, (0, 4), 4, 2)
+            TileLayout(16, 4, 1, (0, 4), 4)
 
     def test_prefix_longer_than_block_rejected(self):
         with pytest.raises(ValidationError):
-            TileLayout.uniform(64, 4, 4, 4, cp_ranging=100, cp_data=20)
+            TileLayout.uniform(64, 4, 4, 4, cp_ranging=100)
 
     def test_uniform_returns_one_instance_per_geometry(self):
-        assert TileLayout.uniform(64, 4, 4, 4, 16, 8) is TileLayout.uniform(64, 4, 4, 4, 16, 8)
-        assert TileLayout.uniform(64, 4, 4, 4, 16, 8) != TileLayout.uniform(64, 4, 4, 4, 16, 4)
+        assert TileLayout.uniform(64, 4, 4, 4, 16) is TileLayout.uniform(64, 4, 4, 4, 16)
+        assert TileLayout.uniform(64, 4, 4, 4, 16) != TileLayout.uniform(64, 4, 4, 4, 8)
 
 
 class TestCodeEntry:
@@ -385,7 +399,7 @@ def small_layouts(draw):
     n_tiles = draw(st.integers(1, 4))
     n_subcarriers = draw(st.integers(n_tiles * tile_width, 64))
     cp_ranging = draw(st.integers(1, n_subcarriers))
-    return TileLayout.uniform(n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, 0)
+    return TileLayout.uniform(n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging)
 
 
 @st.composite

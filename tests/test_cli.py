@@ -32,6 +32,13 @@ class TestValidate:
         assert "beta" in out and "alpha" in out
         assert "max simultaneous codes  = 3" in out
 
+    def test_derived_limits_are_pinned(self, config_path, capsys):
+        assert main(["validate", "--config", str(config_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  acquisition margin beta = 0.1875 (must be < 0.5)" in lines
+        assert "  timing margin alpha     = 0.298828 (must be < 0.5)" in lines
+        assert "  acquisition bound       = max_cfo < 0.133333" in lines
+
     def test_invalid_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("max_cfo = 0.2\n")  # beyond the acquisition bound

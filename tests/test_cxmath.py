@@ -105,6 +105,17 @@ class TestHermitianEvd:
         with pytest.raises(ValidationError):
             hermitian_evd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_huge_hermitian_accepted(self):
+        # squared-sum norms of 1e200 entries overflow; the Hermitian check must not
+        a = 1e200 * random_hermitian(np.random.default_rng(18), 4)
+        lam, _ = hermitian_evd(a)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e190)
+
+    def test_huge_non_hermitian_rejected(self):
+        a = 1e200 * random_complex(np.random.default_rng(19), (4, 4))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            hermitian_evd(a)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         a = np.eye(3, dtype=complex)

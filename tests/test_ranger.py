@@ -33,7 +33,7 @@ from rangesim.ranger import (
 
 
 def reference_layout():
-    return TileLayout.uniform(1024, 4, 16, 4, cp_ranging=256, cp_data=32)
+    return TileLayout.uniform(1024, 4, 16, 4, cp_ranging=256)
 
 
 def wrap_half(x):
@@ -460,7 +460,7 @@ def small_layouts(draw):
     n_tiles = draw(st.integers(1, 4))
     n_subcarriers = draw(st.integers(n_tiles * tile_width, 64))
     cp_ranging = draw(st.integers(0, n_subcarriers))
-    return TileLayout.uniform(n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging, 0)
+    return TileLayout.uniform(n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging)
 
 
 # Largest |CFO| drawn, as a fraction of the acquisition bound: at the bound itself
@@ -471,12 +471,12 @@ ACQUISITION_EDGE = 1 - 1e-6
 @settings(deadline=None, derandomize=True)
 @given(small_layouts(), st.data())
 def test_mapping_recovers_every_code_from_wrapped_offsets(layout, data):
-    acquisition_bound = layout.n_subcarriers / (2.0 * layout.block_len * (layout.n_blocks - 1))
     max_delay = data.draw(st.integers(0, math.ceil(layout.delay_bound) - 1))
     codes = np.arange(layout.max_codes)
     cfos, delays, xis, etas = [], [], [], []
     for code in codes:
-        cfos.append(data.draw(st.floats(-ACQUISITION_EDGE, ACQUISITION_EDGE)) * acquisition_bound)
+        edge = data.draw(st.floats(-ACQUISITION_EDGE, ACQUISITION_EDGE))
+        cfos.append(edge * layout.acquisition_bound)
         delays.append(data.draw(st.integers(0, max_delay)))
         xi, eta = effective_offsets(UserTruth(int(code), delays[-1], cfos[-1], np.ones(1)), layout)
         xis.append(xi)

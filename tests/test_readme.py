@@ -1,7 +1,9 @@
-"""The README's library example runs as written against the top-level API."""
+"""The README's examples run as written against the current API."""
 
 import re
 from pathlib import Path
+
+from rangesim.simlab import parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +16,11 @@ def library_use_block():
 def test_library_example_detects_its_user(capsys):
     exec(compile(library_use_block(), "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "{2}"
+
+
+def test_config_example_parses_and_validates():
+    section = README.read_text().split("### Config files", 1)[1]
+    text = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
+    cfg = parse_config_text(text)
+    cfg.validate()
+    assert (cfg.num_users, cfg.max_cfo, cfg.mode) == (3, 0.1, "waveform")

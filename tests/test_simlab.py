@@ -287,7 +287,7 @@ class TestConfigParsing:
         assert (cfg.channel_taps, cfg.channel_decay) == (12, 12.0)
         assert cfg.max_delay == 204
         assert cfg.layout().tile_starts == tuple(range(0, 1024, 64))
-        assert cfg.acquisition_bound == pytest.approx(1024 / (2 * 1280 * 3))
+        assert cfg.layout().acquisition_bound == pytest.approx(1024 / (2 * 1280 * 3))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -369,10 +369,12 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.trials == 50
 
-    @pytest.mark.parametrize("line", ["master_seed = -1", "snr_list_db = 0, -4000"])
+    @pytest.mark.parametrize("line", ["master_seed = -1", "snr_list_db = 0, -4000",
+                                      "snr_list_db = -3070"])
     def test_value_that_would_crash_a_trial_rejected(self, tmp_path, line):
-        # a negative seed fails in default_rng, and below about -3082 dB the
-        # noise power overflows a float: both must fail validation instead
+        # a negative seed fails in default_rng, below about -3082 dB the noise
+        # power overflows a float, and from about -3065 dB the correlation's
+        # sum over 64 snapshots does: all must fail validation instead
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match=line.split()[0]):
@@ -383,6 +385,15 @@ class TestConfigParsing:
         path.write_text("snr_list_db = -300\ntrials = 2\nmode = model\nmaster_seed = 0\n")
         (row,) = run_sweep(load_config(path))
         assert row.trials == 2
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    @pytest.mark.parametrize("snr", [-1600, -3000])
+    def test_huge_noise_power_runs_warning_free(self, mode, snr):
+        # RuntimeWarnings are errors here; a squared-sum norm of these
+        # correlations overflows from about -1540 dB
+        cfg = parse_config_text(f"snr_list_db = {snr}\ntrials = 5\nmode = {mode}\n")
+        (row,) = run_sweep(cfg)
+        assert row.trials == 5
 
     def test_custom_tile_spacing(self):
         cfg = parse_config_text("tile_spacing = 40\nn_tiles = 8\n")
