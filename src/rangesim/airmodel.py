@@ -140,9 +140,13 @@ class ChannelProfile:
         if not self.decay > 0:
             raise ValidationError(f"decay constant must be a positive number, got {self.decay}")
 
+    @functools.lru_cache(maxsize=32)
     def tap_variances(self) -> np.ndarray:
+        """Per-tap powers summing to 1; computed once per (n_taps, decay), read-only."""
         raw = np.exp(-np.arange(self.n_taps) / self.decay)
-        return raw / raw.sum()
+        variances = raw / raw.sum()
+        variances.flags.writeable = False
+        return variances
 
 
 @dataclass
@@ -158,13 +162,17 @@ class TileObservations:
             raise ValidationError(f"grid shape {self.grid.shape} does not match layout {expected}")
 
 
-def code_matrix(code: int, tile_width: int, n_blocks: int) -> np.ndarray:
-    """Full (tile_width, n_blocks) ranging code matrix."""
+def code_matrix(code, tile_width: int, n_blocks: int) -> np.ndarray:
+    """Full (tile_width, n_blocks) ranging code matrix.
+
+    ``code`` may also be an array of codes; their matrices then stack
+    along the leading axes.
+    """
     if tile_width < 2 or n_blocks < 2:
         raise ValidationError("codes need tile_width >= 2 and n_blocks >= 2")
     v = np.arange(tile_width)[:, None] / (tile_width - 1)
     m = np.arange(n_blocks)[None, :] / (n_blocks - 1)
-    return np.exp(2j * np.pi * code * (v + m))
+    return np.exp(np.multiply.outer(2j * np.pi * np.asarray(code), v + m))
 
 
 def cfo_attenuation(offset, n_subcarriers: int):
@@ -191,15 +199,33 @@ def effective_offsets(user: UserTruth, layout: TileLayout) -> tuple[float, float
     block length), the delay only into the second (as a negative phase ramp
     across a tile).
     """
-    xi = user.code / (layout.n_blocks - 1) + user.cfo * layout.block_len / layout.n_subcarriers
-    eta = user.code / (layout.tile_width - 1) - user.delay / layout.n_subcarriers
+    return _offsets(user.code, user.delay, user.cfo, layout)
+
+
+def _offsets(codes, delays, cfos, layout: TileLayout):
+    """:func:`effective_offsets` of scalars, or elementwise of equal-length arrays."""
+    xi = codes / (layout.n_blocks - 1) + cfos * layout.block_len / layout.n_subcarriers
+    eta = codes / (layout.tile_width - 1) - delays / layout.n_subcarriers
     return xi, eta
+
+
+def _tap_phasors(bins, n_taps: int, n_subcarriers: int) -> np.ndarray:
+    """exp(-2j pi b t / N) for every bin b and tap t < n_taps, shape ``bins.shape + (n_taps,)``."""
+    return np.exp(-2j * np.pi * np.multiply.outer(bins, np.arange(n_taps)) / n_subcarriers)
+
+
+@functools.lru_cache(maxsize=32)
+def _tile_tap_phasors(layout: TileLayout, n_taps: int) -> np.ndarray:
+    """:func:`_tap_phasors` over the flat tile bins, (n_tiles * tile_width, n_taps); read-only."""
+    phasors = _tap_phasors(layout.tile_bins.ravel(), n_taps, layout.n_subcarriers)
+    phasors.flags.writeable = False
+    return phasors
 
 
 def channel_freq_response(cir, bins, n_subcarriers: int) -> np.ndarray:
     """Frequency response of a tapped channel at the given subcarriers, shaped like ``bins``."""
     cir = np.asarray(cir, dtype=complex)
-    return np.exp(-2j * np.pi * np.multiply.outer(bins, np.arange(cir.size)) / n_subcarriers) @ cir
+    return _tap_phasors(bins, cir.size, n_subcarriers) @ cir
 
 
 def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarray:
@@ -216,6 +242,21 @@ def _check_users(users, layout: TileLayout) -> None:
             raise ValidationError(f"code {u.code} outside [0, {layout.max_codes - 1}]")
         if u.delay < 0:
             raise ValidationError("delays must be non-negative")
+
+
+def _stack_users(users) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(codes, delays, cfos, cirs)`` of the users, one entry or row per user.
+
+    ``cirs`` is (K, L): every channel zero-padded to the longest one, L >= 1.
+    """
+    codes = np.array([u.code for u in users], dtype=int)
+    delays = np.array([u.delay for u in users], dtype=float)
+    cfos = np.array([u.cfo for u in users], dtype=float)
+    taps = [np.asarray(u.cir, dtype=complex) for u in users]
+    cirs = np.zeros((len(users), max((h.size for h in taps), default=1)), dtype=complex)
+    for row, h in zip(cirs, taps):
+        row[: h.size] = h
+    return codes, delays, cfos, cirs
 
 
 def _complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -235,17 +276,18 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     i.i.d. circular Gaussian of the given variance per grid entry.
     """
     _check_users(users, layout)
-    n = layout.n_subcarriers
-    bins = layout.tile_bins
-    grid = np.zeros((layout.n_blocks, layout.n_tiles, layout.tile_width), dtype=complex)
-    for user in users:
-        xi, eta = effective_offsets(user, layout)
-        tile_means = channel_freq_response(user.cir, bins, n).mean(axis=1)
-        delay_phase = np.exp(-2j * np.pi * bins[:, 0] * user.delay / n)
-        amps = cfo_attenuation(user.cfo, n) * tile_means * delay_phase
-        block_phase = np.exp(2j * np.pi * xi * np.arange(layout.n_blocks))
-        tile_phase = np.exp(2j * np.pi * eta * np.arange(layout.tile_width))
-        grid += np.einsum("m,q,v->mqv", block_phase, amps, tile_phase)
+    n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
+    grid = np.zeros((n_blocks, layout.n_tiles, width), dtype=complex)
+    if users:  # an idle slot is noise alone: skip building empty signal arrays
+        codes, delays, cfos, cirs = _stack_users(users)
+        xi, eta = _offsets(codes, delays, cfos, layout)
+        responses = _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T  # (bin, k)
+        tile_means = responses.reshape(layout.n_tiles, width, -1).mean(axis=1)  # (q, k)
+        delay_phase = np.exp(-2j * np.pi * layout.tile_bins[:, :1] * delays / n)
+        amps = cfo_attenuation(cfos, n) * tile_means * delay_phase
+        block_phase = np.exp(2j * np.pi * xi * np.arange(n_blocks)[:, None])  # (m, k)
+        tile_phase = np.exp(2j * np.pi * eta * np.arange(width)[:, None])  # (v, k)
+        grid += (block_phase[:, None, :] * amps) @ tile_phase.T
     grid += _complex_noise(rng, grid.shape, noise_var)
     return TileObservations(layout, grid)
 
@@ -267,21 +309,24 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     bin, as in model mode: the unitary DFT of white time-domain noise.
     """
     _check_users(users, layout)
-    for u in users:
-        if u.delay + np.asarray(u.cir).size > layout.cp_ranging:
-            raise ValidationError("delay plus channel length must fit inside the ranging prefix")
+    if any(u.delay + np.size(u.cir) > layout.cp_ranging for u in users):
+        raise ValidationError("delay plus channel length must fit inside the ranging prefix")
 
-    n = layout.n_subcarriers
+    n, n_blocks = layout.n_subcarriers, layout.n_blocks
     bins = layout.tile_bins
-    distances, gather = layout._bin_distances
-    window_start = np.arange(layout.n_blocks) * layout.block_len + layout.cp_ranging
-    grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
-    for user in users:
-        gains = channel_freq_response(user.cir, bins, n) * np.exp(-2j * np.pi * bins * user.delay / n)
-        symbols = code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
-        tiles = (symbols[:, None, :] * gains).reshape(layout.n_blocks, -1)
-        leakage = cfo_attenuation(distances + user.cfo, n)[gather]
-        grid += (tiles @ leakage) * np.exp(2j * np.pi * user.cfo * window_start / n)[:, None]
-    grid = grid.reshape(layout.n_blocks, layout.n_tiles, layout.tile_width)
+    grid = np.zeros((n_blocks, layout.n_tiles, layout.tile_width), dtype=complex)
+    if users:  # an idle slot is noise alone: skip building empty signal arrays
+        codes, delays, cfos, cirs = _stack_users(users)
+        distances, gather = layout._bin_distances
+        window_start = np.arange(n_blocks) * layout.block_len + layout.cp_ranging
+        responses = _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T  # (bin, k)
+        gains = responses.T.reshape(len(users), *bins.shape)  # (k, q, v)
+        gains = gains * np.exp(-2j * np.pi * bins * delays[:, None, None] / n)
+        rotation = np.exp(2j * np.pi * cfos[:, None] * window_start / n)  # (k, m)
+        symbols = code_matrix(codes, layout.tile_width, n_blocks).transpose(0, 2, 1)  # (k, m, v)
+        tiles = (symbols * rotation[:, :, None])[:, :, None, :] * gains[:, None]  # (k, m, q, v)
+        leakage = cfo_attenuation(distances + cfos[:, None], n)[:, gather]  # (k, b, b')
+        tiles = tiles.transpose(1, 0, 2, 3).reshape(n_blocks, -1)
+        grid += (tiles @ leakage.reshape(-1, bins.size)).reshape(grid.shape)
     grid += _complex_noise(rng, grid.shape, noise_var)
     return TileObservations(layout, grid)

@@ -25,6 +25,7 @@ observations produce bit-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -90,24 +91,32 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     round-off of zero (relative to the largest) are snapped to a common
     floor first: their mutual ratios are numerical noise and would
     otherwise bias the score in exactly-noiseless runs.
+
+    The few candidates are scored in plain float arithmetic, cheaper than
+    array calls at this size; the logarithms come from one ``np.log`` call,
+    so every score matches numpy's whole-array evaluation to the last bit.
     """
-    lam = np.array(eigenvalues, dtype=float)
-    numerical_zero = 1e-12 * float(np.max(lam, initial=0.0))
-    lam[lam < numerical_zero] = 0.0
-    lam = np.maximum(lam, EIGENVALUE_FLOOR)
-    n = lam.size
+    lam = np.asarray(eigenvalues, dtype=float).tolist()
+    if not all(map(math.isfinite, lam)):
+        raise ValidationError(f"eigenvalues must be finite, got {lam}")
+    n = len(lam)
     if not 0 <= cap <= n - 1:
         raise ValidationError(f"model-order cap must lie in [0, {n - 1}], got {cap}")
     if num_snapshots < 1:
         raise ValidationError("need a positive snapshot count")
-    k = np.arange(cap + 1)
-    tail_len = n - k
-    # sums over the trailing eigenvalues lam[k:] for every candidate k at once
-    tail_log_sum = np.cumsum(np.log(lam)[::-1])[::-1][: cap + 1]
-    tail_sum = np.cumsum(lam[::-1])[::-1][: cap + 1]
-    log_ratio = tail_log_sum / tail_len - np.log(tail_sum / tail_len)
-    scores = 0.5 * k * (2 * n - k) * math.log(num_snapshots) - num_snapshots * tail_len * log_ratio
-    return int(np.argmin(scores))
+    numerical_zero = 1e-12 * max(0.0, *lam)
+    lam = [EIGENVALUE_FLOOR if x < numerical_zero else max(x, EIGENVALUE_FLOOR) for x in lam]
+    # sums over the trailing eigenvalues lam[k:], accumulated from the last one
+    tail_sums = list(itertools.accumulate(reversed(lam)))[::-1]
+    logs = np.log(lam + [tail_sums[k] / (n - k) for k in range(cap + 1)]).tolist()
+    tail_log_sums = list(itertools.accumulate(reversed(logs[:n])))[::-1]
+    penalty = math.log(num_snapshots)
+    scores = [
+        0.5 * k * (2 * n - k) * penalty
+        - num_snapshots * (n - k) * (tail_log_sums[k] / (n - k) - logs[n + k])
+        for k in range(cap + 1)
+    ]
+    return scores.index(min(scores))
 
 
 def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
@@ -135,6 +144,13 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     return phases[np.argsort(-strength, kind="stable")]
 
 
+def _finite(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} must be finite, got {values}")
+    return values
+
+
 def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]:
     """Split effective CFOs elementwise into ``(codes, cfos)``, codes in [0, n_blocks - 2].
 
@@ -142,7 +158,7 @@ def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]
     intervals disjoint (checked at configuration time, not here).
     """
     span = layout.n_blocks - 1
-    effective_cfos = np.asarray(effective_cfos, dtype=float)
+    effective_cfos = _finite(effective_cfos, "effective CFOs")
     raw = np.floor(span * effective_cfos + 0.5)
     cfos = (layout.n_subcarriers / layout.block_len) * (effective_cfos - raw / span)
     return raw.astype(int) % span, cfos
@@ -159,7 +175,7 @@ def map_timing(effective_timings, layout: TileLayout,
     _check_max_delay(layout, max_delay)
     span = layout.tile_width - 1
     half_bias = max_delay * span / (2.0 * layout.n_subcarriers)
-    effective_timings = np.asarray(effective_timings, dtype=float)
+    effective_timings = _finite(effective_timings, "effective timings")
     raw = np.floor(span * effective_timings + half_bias + 0.5)
     delays = layout.n_subcarriers * (raw / span - effective_timings)
     return raw.astype(int) % span, delays

@@ -254,6 +254,26 @@ def compute_metrics(results: list[TrialResult], snr_db: float, cfg: SimConfig) -
     )
 
 
+WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def wilson_interval(count, trials):
+    """Wilson score 95% interval for a binomial proportion ``count / trials``."""
+    p = count / trials
+    z2 = WILSON_Z * WILSON_Z
+    centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)
+    half = WILSON_Z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / (1 + z2 / trials)
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
+def format_count(count, trials):
+    """``105/10000``, or ``0/10000 (< 3.8e-4)`` with the Wilson upper bound."""
+    if count:
+        return f"{count}/{trials}"
+    mantissa, exponent = f"{wilson_interval(0, trials)[1]:.1e}".split("e")
+    return f"0/{trials} (< {mantissa}e{int(exponent)})"
+
+
 def run_sweep(cfg: SimConfig, progress=None) -> list[MetricsRow]:
     """One metrics row per configured SNR point, in configuration order."""
     cfg.validate()

@@ -6,7 +6,6 @@ they dominate the runtime (a few minutes), and the criteria that read them
 (5-7) carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them.
 """
 
-import math
 import subprocess
 import sys
 import time
@@ -17,11 +16,14 @@ import pytest
 from rangesim.cxmath import forward_backward, general_eigenvalues, hermitian_evd
 from rangesim.ranger import map_cfo, map_timing
 from rangesim.simlab import (
+    WILSON_Z,
     SimConfig,
     esprit_periodogram_gap,
+    format_count,
     noiseless_exactness,
     run_sweep,
     run_trial,
+    wilson_interval,
 )
 
 
@@ -34,18 +36,6 @@ def verdict(num, name, ok, detail=""):
 
 def strictly_decreasing(values):
     return all(a > b for a, b in zip(values, values[1:]))
-
-
-WILSON_Z = 1.959963984540054  # two-sided 95%
-
-
-def wilson_interval(count, trials):
-    """Wilson score 95% interval for a binomial proportion ``count / trials``."""
-    p = count / trials
-    z2 = WILSON_Z * WILSON_Z
-    centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)
-    half = WILSON_Z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / (1 + z2 / trials)
-    return max(0.0, centre - half), min(1.0, centre + half)
 
 
 def resolved_decreasing_counts(counts, trials):
@@ -65,14 +55,6 @@ def resolved_decreasing_counts(counts, trials):
         return True
     last_nonzero = [c for c in counts if c][-1]
     return wilson_interval(0, trials)[1] < wilson_interval(last_nonzero, trials)[0]
-
-
-def format_count(count, trials):
-    """``105/10000``, or ``0/10000 (< 3.8e-4)`` with the Wilson upper bound."""
-    if count:
-        return f"{count}/{trials}"
-    mantissa, exponent = f"{wilson_interval(0, trials)[1]:.1e}".split("e")
-    return f"0/{trials} (< {mantissa}e{int(exponent)})"
 
 
 @pytest.mark.parametrize("counts, trials", [((105, 0, 0), 10000), ((458, 0, 0), 10000),

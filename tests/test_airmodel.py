@@ -216,6 +216,11 @@ class TestDrawChannel:
         base = ChannelProfile(12, 12.0).tap_variances()[0]
         assert base == pytest.approx(0.1264878736405125, abs=1e-12)
 
+    def test_tap_variances_computed_once_and_read_only(self):
+        first = ChannelProfile(12, 12.0).tap_variances()
+        assert ChannelProfile(12, 12.0).tap_variances() is first
+        assert not first.flags.writeable
+
     def test_matches_closed_form_draw(self):
         # draw_channel is exactly sqrt(v/2) * (re + 1j*im) with re, im drawn in that order
         profile = ChannelProfile(12, 12.0)
@@ -467,6 +472,68 @@ def test_waveform_matches_time_domain_oracle_on_reference_layout(delays, cfos):
         for code, delay, cfo in zip(range(3), delays, cfos)
     ]
     assert_matches_oracle(reference_layout(), users)
+
+
+def model_mode_loop(users, layout):
+    """Noiseless model-mode grid by the per-user loop the synthesizer replaced, kept verbatim."""
+    n = layout.n_subcarriers
+    bins = layout.tile_bins
+    grid = np.zeros((layout.n_blocks, layout.n_tiles, layout.tile_width), dtype=complex)
+    for user in users:
+        xi, eta = effective_offsets(user, layout)
+        tile_means = channel_freq_response(user.cir, bins, n).mean(axis=1)
+        delay_phase = np.exp(-2j * np.pi * bins[:, 0] * user.delay / n)
+        amps = cfo_attenuation(user.cfo, n) * tile_means * delay_phase
+        block_phase = np.exp(2j * np.pi * xi * np.arange(layout.n_blocks))
+        tile_phase = np.exp(2j * np.pi * eta * np.arange(layout.tile_width))
+        grid += np.einsum("m,q,v->mqv", block_phase, amps, tile_phase)
+    return grid
+
+
+def waveform_mode_loop(users, layout):
+    """Noiseless waveform-mode grid by the per-user loop the synthesizer replaced, kept verbatim."""
+    n = layout.n_subcarriers
+    bins = layout.tile_bins
+    distances, gather = layout._bin_distances
+    window_start = np.arange(layout.n_blocks) * layout.block_len + layout.cp_ranging
+    grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
+    for user in users:
+        gains = channel_freq_response(user.cir, bins, n) * np.exp(-2j * np.pi * bins * user.delay / n)
+        symbols = code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
+        tiles = (symbols[:, None, :] * gains).reshape(layout.n_blocks, -1)
+        leakage = cfo_attenuation(distances + user.cfo, n)[gather]
+        grid += (tiles @ leakage) * np.exp(2j * np.pi * user.cfo * window_start / n)[:, None]
+    return grid.reshape(layout.n_blocks, layout.n_tiles, layout.tile_width)
+
+
+@st.composite
+def ragged_scenarios(draw):
+    """A small valid layout and 0 to max_codes users with CFOs and channels of
+    independently drawn lengths, each fitting the ranging prefix with its delay."""
+    layout = draw(small_layouts())
+    k = draw(st.integers(0, layout.max_codes))
+    codes = draw(st.permutations(range(layout.max_codes)))[:k]
+    gain = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    cfo = st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True)
+    users = []
+    for code in codes:
+        taps = draw(st.integers(1, layout.cp_ranging))
+        delay = draw(st.integers(0, layout.cp_ranging - taps))
+        cir = np.array(draw(st.lists(gain, min_size=taps, max_size=taps)), dtype=complex)
+        users.append(UserTruth(code, delay, draw(cfo), cir))
+    return layout, users
+
+
+@settings(deadline=None, derandomize=True)
+@given(ragged_scenarios())
+def test_synthesizers_match_per_user_loops(scenario):
+    # all users at once, channels zero-padded to the longest: the per-user sums up to round-off
+    layout, users = scenario
+    for synthesize, loop in ((synthesize_model_mode, model_mode_loop),
+                             (synthesize_waveform_mode, waveform_mode_loop)):
+        want = loop(users, layout)
+        got = synthesize(users, layout, 0.0, np.random.default_rng(0)).grid
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_observation_shape_guard():
