@@ -40,15 +40,23 @@ EIGENVALUE_FLOOR = 1e-18
 
 @dataclass
 class RangingReport:
-    """Detector output for one subchannel."""
+    """Detector output for one subchannel; ``RangingReport()`` is an idle slot."""
 
-    num_codes: int
     # raw phase estimates in cycles, one per code, strongest first
     effective_cfos: np.ndarray = field(default_factory=lambda: np.zeros(0))
     effective_timings: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    detected: set[int] = field(default_factory=set)
     per_code: dict[int, tuple[float, float]] = field(default_factory=dict)  # code -> (cfo, timing)
     collisions: int = 0
+
+    @property
+    def num_codes(self) -> int:
+        """The code count the stages ran with: MDL's estimate, or the given count."""
+        return len(self.effective_cfos)
+
+    @property
+    def detected(self) -> set[int]:
+        """Codes both stages agree on."""
+        return set(self.per_code)
 
 
 @dataclass(frozen=True)
@@ -181,22 +189,21 @@ def map_timing(effective_timings, layout: TileLayout,
     return raw.astype(int) % span, delays
 
 
-def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[set[int], dict, int]:
+def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
     """Codes both stages agree on, with per-code parameter attribution.
 
     Takes each stage's code and value arrays as :func:`map_cfo` and
-    :func:`map_timing` return them, and returns
-    ``(detected, per_code, collisions)``.  When two estimates of a stage
-    reduce to the same code index, the first one keeps the attribution and
-    the clash is counted; the detected set itself is unaffected.
+    :func:`map_timing` return them, and returns ``(per_code, collisions)``,
+    ``per_code`` mapping each detected code to its ``(cfo, delay)``.  When
+    two estimates of a stage reduce to the same code index, the first one
+    keeps the attribution and the clash is counted.
     """
     # built from the back, so the first estimate of each code is written last
     cfo_by_code = dict(zip(cfo_codes[::-1].tolist(), cfos[::-1].tolist()))
     timing_by_code = dict(zip(timing_codes[::-1].tolist(), delays[::-1].tolist()))
     collisions = len(cfo_codes) - len(cfo_by_code) + len(timing_codes) - len(timing_by_code)
     detected = cfo_by_code.keys() & timing_by_code.keys()
-    per_code = {code: (cfo_by_code[code], timing_by_code[code]) for code in detected}
-    return detected, per_code, collisions
+    return {code: (cfo_by_code[code], timing_by_code[code]) for code in detected}, collisions
 
 
 def _stage(name: str, fn, *args):
@@ -221,14 +228,14 @@ def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     else:
         num_codes = estimate_num_codes(lam_f, snaps_f.shape[0], layout.max_codes)
     if num_codes == 0:
-        return RangingReport(num_codes=0)
+        return RangingReport()
 
     eff_cfos = _stage("frequency-stage rotation", esprit_phases, lam_f, vec_f, num_codes)
     corr_t = forward_backward(sample_corr(tile_snapshots(obs)))
     lam_t, vec_t = _stage("timing-stage eigendecomposition", hermitian_evd, corr_t)
     eff_timings = _stage("timing-stage rotation", esprit_phases, lam_t, vec_t, num_codes)
 
-    detected, per_code, collisions = detect_codes(
+    per_code, collisions = detect_codes(
         *map_cfo(eff_cfos, layout), *map_timing(eff_timings, layout, cfg.max_delay)
     )
-    return RangingReport(num_codes, eff_cfos, eff_timings, detected, per_code, collisions)
+    return RangingReport(eff_cfos, eff_timings, per_code, collisions)

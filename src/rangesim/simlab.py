@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -116,13 +117,16 @@ class SimConfig:
 
 @dataclass
 class TrialResult:
-    """Everything needed to score one trial."""
+    """One trial's ground truth and the receiver's report; :func:`compute_metrics` scores it."""
 
     truth: list[UserTruth]
     report: RangingReport
-    detected_flags: list[bool]
-    timing_error_flags: list[bool]
-    cfo_errors: list[float | None]
+
+    @property
+    def detected_flags(self) -> list[bool]:
+        """Whether each true user's code was detected, in truth order."""
+        detected = self.report.detected
+        return [user.code in detected for user in self.truth]
 
 
 @dataclass
@@ -141,10 +145,19 @@ class MetricsRow:
 
 
 def noise_variance(snr_db: float) -> float:
-    """Noise power for a given SNR in dB; +inf maps to exactly zero."""
-    if math.isinf(snr_db) and snr_db > 0:
+    """Noise power for a given SNR in dB; +inf maps to exactly zero.
+
+    NaN, -inf and an SNR whose power overflows raise :class:`ValidationError`.
+    """
+    if snr_db == math.inf:
         return 0.0
-    return 10.0 ** (-snr_db / 10.0)
+    try:
+        var = math.pow(10.0, -snr_db / 10.0)
+    except OverflowError:
+        var = math.inf
+    if not math.isfinite(var):
+        raise ValidationError(f"SNR {snr_db} dB has no finite noise power")
+    return var
 
 
 def timing_error_event(delay_est: float, delay_true: float, cp_data: int, n_taps: int) -> bool:
@@ -177,7 +190,7 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
 
 
 def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
-    """Draw one scenario, synthesize, range, and score each user.
+    """Draw one scenario, synthesize and range it.
 
     The random stream depends only on the master seed and the trial index,
     so the same index reuses its scenario at every SNR point.
@@ -194,53 +207,40 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     else:
         raise ConfigError(f"mode must be 'model' or 'waveform', got {cfg.mode!r}")
 
-    report = range_subchannel(obs, cfg.ranger_config())
-
-    detected_flags: list[bool] = []
-    timing_flags: list[bool] = []
-    cfo_errors: list[float | None] = []
-    for user in truth:
-        hit = user.code in report.detected
-        detected_flags.append(hit)
-        if hit:
-            cfo_hat, delay_hat = report.per_code[user.code]
-            cfo_errors.append(cfo_hat - user.cfo)
-            timing_flags.append(
-                timing_error_event(delay_hat, user.delay, cfg.cp_data, cfg.channel_taps)
-            )
-        else:
-            cfo_errors.append(None)
-            timing_flags.append(True)  # a missed user can never be aligned
-    return TrialResult(truth, report, detected_flags, timing_flags, cfo_errors)
+    return TrialResult(truth, range_subchannel(obs, cfg.ranger_config()))
 
 
-def compute_metrics(results: list[TrialResult], snr_db: float, cfg: SimConfig) -> MetricsRow:
-    """Reduce one SNR point's trials to the reported metrics.
+def compute_metrics(results: Iterable[TrialResult], snr_db: float, cfg: SimConfig) -> MetricsRow:
+    """Score each user of one SNR point's trials, in index order, and reduce to metrics.
 
     ``p_f`` counts trials whose detected set differs from the true set in
     either direction; the per-code variant normalises missed plus false
     codes by the total code opportunities.  The CFO error statistic uses
     correctly detected users only, and an undetected user always counts as
-    a timing error event.
+    a timing error event.  ``results`` may be a one-pass iterator.
     """
-    if not results:
-        raise ConfigError("compute_metrics needs at least one trial result")
     max_codes = cfg.layout().max_codes
-    bad_trials = 0
-    bad_codes = 0
+    n = bad_trials = bad_codes = users = timing_events = 0
+    # summed by sum(): from Python 3.12 it compensates, so a running += would round differently
     squared = []
-    user_events = []
-    for res in results:
-        true_set = {u.code for u in res.truth}
-        if res.report.detected != true_set:
-            bad_trials += 1
-        bad_codes += len(true_set - res.report.detected)
-        bad_codes += len(res.report.detected - true_set)
-        squared.extend(e * e for e in res.cfo_errors if e is not None)
-        user_events.extend(res.timing_error_flags)
-    n = len(results)
+    for n, res in enumerate(results, start=1):
+        wrong = res.report.detected.symmetric_difference(u.code for u in res.truth)
+        bad_trials += bool(wrong)
+        bad_codes += len(wrong)
+        users += len(res.truth)
+        for user in res.truth:
+            if user.code not in res.report.per_code:
+                timing_events += 1  # a missed user can never be aligned
+                continue
+            cfo_hat, delay_hat = res.report.per_code[user.code]
+            e = cfo_hat - user.cfo
+            squared.append(e * e)
+            timing_events += timing_error_event(delay_hat, user.delay, cfg.cp_data,
+                                                cfg.channel_taps)
+    if n == 0:
+        raise ConfigError("compute_metrics needs at least one trial result")
     rmse = math.sqrt(sum(squared) / len(squared)) if squared else None
-    p_err = (sum(user_events) / len(user_events)) if user_events else 0.0
+    p_err = timing_events / users if users else 0.0
     return MetricsRow(
         snr_db=snr_db,
         p_f=bad_trials / n,
@@ -259,6 +259,8 @@ WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 def wilson_interval(count, trials):
     """Wilson score 95% interval for a binomial proportion ``count / trials``."""
+    if not (trials >= 1 and 0 <= count <= trials):
+        raise ValidationError(f"need 0 <= count <= trials and trials >= 1, got {count}/{trials}")
     p = count / trials
     z2 = WILSON_Z * WILSON_Z
     centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)
@@ -268,19 +270,20 @@ def wilson_interval(count, trials):
 
 def format_count(count, trials):
     """``105/10000``, or ``0/10000 (< 3.8e-4)`` with the Wilson upper bound."""
+    upper = wilson_interval(count, trials)[1]  # also rejects an impossible count
     if count:
         return f"{count}/{trials}"
-    mantissa, exponent = f"{wilson_interval(0, trials)[1]:.1e}".split("e")
+    mantissa, exponent = f"{upper:.1e}".split("e")
     return f"0/{trials} (< {mantissa}e{int(exponent)})"
 
 
 def run_sweep(cfg: SimConfig, progress=None) -> list[MetricsRow]:
-    """One metrics row per configured SNR point, in configuration order."""
+    """One metrics row per configured SNR point, in order; trials are scored as they run."""
     cfg.validate()
     rows = []
     for snr_db in cfg.snr_list_db:
-        results = [run_trial(cfg, snr_db, i) for i in range(cfg.trials)]
-        row = compute_metrics(results, snr_db, cfg)
+        trials = (run_trial(cfg, snr_db, i) for i in range(cfg.trials))
+        row = compute_metrics(trials, snr_db, cfg)
         rows.append(row)
         if progress is not None:
             progress(row)
@@ -350,33 +353,15 @@ def noiseless_exactness(seed: int, trials: int, max_cfo: float) -> tuple[int, fl
     return exact, worst_cfo, worst_delay
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_csv(rows: list[MetricsRow], destination) -> None:
-    """Write the metrics table; floats use shortest round-trip decimals."""
+    """Write the ``CSV_HEADER`` columns, each value cast to its ``MetricsRow`` field type."""
     path = Path(destination)
+    hints = get_type_hints(MetricsRow)
+    casts = [(name, _field_parser(hints[name])) for name in CSV_HEADER.split(",")]
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(float(row.snr_db)),
-                    _fmt(float(row.p_f)),
-                    _fmt(None if row.rmse_eps is None else float(row.rmse_eps)),
-                    _fmt(float(row.p_err_timing)),
-                    _fmt(int(row.trials)),
-                    _fmt(int(row.k)),
-                    _fmt(float(row.omega)),
-                    row.mode,
-                ]
-            )
-        )
+        values = [(cast, getattr(row, name)) for name, cast in casts]
+        lines.append(",".join("" if v is None else str(cast(v)) for cast, v in values))
     try:
         with open(path, "w", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -424,7 +409,7 @@ def parse_snr_list(text: str) -> tuple[float, ...]:
 
 
 def _field_parser(hint):
-    """The text-to-value parser for one ``SimConfig`` field type; ``int | None`` parses as int."""
+    """The parser or cast for one field type; ``int | None`` parses as int."""
     if hint == tuple[float, ...]:
         return parse_snr_list
     return get_args(hint)[0] if get_args(hint) else hint

@@ -21,6 +21,7 @@ from rangesim.errors import ConfigError, DimensionError, RankDeficiencyError, Va
 from rangesim.ranger import (
     EIGENVALUE_FLOOR,
     RangerConfig,
+    RangingReport,
     detect_codes,
     esprit_phases,
     estimate_num_codes,
@@ -321,27 +322,26 @@ class TestDetectCodes:
         return map_timing(np.asarray(codes) / 3 - delay / 1024, reference_layout(), 204)
 
     def test_full_agreement(self):
-        detected, per_code, coll = detect_codes(*self.freq([0, 2]), *self.timing([0, 2]))
-        assert detected == {0, 2}
+        per_code, coll = detect_codes(*self.freq([0, 2]), *self.timing([0, 2]))
         assert set(per_code) == {0, 2}
         assert coll == 0
 
     def test_partial_agreement(self):
-        detected, _, _ = detect_codes(*self.freq([0, 1]), *self.timing([0, 2]))
-        assert detected == {0}
+        per_code, _ = detect_codes(*self.freq([0, 1]), *self.timing([0, 2]))
+        assert set(per_code) == {0}
 
     def test_permutation_symmetry(self):
         f = self.freq([0, 1, 2])
         t = self.timing([2, 0, 1])
-        d1, p1, _ = detect_codes(*f, *t)
-        d2, p2, _ = detect_codes(*(a[::-1] for a in f), *(a[::-1] for a in t))
-        assert d1 == d2 == {0, 1, 2}
+        p1, _ = detect_codes(*f, *t)
+        p2, _ = detect_codes(*(a[::-1] for a in f), *(a[::-1] for a in t))
+        assert set(p1) == set(p2) == {0, 1, 2}
         assert p1 == p2
 
     def test_collision_keeps_first_and_counts(self):
         codes, cfos = self.freq([1, 1], cfos=[0.01, 0.03])
-        detected, per_code, coll = detect_codes(codes, cfos, *self.timing([1]))
-        assert detected == {1}
+        per_code, coll = detect_codes(codes, cfos, *self.timing([1]))
+        assert set(per_code) == {1}
         assert per_code[1][0] == cfos[0]
         assert coll == 1
 
@@ -358,8 +358,7 @@ class TestDetectCodes:
                     table.setdefault(code, value)
             both = first_cfo.keys() & first_delay.keys()
             want = {c: (first_cfo[c], first_delay[c]) for c in both}
-            detected, per_code, coll = detect_codes(cfo_codes, cfos, timing_codes, delays)
-            assert (detected, per_code, coll) == (set(want), want, clashes)
+            assert detect_codes(cfo_codes, cfos, timing_codes, delays) == (want, clashes)
 
 
 class TestRangeSubchannel:
@@ -370,7 +369,21 @@ class TestRangeSubchannel:
         report = range_subchannel(obs, RangerConfig(max_delay=204))
         assert 0 <= report.num_codes <= 3
         assert len(report.effective_cfos) == len(report.effective_timings) == report.num_codes
-        assert set(report.per_code) <= report.detected
+        assert len(report.per_code) <= report.num_codes
+
+    def test_idle_report_is_empty(self):
+        report = RangingReport()
+        assert report.num_codes == 0
+        assert report.detected == set()
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_known_count_is_the_reported_count(self, k):
+        layout = reference_layout()
+        rng = np.random.default_rng(12)
+        users = random_users(rng, layout, 3, max_cfo=0.05)
+        obs = synthesize_model_mode(users, layout, 0.01, rng)
+        report = range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=k))
+        assert report.num_codes == len(report.effective_timings) == k
 
     def test_zero_grid_reports_nothing(self):
         layout = reference_layout()
@@ -535,7 +548,7 @@ def test_reported_codes_stay_in_range(layout, seed, noise_var, data):
     obs = synthesize_model_mode(users, layout, noise_var, rng)
     max_delay = math.ceil(layout.delay_bound) - 1
     report = range_subchannel(obs, RangerConfig(max_delay=max_delay))
-    assert all(0 <= c < layout.max_codes for c in report.detected | set(report.per_code))
+    assert all(0 <= c < layout.max_codes for c in report.detected)
 
 
 def mdl_reference(eigenvalues, num_snapshots, cap):

@@ -17,6 +17,7 @@ from rangesim.simlab import (
     draw_users,
     emit_csv,
     esprit_periodogram_gap,
+    format_count,
     load_config,
     noise_variance,
     oracle_periodogram,
@@ -24,6 +25,7 @@ from rangesim.simlab import (
     run_sweep,
     run_trial,
     timing_error_event,
+    wilson_interval,
     write_gnuplot_script,
 )
 from rangesim.airmodel import UserTruth
@@ -38,6 +40,24 @@ class TestNoiseVariance:
 
     def test_infinite_snr_is_noiseless(self):
         assert noise_variance(float("inf")) == 0.0
+
+    @pytest.mark.parametrize("snr", [float("nan"), float("-inf"), -4000.0, np.float64(-4000.0)],
+                             ids=["nan", "-inf", "-4000", "-4000-numpy"])
+    def test_snr_without_finite_noise_power_rejected(self, snr):
+        # run_trial takes its SNR unvalidated; SimConfig.validate's floor is stricter
+        with pytest.raises(ValidationError, match="noise power"):
+            noise_variance(snr)
+        with pytest.raises(ValidationError, match="noise power"):
+            run_trial(SimConfig(mode="model"), snr, 0)
+
+
+class TestWilson:
+    @pytest.mark.parametrize("count, trials", [(0, 0), (5, 3), (-1, 10)])
+    def test_impossible_count_rejected(self, count, trials):
+        with pytest.raises(ValidationError, match="count"):
+            wilson_interval(count, trials)
+        with pytest.raises(ValidationError, match="count"):
+            format_count(count, trials)
 
 
 class TestTimingErrorEvent:
@@ -63,15 +83,16 @@ def _truth(code):
     return UserTruth(code, 0, 0.0, np.array([1.0 + 0j]))
 
 
-def _result(true_codes, detected, cfo_errors, timing_flags):
-    report = RangingReport(num_codes=len(detected), detected=set(detected))
-    return TrialResult(
-        truth=[_truth(c) for c in true_codes],
-        report=report,
-        detected_flags=[c in detected for c in true_codes],
-        timing_error_flags=timing_flags,
-        cfo_errors=cfo_errors,
-    )
+# delay errors under SimConfig's 32-sample data prefix and 12 taps: the
+# tolerable window is [-11, +10], so CLEAN raises no timing event and LATE does
+CLEAN, LATE = 0.0, 10.5
+
+
+def _result(true_codes, estimates):
+    """A trial whose users sit at zero CFO and delay; ``estimates`` maps code -> (cfo, delay)."""
+    n = len(estimates)
+    report = RangingReport(np.zeros(n), np.zeros(n), dict(estimates))
+    return TrialResult([_truth(c) for c in true_codes], report)
 
 
 class TestComputeMetrics:
@@ -79,9 +100,7 @@ class TestComputeMetrics:
         return SimConfig(num_users=k, trials=4)
 
     def test_all_perfect(self):
-        results = [
-            _result([0, 1], {0, 1}, [0.001, -0.002], [False, False]) for _ in range(4)
-        ]
+        results = [_result([0, 1], {0: (0.001, CLEAN), 1: (-0.002, CLEAN)}) for _ in range(4)]
         row = compute_metrics(results, 10.0, self.cfg())
         assert row.p_f == 0.0
         assert row.p_err_timing == 0.0
@@ -89,8 +108,8 @@ class TestComputeMetrics:
         assert row.p_f_per_code == 0.0
 
     def test_one_of_four_misdetects(self):
-        good = _result([0, 1], {0, 1}, [0.0, 0.0], [False, False])
-        bad = _result([0, 1], {0}, [0.0, None], [False, True])
+        good = _result([0, 1], {0: (0.0, CLEAN), 1: (0.0, CLEAN)})
+        bad = _result([0, 1], {0: (0.0, CLEAN)})
         row = compute_metrics([good, good, good, bad], 5.0, self.cfg())
         assert row.p_f == 0.25
         # one missed code out of 3 codes x 4 trials of opportunity
@@ -99,7 +118,7 @@ class TestComputeMetrics:
         assert row.p_err_timing == pytest.approx(1 / 8)
 
     def test_false_alarm_counts_against_the_set(self):
-        extra = _result([0], {0, 2}, [0.0], [False])
+        extra = _result([0], {0: (0.0, CLEAN), 2: (0.0, CLEAN)})
         row = compute_metrics([extra], 5.0, self.cfg(k=1))
         assert row.p_f == 1.0
         assert row.p_f_per_code == pytest.approx(1 / 3)
@@ -107,8 +126,8 @@ class TestComputeMetrics:
     def test_hand_computed_fixture(self):
         # r1: correct set, one user still flagged for timing; r2: both codes
         # missed and one false alarm
-        r1 = _result([0, 2], {0, 2}, [0.01, -0.01], [False, True])
-        r2 = _result([0, 2], {1}, [None, None], [True, True])
+        r1 = _result([0, 2], {0: (0.01, CLEAN), 2: (-0.01, LATE)})
+        r2 = _result([0, 2], {1: (0.0, CLEAN)})
         row = compute_metrics([r1, r2], 0.0, self.cfg())
         assert row.p_f == pytest.approx(0.5)
         assert row.p_f_per_code == pytest.approx(3 / 6)  # 2 missed + 1 false over 3*2
@@ -116,7 +135,7 @@ class TestComputeMetrics:
         assert row.rmse_eps == pytest.approx(0.01)
 
     def test_no_detections_reports_absent_rmse(self):
-        res = _result([0, 1], set(), [None, None], [True, True])
+        res = _result([0, 1], {})
         row = compute_metrics([res], 0.0, self.cfg())
         assert row.rmse_eps is None
         assert row.p_err_timing == 1.0
@@ -125,6 +144,17 @@ class TestComputeMetrics:
         with pytest.raises(ConfigError):
             compute_metrics([], 0.0, self.cfg())
 
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ConfigError):
+            compute_metrics((r for r in []), 0.0, self.cfg())
+
+    def test_one_pass_generator_matches_list(self):
+        cfg = SimConfig(num_users=2, mode="model", trials=6, master_seed=5)
+        results = [run_trial(cfg, 0.0, i) for i in range(cfg.trials)]
+        row = compute_metrics((r for r in results), 0.0, cfg)
+        assert row == compute_metrics(results, 0.0, cfg)
+        assert row.trials == 6
+
 
 class TestRunTrial:
     def test_deterministic(self):
@@ -132,7 +162,7 @@ class TestRunTrial:
         a = run_trial(cfg, 10.0, 7)
         b = run_trial(cfg, 10.0, 7)
         assert a.report.detected == b.report.detected
-        assert a.cfo_errors == b.cfo_errors
+        assert a.report.per_code == b.report.per_code
         assert [u.code for u in a.truth] == [u.code for u in b.truth]
         for ua, ub in zip(a.truth, b.truth):
             np.testing.assert_array_equal(ua.cir, ub.cir)
@@ -146,16 +176,16 @@ class TestRunTrial:
 
     def test_noiseless_model_mode_is_error_free(self):
         cfg = SimConfig(num_users=2, mode="model", master_seed=9)
-        for i in range(10):
-            res = run_trial(cfg, float("inf"), i)
-            assert all(res.detected_flags)
-            assert not any(res.timing_error_flags)
+        results = [run_trial(cfg, float("inf"), i) for i in range(10)]
+        assert all(all(res.detected_flags) for res in results)
+        assert compute_metrics(results, float("inf"), cfg).p_err_timing == 0.0
 
     def test_no_users_is_well_formed(self):
         cfg = SimConfig(num_users=0, mode="model", master_seed=1)
         res = run_trial(cfg, 20.0, 0)
         assert res.truth == []
-        assert res.cfo_errors == []
+        assert res.detected_flags == []
+        assert compute_metrics([res], 20.0, cfg).rmse_eps is None
         assert res.report.num_codes >= 0
 
     @pytest.mark.parametrize("count", [-1, 4])
@@ -243,6 +273,21 @@ class TestCsv:
         assert parsed[1]["rmse_eps"] == ""
         assert parsed[1]["mode"] == "waveform"
         assert int(parsed[0]["trials"]) == 100
+
+    def test_values_cast_by_field_type(self, tmp_path):
+        # an int SNR still writes as a float, numpy scalars as plain numbers
+        rows = [
+            MetricsRow(10, 0.0, None, 0.0, 100, 3, 0.05, "waveform"),
+            MetricsRow(float("inf"), np.float64(0.25), np.float64(0.0125), np.float32(0.5),
+                       np.int64(100), np.int64(3), np.float64(0.1), "model"),
+        ]
+        out = tmp_path / "m.csv"
+        emit_csv(rows, out)
+        assert out.read_text() == (
+            CSV_HEADER + "\n"
+            "10.0,0.0,,0.0,100,3,0.05,waveform\n"
+            "inf,0.25,0.0125,0.5,100,3,0.1,model\n"
+        )
 
     def test_empty_rows_header_only(self, tmp_path):
         out = tmp_path / "m.csv"
