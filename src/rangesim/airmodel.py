@@ -18,6 +18,8 @@ on independent streams.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,14 +109,29 @@ class TileLayout:
         return bins
 
     @functools.cached_property
-    def _bin_distances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct distances d = b - b' between tile bins, and the index that
-        gathers the (QV, QV) matrix of d over flat tile bins (b, b') from them."""
-        bins = self.tile_bins.ravel()
-        shifted = bins[:, None] - bins[None, :] + self.n_subcarriers - 1  # >= 0
+    def snr_floor_db(self) -> float:
+        """Lowest usable SNR in dB (exclusive): correlation sums stay finite at 100x noise power."""
+        snapshots = self.n_tiles * max(self.tile_width, self.n_blocks)
+        return 10.0 * math.log10(100.0 * snapshots / sys.float_info.max)
+
+    @functools.cached_property
+    def _leakage_tables(self) -> tuple[np.ndarray, ...]:
+        """Per-layout factors of waveform-mode leakage, read-only: N sin and N cos of pi d / N
+        over the distinct bin distances d, the index gathering them into the (b', b)
+        matrix of d = b - b' over flat tile bins, exp(j pi b / N) per bin, 2 * window
+        start + N - 1 per block, and each code's block phases and per-bin tile phases."""
+        n, bins = self.n_subcarriers, self.tile_bins.ravel()
+        shifted = bins[None, :] - bins[:, None] + n - 1  # >= 0
         present = np.bincount(shifted.ravel()) > 0
-        distances = np.flatnonzero(present) - (self.n_subcarriers - 1)
-        return distances, (np.cumsum(present) - 1)[shifted]
+        angles = np.pi * (np.flatnonzero(present) - (n - 1)) / n
+        steps = 2 * (np.arange(self.n_blocks) * self.block_len + self.cp_ranging) + n - 1
+        codes = code_matrix(np.arange(self.max_codes), self.tile_width, self.n_blocks)
+        tables = (n * np.sin(angles), n * np.cos(angles), (np.cumsum(present) - 1)[shifted],
+                  np.exp(1j * np.pi * bins / n), steps, codes[:, 0, :],
+                  np.tile(codes[:, :, 0], self.n_tiles))
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
 
 @dataclass(frozen=True)
@@ -259,10 +276,21 @@ def _stack_users(users) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return codes, delays, cfos, cirs
 
 
-def _complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return np.sqrt(variance / 2.0) * (re + 1j * im)
+def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
+    """Real factor K of D(d + cfo) = K exp(j pi (cfo (N - 1) - d) / N), shape (k, d) over the
+    distinct bin distances d; divided last, as a subnormal denominator's reciprocal overflows."""
+    n_sin_d, n_cos_d = layout._leakage_tables[:2]
+    n, t = layout.n_subcarriers, np.pi * cfos[:, None]
+    den = n_sin_d * np.cos(t / n) + n_cos_d * np.sin(t / n)  # N sin(pi (d + cfo) / N)
+    return np.divide(np.sin(t), den, out=np.ones_like(den), where=den != 0)  # D(0) = 1
+
+
+def _complex_noise(rng: np.random.Generator, shape, variance) -> np.ndarray:
+    """Circular Gaussian of the given variance: one draw, all real parts then all imaginary."""
+    noise = np.empty(shape, dtype=complex)
+    noise.view(float).reshape(-1, 2).T[:] = rng.standard_normal((2, noise.size))
+    noise *= np.sqrt(variance / 2.0)
+    return noise
 
 
 def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
@@ -312,21 +340,17 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     if any(u.delay + np.size(u.cir) > layout.cp_ranging for u in users):
         raise ValidationError("delay plus channel length must fit inside the ranging prefix")
 
-    n, n_blocks = layout.n_subcarriers, layout.n_blocks
-    bins = layout.tile_bins
-    grid = np.zeros((n_blocks, layout.n_tiles, layout.tile_width), dtype=complex)
+    n, bins = layout.n_subcarriers, layout.tile_bins
+    grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
         codes, delays, cfos, cirs = _stack_users(users)
-        distances, gather = layout._bin_distances
-        window_start = np.arange(n_blocks) * layout.block_len + layout.cp_ranging
-        responses = _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T  # (bin, k)
-        gains = responses.T.reshape(len(users), *bins.shape)  # (k, q, v)
-        gains = gains * np.exp(-2j * np.pi * bins * delays[:, None, None] / n)
-        rotation = np.exp(2j * np.pi * cfos[:, None] * window_start / n)  # (k, m)
-        symbols = code_matrix(codes, layout.tile_width, n_blocks).transpose(0, 2, 1)  # (k, m, v)
-        tiles = (symbols * rotation[:, :, None])[:, :, None, :] * gains[:, None]  # (k, m, q, v)
-        leakage = cfo_attenuation(distances + cfos[:, None], n)[:, gather]  # (k, b, b')
-        tiles = tiles.transpose(1, 0, 2, 3).reshape(n_blocks, -1)
-        grid += (tiles @ leakage.reshape(-1, bins.size)).reshape(grid.shape)
+        gather, bin_phase, block_steps, block_codes, bin_codes = layout._leakage_tables[2:]
+        kernel = _leakage_kernel(layout, cfos).take(gather, axis=1)  # (k, b', b)
+        # rank-one tiles, with the phases of D split between each user's blocks and bins
+        alpha = np.exp(1j * np.pi * cfos[:, None] * block_steps / n) * block_codes[codes]  # (k, m)
+        ramp = np.exp(bins.ravel() * (2 * delays[:, None] + 1) * (-1j * np.pi / n))  # (k, b)
+        rows = ramp * bin_codes[codes] * (_tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T).T
+        leaked = (kernel @ rows.view(float).reshape(len(users), -1, 2)).view(complex)[..., 0]
+        grid += (alpha.T @ leaked) * bin_phase
     grid += _complex_noise(rng, grid.shape, noise_var)
-    return TileObservations(layout, grid)
+    return TileObservations(layout, grid.reshape(layout.n_blocks, *bins.shape))

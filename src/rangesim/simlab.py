@@ -11,7 +11,6 @@ any degree of parallelism as long as results reduce in index order.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,9 +30,6 @@ from .errors import ConfigError, RangingError, ValidationError
 from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
-# Gaussian-tail allowance: a circular Gaussian sample's power exceeds this many
-# times its mean with probability exp(-100), about 4e-44.  It sets the SNR floor.
-_NOISE_TAIL = 100.0
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,9 @@ class SimConfig:
             raise ConfigError("trials must be positive")
         if not self.snr_list_db:
             raise ConfigError("snr_list_db cannot be empty")
-        # Each stage's correlation sums noise products over its snapshots before
-        # averaging; that sum must stay finite even if every sample's power
-        # reaches _NOISE_TAIL times its mean.
-        snapshots = layout.n_tiles * max(layout.tile_width, layout.n_blocks)
-        min_snr_db = 10.0 * math.log10(_NOISE_TAIL * snapshots / sys.float_info.max)
-        if not all(snr > min_snr_db for snr in self.snr_list_db):  # also rejects NaN
-            raise ConfigError(f"snr_list_db entries must be numbers above {min_snr_db:.6g} dB "
+        floor = layout.snr_floor_db
+        if not all(snr > floor for snr in self.snr_list_db):  # also rejects NaN
+            raise ConfigError(f"snr_list_db entries must be numbers above {floor:.6g} dB "
                               f"or +inf, got {self.snr_list_db}")
         if self.mode not in ("model", "waveform"):
             raise ConfigError(f"mode must be 'model' or 'waveform', got {self.mode!r}")
@@ -179,6 +171,8 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
     k = cfg.num_users if count is None else count
     if not 0 <= k <= layout.max_codes:
         raise ValidationError(f"user count {k} outside [0, {layout.max_codes}]")
+    if k == 0:  # empty draws consume nothing from the stream, so skip them
+        return []
     codes = rng.choice(layout.max_codes, size=k, replace=False)
     delays = rng.integers(0, cfg.max_delay + 1, size=k)
     omega = abs(cfg.max_cfo)  # -0.0 draws as zero offset, not as an empty interval
@@ -196,10 +190,12 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     so the same index reuses its scenario at every SNR point.
     """
     layout = cfg.layout()
+    var = noise_variance(snr_db)
+    if not snr_db > layout.snr_floor_db:
+        raise ValidationError(f"SNR {snr_db} dB is not above the floor {layout.snr_floor_db:.6g} dB")
     rng = np.random.default_rng([cfg.master_seed, trial_index])
     truth = draw_users(cfg, rng)
 
-    var = noise_variance(snr_db)
     if cfg.mode == "model":
         obs = synthesize_model_mode(truth, layout, var, rng)
     elif cfg.mode == "waveform":

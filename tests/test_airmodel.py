@@ -18,6 +18,7 @@ from rangesim.airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
+from rangesim.airmodel import _complex_noise, _leakage_kernel
 from rangesim.errors import ValidationError
 
 
@@ -28,6 +29,10 @@ def reference_layout():
 
 def small_layout():
     return TileLayout.uniform(64, 4, 4, 4, cp_ranging=16)
+
+
+def non_uniform_layout():
+    return TileLayout(256, 4, 4, (0, 7, 40, 121, 250), cp_ranging=64)
 
 
 def closed_form_symbol(code, v, m, tile_width, n_blocks):
@@ -204,6 +209,52 @@ class TestChannelFrequencyResponse:
         for idx, b in np.ndenumerate(bins):
             want = sum(h * np.exp(-2j * np.pi * b * tap / 64) for tap, h in enumerate(cir))
             assert got[idx] == pytest.approx(want, abs=1e-12)
+
+
+noise_shapes = st.one_of(st.integers(0, 12),
+                         st.lists(st.integers(0, 5), min_size=1, max_size=3).map(tuple))
+
+
+@settings(deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), shape=noise_shapes,
+       kind=st.sampled_from(["zero", "scalar", "array", "array with zeros"]),
+       scale=st.floats(1e-300, 1e300))
+def test_complex_noise_is_two_sequential_draws(seed, shape, kind, scale):
+    # one draw of all real parts, then all imaginary parts: bit for bit, same stream position
+    dims = np.shape(np.empty(shape))
+    variance = {
+        "zero": 0.0,
+        "scalar": scale,
+        "array": scale * np.random.default_rng(seed).uniform(0.5, 2.0, dims),
+        "array with zeros": scale * np.random.default_rng(seed).integers(0, 2, dims),
+    }[kind]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _complex_noise(rng, shape, variance)
+    re = ref.standard_normal(shape)
+    im = ref.standard_normal(shape)
+    want = np.sqrt(variance / 2.0) * (re + 1j * im)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("layout", [reference_layout(), non_uniform_layout()],
+                         ids=["reference", "non-uniform"])
+def test_factored_kernel_matches_cfo_attenuation(layout):
+    # D(d + e) = K exp(j pi (e (N - 1) - d) / N) at every distinct bin distance d,
+    # down to subnormal offsets, where a reciprocal taken first would overflow
+    n, bound = layout.n_subcarriers, layout.acquisition_bound
+    special = [0.0, 5e-324, 2.2e-309, 1e-12, 0.99 * bound]
+    eps = np.concatenate([special, np.negative(special),
+                          np.random.default_rng(5).uniform(-bound, bound, 64)])
+    distances, _ = bin_distances(layout)
+    kernel = _leakage_kernel(layout, eps)
+    assert kernel.dtype == float and kernel.shape == (eps.size, distances.size)
+    got = kernel * np.exp(1j * np.pi * (eps[:, None] * (n - 1) - distances) / n)
+    want = cfo_attenuation(distances + eps[:, None], n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    # no offset: D(d) is 1 at d = 0 and 0 elsewhere, with no 0/0 on the way
+    np.testing.assert_array_equal(kernel[0], distances == 0)
 
 
 class TestDrawChannel:
@@ -490,11 +541,21 @@ def model_mode_loop(users, layout):
     return grid
 
 
+def bin_distances(layout):
+    """Distinct distances d = b - b' between tile bins, and the index that
+    gathers the (QV, QV) matrix of d over flat tile bins (b, b') from them."""
+    bins = layout.tile_bins.ravel()
+    shifted = bins[:, None] - bins[None, :] + layout.n_subcarriers - 1  # >= 0
+    present = np.bincount(shifted.ravel()) > 0
+    distances = np.flatnonzero(present) - (layout.n_subcarriers - 1)
+    return distances, (np.cumsum(present) - 1)[shifted]
+
+
 def waveform_mode_loop(users, layout):
     """Noiseless waveform-mode grid by the per-user loop the synthesizer replaced, kept verbatim."""
     n = layout.n_subcarriers
     bins = layout.tile_bins
-    distances, gather = layout._bin_distances
+    distances, gather = bin_distances(layout)
     window_start = np.arange(layout.n_blocks) * layout.block_len + layout.cp_ranging
     grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
     for user in users:

@@ -2,9 +2,12 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangesim.errors import ConfigError, ValidationError
 from rangesim.ranger import RangingReport
@@ -44,11 +47,31 @@ class TestNoiseVariance:
     @pytest.mark.parametrize("snr", [float("nan"), float("-inf"), -4000.0, np.float64(-4000.0)],
                              ids=["nan", "-inf", "-4000", "-4000-numpy"])
     def test_snr_without_finite_noise_power_rejected(self, snr):
-        # run_trial takes its SNR unvalidated; SimConfig.validate's floor is stricter
+        # these have no noise power at all, so they fail before the layout's SNR floor
         with pytest.raises(ValidationError, match="noise power"):
             noise_variance(snr)
         with pytest.raises(ValidationError, match="noise power"):
             run_trial(SimConfig(mode="model"), snr, 0)
+
+
+class TestSnrFloor:
+    def test_reference_floor(self):
+        assert SimConfig().layout().snr_floor_db == pytest.approx(-3044.4854, abs=1e-4)
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_run_trial_enforces_the_floor_validate_uses(self, mode):
+        # below the floor, about -3082.5 to -3065 dB would overflow the correlation sums
+        cfg = SimConfig(mode=mode)
+        floor = cfg.layout().snr_floor_db
+        for snr in (floor - 1.0, -3070.0):
+            with pytest.raises(ValidationError, match=f"SNR {snr} dB .*floor -3044.49 dB"):
+                run_trial(cfg, snr, 0)
+            with pytest.raises(ConfigError, match="snr_list_db"):
+                SimConfig(snr_list_db=(snr,)).validate()
+        SimConfig(snr_list_db=(floor + 1.0,)).validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_trial(cfg, floor + 1.0, 0)
 
 
 class TestWilson:
@@ -187,6 +210,16 @@ class TestRunTrial:
         assert res.detected_flags == []
         assert compute_metrics([res], 20.0, cfg).rmse_eps is None
         assert res.report.num_codes >= 0
+
+    @settings(deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), max_cfo=st.floats(0.0, 0.13),
+           max_delay=st.integers(0, 244))
+    def test_empty_slot_draws_nothing(self, seed, max_cfo, max_delay):
+        # an idle slot leaves the stream where it was, so its noise is the first draw
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        assert draw_users(SimConfig(max_cfo=max_cfo, max_delay=max_delay), rng, count=0) == []
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("count", [-1, 4])
     def test_user_count_outside_layout_rejected(self, count):
