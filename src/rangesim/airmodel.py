@@ -208,41 +208,28 @@ def cfo_attenuation(offset, n_subcarriers: int):
     return (np.sin(t) + at_zero) / (den + at_zero) * np.exp(1j * t * (n - 1) / n)
 
 
-def effective_offsets(user: UserTruth, layout: TileLayout) -> tuple[float, float]:
+def effective_offsets(codes, delays, cfos, layout: TileLayout):
     """Composite per-user unknowns the subspace estimator actually sees.
 
     Returns ``(effective_cfo, effective_timing)``: the code index folds into
     both, the frequency offset only into the first (scaled by the extended
     block length), the delay only into the second (as a negative phase ramp
-    across a tile).
+    across a tile).  Takes scalars, or equal-length arrays elementwise.
     """
-    return _offsets(user.code, user.delay, user.cfo, layout)
-
-
-def _offsets(codes, delays, cfos, layout: TileLayout):
-    """:func:`effective_offsets` of scalars, or elementwise of equal-length arrays."""
     xi = codes / (layout.n_blocks - 1) + cfos * layout.block_len / layout.n_subcarriers
     eta = codes / (layout.tile_width - 1) - delays / layout.n_subcarriers
     return xi, eta
 
 
-def _tap_phasors(bins, n_taps: int, n_subcarriers: int) -> np.ndarray:
-    """exp(-2j pi b t / N) for every bin b and tap t < n_taps, shape ``bins.shape + (n_taps,)``."""
-    return np.exp(-2j * np.pi * np.multiply.outer(bins, np.arange(n_taps)) / n_subcarriers)
-
-
 @functools.lru_cache(maxsize=32)
 def _tile_tap_phasors(layout: TileLayout, n_taps: int) -> np.ndarray:
-    """:func:`_tap_phasors` over the flat tile bins, (n_tiles * tile_width, n_taps); read-only."""
-    phasors = _tap_phasors(layout.tile_bins.ravel(), n_taps, layout.n_subcarriers)
+    """exp(-2j pi b t / N) for every flat tile bin b and tap t < n_taps, so that
+    ``_tile_tap_phasors(layout, L) @ cir`` is the channel's frequency response on
+    the tiles; shape (n_tiles * tile_width, n_taps), read-only."""
+    taps = np.multiply.outer(layout.tile_bins.ravel(), np.arange(n_taps))
+    phasors = np.exp(-2j * np.pi * taps / layout.n_subcarriers)
     phasors.flags.writeable = False
     return phasors
-
-
-def channel_freq_response(cir, bins, n_subcarriers: int) -> np.ndarray:
-    """Frequency response of a tapped channel at the given subcarriers, shaped like ``bins``."""
-    cir = np.asarray(cir, dtype=complex)
-    return _tap_phasors(bins, cir.size, n_subcarriers) @ cir
 
 
 def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarray:
@@ -250,30 +237,31 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarra
     return _complex_noise(rng, profile.n_taps, profile.tap_variances())
 
 
-def _check_users(users, layout: TileLayout) -> None:
-    codes = [u.code for u in users]
-    if len(set(codes)) != len(codes):
-        raise ValidationError("active users must carry distinct ranging codes")
-    for u in users:
-        if not 0 <= u.code < layout.max_codes:
-            raise ValidationError(f"code {u.code} outside [0, {layout.max_codes - 1}]")
-        if u.delay < 0:
-            raise ValidationError("delays must be non-negative")
-
-
-def _stack_users(users) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
     """``(codes, delays, cfos, cirs)`` of the users, one entry or row per user.
 
+    Checks each user as it goes: the code must lie in [0, max_codes), the
+    delay must be non-negative, and no two users may share a code.
     ``cirs`` is (K, L): every channel zero-padded to the longest one, L >= 1.
     """
-    codes = np.array([u.code for u in users], dtype=int)
-    delays = np.array([u.delay for u in users], dtype=float)
-    cfos = np.array([u.cfo for u in users], dtype=float)
-    taps = [np.asarray(u.cir, dtype=complex) for u in users]
-    cirs = np.zeros((len(users), max((h.size for h in taps), default=1)), dtype=complex)
+    max_codes = layout.max_codes
+    codes, delays, cfos, taps = [], [], [], []
+    for u in users:
+        if not 0 <= u.code < max_codes:
+            raise ValidationError(f"code {u.code} outside [0, {max_codes - 1}]")
+        if u.delay < 0:
+            raise ValidationError("delays must be non-negative")
+        codes.append(u.code)
+        delays.append(u.delay)
+        cfos.append(u.cfo)
+        taps.append(np.asarray(u.cir, dtype=complex))
+    if len(set(codes)) != len(codes):
+        raise ValidationError("active users must carry distinct ranging codes")
+    cirs = np.zeros((len(taps), max((h.size for h in taps), default=1)), dtype=complex)
     for row, h in zip(cirs, taps):
         row[: h.size] = h
-    return codes, delays, cfos, cirs
+    return (np.array(codes, dtype=int), np.array(delays, dtype=float),
+            np.array(cfos, dtype=float), cirs)
 
 
 def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
@@ -303,12 +291,11 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     tile-averaged channel and the delay phase at the tile start.  Noise is
     i.i.d. circular Gaussian of the given variance per grid entry.
     """
-    _check_users(users, layout)
     n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
     grid = np.zeros((n_blocks, layout.n_tiles, width), dtype=complex)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        codes, delays, cfos, cirs = _stack_users(users)
-        xi, eta = _offsets(codes, delays, cfos, layout)
+        codes, delays, cfos, cirs = _stack_users(users, layout)
+        xi, eta = effective_offsets(codes, delays, cfos, layout)
         responses = _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T  # (bin, k)
         tile_means = responses.reshape(layout.n_tiles, width, -1).mean(axis=1)  # (q, k)
         delay_phase = np.exp(-2j * np.pi * layout.tile_bins[:, :1] * delays / n)
@@ -336,14 +323,12 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     i.i.d. circular Gaussian noise of the given variance is added per tile
     bin, as in model mode: the unitary DFT of white time-domain noise.
     """
-    _check_users(users, layout)
-    if any(u.delay + np.size(u.cir) > layout.cp_ranging for u in users):
-        raise ValidationError("delay plus channel length must fit inside the ranging prefix")
-
     n, bins = layout.n_subcarriers, layout.tile_bins
     grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        codes, delays, cfos, cirs = _stack_users(users)
+        codes, delays, cfos, cirs = _stack_users(users, layout)
+        if any(u.delay + np.size(u.cir) > layout.cp_ranging for u in users):
+            raise ValidationError("delay plus channel length must fit inside the ranging prefix")
         gather, bin_phase, block_steps, block_codes, bin_codes = layout._leakage_tables[2:]
         kernel = _leakage_kernel(layout, cfos).take(gather, axis=1)  # (k, b', b)
         # rank-one tiles, with the phases of D split between each user's blocks and bins

@@ -88,8 +88,13 @@ def ls_rotation(z1, z2) -> np.ndarray:
 
 
 def general_eigenvalues(a) -> np.ndarray:
-    """All eigenvalues (with multiplicity, unordered) of a square matrix (``np.linalg.eigvals``)."""
+    """All eigenvalues (with multiplicity, unordered) of a square matrix (``np.linalg.eigvals``).
+
+    Raises :class:`ValidationError` for non-finite entries.
+    """
     a = _as_square(a, "general_eigenvalues")
+    if not np.isfinite(a).all():
+        raise ValidationError("general_eigenvalues input has non-finite entries")
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

@@ -136,8 +136,10 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     phase.  The result is ordered by descending strength (power the
     correlation assigns to each frequency's steering direction), so when
     the source count was overestimated the junk estimate sorts last; no
-    ordering is otherwise guaranteed or meaningful.
+    ordering is otherwise guaranteed or meaningful.  Raises
+    :class:`ValidationError` for non-finite eigenvalues.
     """
+    eigenvalues = _finite(eigenvalues, "eigenvalues")
     n = eigenvectors.shape[0]
     if not 1 <= num_sources < n:
         raise DimensionError(f"source count must lie in [1, {n - 1}], got {num_sources}")

@@ -171,6 +171,8 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
     k = cfg.num_users if count is None else count
     if not 0 <= k <= layout.max_codes:
         raise ValidationError(f"user count {k} outside [0, {layout.max_codes}]")
+    if cfg.max_delay < 0:
+        raise ValidationError(f"max_delay must be non-negative, got {cfg.max_delay}")
     if k == 0:  # empty draws consume nothing from the stream, so skip them
         return []
     codes = rng.choice(layout.max_codes, size=k, replace=False)
@@ -193,6 +195,8 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     var = noise_variance(snr_db)
     if not snr_db > layout.snr_floor_db:
         raise ValidationError(f"SNR {snr_db} dB is not above the floor {layout.snr_floor_db:.6g} dB")
+    if trial_index < 0:
+        raise ValidationError(f"trial index must be non-negative, got {trial_index}")
     rng = np.random.default_rng([cfg.master_seed, trial_index])
     truth = draw_users(cfg, rng)
 

@@ -11,14 +11,13 @@ from rangesim.airmodel import (
     TileObservations,
     UserTruth,
     cfo_attenuation,
-    channel_freq_response,
     code_matrix,
     draw_channel,
     effective_offsets,
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from rangesim.airmodel import _complex_noise, _leakage_kernel
+from rangesim.airmodel import _complex_noise, _leakage_kernel, _tile_tap_phasors
 from rangesim.errors import ValidationError
 
 
@@ -38,6 +37,12 @@ def non_uniform_layout():
 def closed_form_symbol(code, v, m, tile_width, n_blocks):
     """Ranging code symbol at tile position v, block m, straight from its definition."""
     return np.exp(2j * np.pi * code * (v / (tile_width - 1) + m / (n_blocks - 1)))
+
+
+def tap_sum(cir, bins, n_subcarriers):
+    """Channel frequency response sum_t h_t exp(-2j pi b t / N) at each bin b, one tap at a time."""
+    bins = np.asarray(bins)
+    return sum(h * np.exp(-2j * np.pi * bins * t / n_subcarriers) for t, h in enumerate(cir))
 
 
 def spin(cfo, n_samples, n_subcarriers):
@@ -171,44 +176,58 @@ class TestCfoAttenuation:
 
 class TestEffectiveOffsets:
     def test_all_zero(self):
-        user = UserTruth(0, 0, 0.0, np.array([1.0 + 0j]))
-        assert effective_offsets(user, reference_layout()) == (0.0, 0.0)
+        assert effective_offsets(0, 0, 0.0, reference_layout()) == (0.0, 0.0)
 
     def test_cfo_component(self):
-        user = UserTruth(1, 0, 0.05, np.array([1.0 + 0j]))
-        xi, _ = effective_offsets(user, reference_layout())
+        xi, _ = effective_offsets(1, 0, 0.05, reference_layout())
         assert xi == pytest.approx(1 / 3 + 0.05 * 1280 / 1024, abs=1e-15)
 
     def test_delay_component(self):
-        user = UserTruth(2, 204, 0.0, np.array([1.0 + 0j]))
-        _, eta = effective_offsets(user, reference_layout())
+        _, eta = effective_offsets(2, 204, 0.0, reference_layout())
         assert eta == pytest.approx(2 / 3 - 204 / 1024, abs=1e-15)
+
+    def test_arrays_map_elementwise(self):
+        # equal-length arrays, as the synthesizers pass them, give each scalar call's value
+        layout = reference_layout()
+        codes, delays = np.array([0, 2, 1, 2]), np.array([0.0, 204.0, 37.0, 1.0])
+        cfos = np.array([0.0, -0.1, 0.0413, 0.09999])
+        xi, eta = effective_offsets(codes, delays, cfos, layout)
+        for i in range(codes.size):
+            want = effective_offsets(int(codes[i]), int(delays[i]), float(cfos[i]), layout)
+            assert (xi[i], eta[i]) == want
 
 
 class TestChannelFrequencyResponse:
+    """``_tile_tap_phasors(layout, L) @ cir``: a channel's response on the flat tile bins."""
+
     def test_single_tap_is_flat(self):
-        for n in (0, 5, 63):
-            assert channel_freq_response([1.0], n, 64) == pytest.approx(1.0)
+        got = _tile_tap_phasors(small_layout(), 1) @ np.array([1.0 + 0j])
+        np.testing.assert_array_equal(got, np.ones(16))
 
     def test_pure_delay(self):
-        for n in (1, 7):
-            want = np.exp(-2j * np.pi * n / 64)
-            assert channel_freq_response([0.0, 1.0], n, 64) == pytest.approx(want)
+        layout = small_layout()
+        got = _tile_tap_phasors(layout, 2) @ np.array([0.0, 1.0 + 0j])
+        want = np.exp(-2j * np.pi * layout.tile_bins.ravel() / layout.n_subcarriers)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_matches_fft_oracle(self):
         rng = np.random.default_rng(2)
         cir = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        got = channel_freq_response(cir, np.arange(64), 64)
-        np.testing.assert_allclose(got, np.fft.fft(cir, 64), atol=1e-12)
+        for layout in (reference_layout(), non_uniform_layout()):
+            got = _tile_tap_phasors(layout, 12) @ cir
+            want = np.fft.fft(cir, layout.n_subcarriers)[layout.tile_bins.ravel()]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("bins", [5, np.arange(3, 9), np.arange(12).reshape(3, 4)])
-    def test_shape_follows_bins(self, bins):
+    @pytest.mark.parametrize("layout", [small_layout(), reference_layout(), non_uniform_layout()],
+                             ids=["small", "reference", "non-uniform"])
+    def test_entries_are_tap_sums(self, layout):
+        # one read-only table per (layout, tap count), one row per flat tile bin
+        phasors = _tile_tap_phasors(layout, 3)
+        assert phasors is _tile_tap_phasors(layout, 3)
+        assert phasors.shape == (layout.tile_bins.size, 3) and not phasors.flags.writeable
         cir = np.array([0.5 + 0.5j, -0.25j, 0.1])
-        got = channel_freq_response(cir, bins, 64)
-        assert got.shape == np.shape(bins)
-        for idx, b in np.ndenumerate(bins):
-            want = sum(h * np.exp(-2j * np.pi * b * tap / 64) for tap, h in enumerate(cir))
-            assert got[idx] == pytest.approx(want, abs=1e-12)
+        want = tap_sum(cir, layout.tile_bins.ravel(), layout.n_subcarriers)
+        np.testing.assert_allclose(phasors @ cir, want, rtol=0, atol=1e-12)
 
 
 noise_shapes = st.one_of(st.integers(0, 12),
@@ -328,7 +347,7 @@ class TestModelMode:
             for q in range(layout.n_tiles):
                 start = layout.tile_starts[q]
                 bins = np.arange(start, start + layout.tile_width)
-                avg = np.mean(channel_freq_response(cir, bins, n))
+                avg = np.mean(tap_sum(cir, bins, n))
                 for v in range(layout.tile_width):
                     bin_idx = start + v
                     want = (
@@ -375,7 +394,7 @@ class TestWaveformMode:
                     bin_idx = layout.tile_starts[q] + v
                     want = (
                         closed_form_symbol(2, v, m, layout.tile_width, layout.n_blocks)
-                        * channel_freq_response(cir, bin_idx, n)
+                        * tap_sum(cir, bin_idx, n)
                         * np.exp(-2j * np.pi * bin_idx * 6 / n)
                     )
                     assert obs.grid[m, q, v] == pytest.approx(want, abs=1e-10)
@@ -434,7 +453,7 @@ class TestWaveformMode:
         p_flat = spread = 0.0
         for q in range(layout.n_tiles):
             bins = np.arange(layout.tile_starts[q], layout.tile_starts[q] + v)
-            h = channel_freq_response(cir, bins, layout.n_subcarriers)
+            h = tap_sum(cir, bins, layout.n_subcarriers)
             p_flat += m * v * abs(np.mean(h)) ** 2
             spread += m * float(np.sum(np.abs(h - np.mean(h)) ** 2))
         assert p_wave == pytest.approx(p_flat + spread, rel=1e-9)
@@ -526,13 +545,14 @@ def test_waveform_matches_time_domain_oracle_on_reference_layout(delays, cfos):
 
 
 def model_mode_loop(users, layout):
-    """Noiseless model-mode grid by the per-user loop the synthesizer replaced, kept verbatim."""
+    """Noiseless model-mode grid by the per-user loop the synthesizer replaced."""
     n = layout.n_subcarriers
     bins = layout.tile_bins
     grid = np.zeros((layout.n_blocks, layout.n_tiles, layout.tile_width), dtype=complex)
     for user in users:
-        xi, eta = effective_offsets(user, layout)
-        tile_means = channel_freq_response(user.cir, bins, n).mean(axis=1)
+        xi = user.code / (layout.n_blocks - 1) + user.cfo * layout.block_len / n
+        eta = user.code / (layout.tile_width - 1) - user.delay / n
+        tile_means = tap_sum(user.cir, bins, n).mean(axis=1)
         delay_phase = np.exp(-2j * np.pi * bins[:, 0] * user.delay / n)
         amps = cfo_attenuation(user.cfo, n) * tile_means * delay_phase
         block_phase = np.exp(2j * np.pi * xi * np.arange(layout.n_blocks))
@@ -552,14 +572,14 @@ def bin_distances(layout):
 
 
 def waveform_mode_loop(users, layout):
-    """Noiseless waveform-mode grid by the per-user loop the synthesizer replaced, kept verbatim."""
+    """Noiseless waveform-mode grid by the per-user loop the synthesizer replaced."""
     n = layout.n_subcarriers
     bins = layout.tile_bins
     distances, gather = bin_distances(layout)
     window_start = np.arange(layout.n_blocks) * layout.block_len + layout.cp_ranging
     grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
     for user in users:
-        gains = channel_freq_response(user.cir, bins, n) * np.exp(-2j * np.pi * bins * user.delay / n)
+        gains = tap_sum(user.cir, bins, n) * np.exp(-2j * np.pi * bins * user.delay / n)
         symbols = code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
         tiles = (symbols[:, None, :] * gains).reshape(layout.n_blocks, -1)
         leakage = cfo_attenuation(distances + user.cfo, n)[gather]
@@ -595,6 +615,20 @@ def test_synthesizers_match_per_user_loops(scenario):
         want = loop(users, layout)
         got = synthesize(users, layout, 0.0, np.random.default_rng(0)).grid
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
+                         ids=["model", "waveform"])
+@pytest.mark.parametrize("users, message", [
+    ([(1, 0), (1, 3)], "active users must carry distinct ranging codes"),
+    ([(0, 0), (3, 0)], r"code 3 outside \[0, 2\]"),
+    ([(-1, 0)], r"code -1 outside \[0, 2\]"),
+    ([(0, 0), (2, -1)], "delays must be non-negative"),
+], ids=["duplicate code", "code past range", "negative code", "negative delay"])
+def test_user_checks_fire_in_both_synthesizers(synthesize, users, message):
+    users = [UserTruth(code, delay, 0.0, np.ones(1, dtype=complex)) for code, delay in users]
+    with pytest.raises(ValidationError, match=message):
+        synthesize(users, small_layout(), 0.0, np.random.default_rng(0))
 
 
 def test_observation_shape_guard():

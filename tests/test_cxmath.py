@@ -9,7 +9,7 @@ from rangesim.cxmath import (
     hermitian_evd,
     ls_rotation,
 )
-from rangesim.errors import DimensionError, NumericalError, RankDeficiencyError, ValidationError
+from rangesim.errors import DimensionError, RankDeficiencyError, ValidationError
 
 
 def random_complex(rng, shape):
@@ -246,6 +246,18 @@ class TestGeneralEigenvalues:
         want = np.sort_complex(np.linalg.eigvals(a))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_non_finite_input_raises_numerical_error(self):
-        with pytest.raises(NumericalError):
-            general_eigenvalues(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+@pytest.mark.parametrize("kernel", [
+    hermitian_evd,
+    lambda a: ls_rotation(a, np.ones_like(a)),
+    general_eigenvalues,
+], ids=["hermitian_evd", "ls_rotation", "general_eigenvalues"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_kernels_reject_non_finite_input(kernel, bad, capfd):
+    # a typed error naming the input, raised before LAPACK sees it (OpenBLAS would print
+    # DLASCL/ZLASCL complaints to stderr, and numpy would raise its own error)
+    a = np.eye(3, dtype=complex)
+    a[1, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        kernel(a)
+    assert "LASCL" not in capfd.readouterr().err

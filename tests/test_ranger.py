@@ -67,7 +67,7 @@ class TestSnapshots:
         rng = np.random.default_rng(0)
         user = random_users(rng, layout, 1)[0]
         obs = synthesize_model_mode([user], layout, 0.0, rng)
-        xi, eta = effective_offsets(user, layout)
+        xi, eta = effective_offsets(user.code, user.delay, user.cfo, layout)
         snaps = freq_snapshots(obs)
         for q in range(layout.n_tiles):
             for v in range(layout.tile_width):
@@ -231,6 +231,12 @@ class TestEspritPhases:
         vectors[2, 3] = 1.0
         with pytest.raises(RankDeficiencyError):
             esprit_phases(np.array([4.0, 3.0, 0.0, 0.0]), vectors, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        # a NaN eigenvalue must not weigh the phases into a plausible order
+        with pytest.raises(ValidationError, match="eigenvalues must be finite"):
+            esprit_phases([bad, 1.0, 1.0, 1.0], np.eye(4, dtype=complex), 1)
 
     def test_source_count_bounds(self):
         lam, vecs = np.array([1.0, 0.5, 0.1]), np.eye(3, dtype=complex)
@@ -420,10 +426,13 @@ class TestRangeSubchannel:
             obs = synthesize_model_mode(users, layout, 0.0, rng)
             report = range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=k))
             assert report.detected == {u.code for u in users}
-            want_xi = np.sort([wrap_half(effective_offsets(u, layout)[0]) for u in users])
+            xi, eta = effective_offsets(np.array([u.code for u in users]),
+                                        np.array([u.delay for u in users]),
+                                        np.array([u.cfo for u in users]), layout)
+            want_xi = np.sort(wrap_half(xi))
             got_xi = np.sort(report.effective_cfos)
             np.testing.assert_allclose(got_xi, want_xi, atol=1e-6)
-            want_eta = np.sort([wrap_half(effective_offsets(u, layout)[1]) for u in users])
+            want_eta = np.sort(wrap_half(eta))
             got_eta = np.sort(report.effective_timings)
             np.testing.assert_allclose(got_eta, want_eta, atol=1e-6)
             for u in users:
@@ -517,16 +526,14 @@ ACQUISITION_EDGE = 1 - 1e-6
 def test_mapping_recovers_every_code_from_wrapped_offsets(layout, data):
     max_delay = data.draw(st.integers(0, math.ceil(layout.delay_bound) - 1))
     codes = np.arange(layout.max_codes)
-    cfos, delays, xis, etas = [], [], [], []
+    cfos, delays = [], []
     for code in codes:
         edge = data.draw(st.floats(-ACQUISITION_EDGE, ACQUISITION_EDGE))
         cfos.append(edge * layout.acquisition_bound)
         delays.append(data.draw(st.integers(0, max_delay)))
-        xi, eta = effective_offsets(UserTruth(int(code), delays[-1], cfos[-1], np.ones(1)), layout)
-        xis.append(xi)
-        etas.append(eta)
-    freq_codes, got_cfos = map_cfo(wrap_half(np.array(xis)), layout)
-    timing_codes, got_delays = map_timing(wrap_half(np.array(etas)), layout, max_delay)
+    xis, etas = effective_offsets(codes, np.array(delays), np.array(cfos), layout)
+    freq_codes, got_cfos = map_cfo(wrap_half(xis), layout)
+    timing_codes, got_delays = map_timing(wrap_half(etas), layout, max_delay)
     np.testing.assert_array_equal(freq_codes, codes)
     np.testing.assert_array_equal(timing_codes, codes)
     np.testing.assert_allclose(got_cfos, cfos, rtol=0, atol=1e-9)

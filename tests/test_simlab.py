@@ -233,6 +233,17 @@ class TestRunTrial:
         with pytest.raises(ConfigError, match="mode"):
             run_trial(SimConfig(mode="modle"), 0.0, 0)
 
+    def test_negative_trial_index_rejected(self):
+        # numpy's stream seeding would say only "expected non-negative integer"
+        with pytest.raises(ValidationError, match="trial index must be non-negative, got -1"):
+            run_trial(SimConfig(mode="model"), 0.0, -1)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_negative_max_delay_rejected(self, count):
+        # a config that skipped validate; numpy's integer draw would say only "high <= 0"
+        with pytest.raises(ValidationError, match="max_delay must be non-negative, got -1"):
+            draw_users(SimConfig(max_delay=-1), np.random.default_rng(0), count=count)
+
 
 class TestRunSweep:
     def cfg(self):
