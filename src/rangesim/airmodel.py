@@ -238,14 +238,14 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarra
 
 
 def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
-    """``(codes, delays, cfos, cirs)`` of the users, one entry or row per user.
+    """``(codes, delays, cfos, responses, ends)`` of the users, one entry or column per user.
 
     Checks each user as it goes: the code must lie in [0, max_codes), the
     delay must be non-negative, and no two users may share a code.
-    ``cirs`` is (K, L): every channel zero-padded to the longest one, L >= 1.
+    ``responses`` holds the channel gains per flat tile bin and user; ``ends`` delay + taps.
     """
     max_codes = layout.max_codes
-    codes, delays, cfos, taps = [], [], [], []
+    codes, delays, cfos, taps, ends = [], [], [], [], []
     for u in users:
         if not 0 <= u.code < max_codes:
             raise ValidationError(f"code {u.code} outside [0, {max_codes - 1}]")
@@ -255,13 +255,14 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
         delays.append(u.delay)
         cfos.append(u.cfo)
         taps.append(np.asarray(u.cir, dtype=complex))
+        ends.append(u.delay + taps[-1].size)
     if len(set(codes)) != len(codes):
         raise ValidationError("active users must carry distinct ranging codes")
     cirs = np.zeros((len(taps), max((h.size for h in taps), default=1)), dtype=complex)
-    for row, h in zip(cirs, taps):
+    for row, h in zip(cirs, taps):  # ragged channels are zero-padded to the longest
         row[: h.size] = h
-    return (np.array(codes, dtype=int), np.array(delays, dtype=float),
-            np.array(cfos, dtype=float), cirs)
+    return (np.array(codes, dtype=int), np.array(delays, dtype=float), np.array(cfos, dtype=float),
+            _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T, ends)
 
 
 def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
@@ -294,9 +295,8 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
     grid = np.zeros((n_blocks, layout.n_tiles, width), dtype=complex)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        codes, delays, cfos, cirs = _stack_users(users, layout)
+        codes, delays, cfos, responses, _ = _stack_users(users, layout)
         xi, eta = effective_offsets(codes, delays, cfos, layout)
-        responses = _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T  # (bin, k)
         tile_means = responses.reshape(layout.n_tiles, width, -1).mean(axis=1)  # (q, k)
         delay_phase = np.exp(-2j * np.pi * layout.tile_bins[:, :1] * delays / n)
         amps = cfo_attenuation(cfos, n) * tile_means * delay_phase
@@ -326,15 +326,15 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     n, bins = layout.n_subcarriers, layout.tile_bins
     grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        codes, delays, cfos, cirs = _stack_users(users, layout)
-        if any(u.delay + np.size(u.cir) > layout.cp_ranging for u in users):
+        codes, delays, cfos, responses, ends = _stack_users(users, layout)
+        if max(ends) > layout.cp_ranging:
             raise ValidationError("delay plus channel length must fit inside the ranging prefix")
         gather, bin_phase, block_steps, block_codes, bin_codes = layout._leakage_tables[2:]
         kernel = _leakage_kernel(layout, cfos).take(gather, axis=1)  # (k, b', b)
         # rank-one tiles, with the phases of D split between each user's blocks and bins
         alpha = np.exp(1j * np.pi * cfos[:, None] * block_steps / n) * block_codes[codes]  # (k, m)
         ramp = np.exp(bins.ravel() * (2 * delays[:, None] + 1) * (-1j * np.pi / n))  # (k, b)
-        rows = ramp * bin_codes[codes] * (_tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T).T
+        rows = ramp * bin_codes[codes] * responses.T
         leaked = (kernel @ rows.view(float).reshape(len(users), -1, 2)).view(complex)[..., 0]
         grid += (alpha.T @ leaked) * bin_phase
     grid += _complex_noise(rng, grid.shape, noise_var)

@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import RangingError
 from .simlab import (
-    SimConfig,
     emit_csv,
     esprit_periodogram_gap,
     load_config,
     noiseless_exactness,
-    parse_snr_list,
     run_sweep,
     write_gnuplot_script,
 )
+
+# `run` flag -> the SimConfig field it overrides; values are parsed like config lines
+_OVERRIDES = {"snr": "snr_list_db", "trials": "trials", "k": "num_users",
+             "omega": "max_cfo", "mode": "mode", "seed": "master_seed"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,12 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a sweep and write a CSV metrics table")
     run.add_argument("--config", required=True, help="path to a key=value config file")
-    run.add_argument("--snr", help="override SNR list, e.g. '0,10,20' (dB)")
-    run.add_argument("--trials", type=int, help="override trials per SNR point")
-    run.add_argument("--k", type=int, help="override number of active users")
-    run.add_argument("--omega", type=float, help="override maximum |CFO|")
-    run.add_argument("--mode", choices=["model", "waveform"], help="override synthesis mode")
-    run.add_argument("--seed", type=int, help="override master seed")
+    for flag, key in _OVERRIDES.items():
+        run.add_argument(f"--{flag}", dest=key, help=f"override {key}, written as in a config file")
     run.add_argument("--out", default="results.csv", help="output CSV path")
     run.add_argument("--gnuplot", action="store_true",
                      help="also write a gnuplot script next to the CSV")
@@ -46,25 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
-    overrides = {}
-    if args.snr is not None:
-        overrides["snr_list_db"] = parse_snr_list(args.snr)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.k is not None:
-        overrides["num_users"] = args.k
-    if args.omega is not None:
-        overrides["max_cfo"] = args.omega
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    return replace(cfg, **overrides) if overrides else cfg
-
-
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    flags = {key: getattr(args, key) for key in _OVERRIDES.values()}
+    cfg = load_config(args.config, [(key, text) for key, text in flags.items() if text is not None])
 
     def progress(row):
         rmse = "n/a" if row.rmse_eps is None else f"{row.rmse_eps:.3e}"
@@ -126,10 +107,6 @@ def main(argv=None) -> int:
     except (RangingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entrypoint() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ any degree of parallelism as long as results reduce in index order.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -72,11 +73,12 @@ class SimConfig:
     def channel_profile(self) -> ChannelProfile:
         return ChannelProfile(self.channel_taps, self.channel_decay)
 
-    def ranger_config(self) -> RangerConfig:
-        return RangerConfig(max_delay=self.max_delay)
-
     def validate(self) -> None:
-        """Raise :class:`ConfigError` on the first violated invariant."""
+        """Raise :class:`ConfigError` on the first violated invariant, field types first."""
+        for name, hint in _FIELD_HINTS.items():
+            value = getattr(self, name)
+            if not _has_field_type(value, hint):  # the message quotes the annotation's text
+                raise ConfigError(f"{name} must be {SimConfig.__annotations__[name]}, got {value!r}")
         try:
             layout = self.layout()
             self.channel_profile()
@@ -195,6 +197,8 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     var = noise_variance(snr_db)
     if not snr_db > layout.snr_floor_db:
         raise ValidationError(f"SNR {snr_db} dB is not above the floor {layout.snr_floor_db:.6g} dB")
+    if not isinstance(trial_index, numbers.Integral):
+        raise ValidationError(f"trial index must be an integer, got {trial_index!r}")
     if trial_index < 0:
         raise ValidationError(f"trial index must be non-negative, got {trial_index}")
     rng = np.random.default_rng([cfg.master_seed, trial_index])
@@ -207,7 +211,7 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     else:
         raise ConfigError(f"mode must be 'model' or 'waveform', got {cfg.mode!r}")
 
-    return TrialResult(truth, range_subchannel(obs, cfg.ranger_config()))
+    return TrialResult(truth, range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay)))
 
 
 def compute_metrics(results: Iterable[TrialResult], snr_db: float, cfg: SimConfig) -> MetricsRow:
@@ -294,9 +298,11 @@ def oracle_periodogram(snapshots, grid_resolution: float) -> float:
     """Brute-force single-source frequency estimate by dense grid search.
 
     Maximises the summed matched-filter power over frequencies in
-    [-1/2, 1/2); deliberately independent of the subspace pipeline so the
-    two can cross-validate each other.
+    [-1/2, 1/2), ``grid_resolution`` apart (at most 1); deliberately
+    independent of the subspace pipeline so the two can cross-validate.
     """
+    if not 0 < grid_resolution <= 1:  # also rejects NaN
+        raise ValidationError(f"grid resolution must lie in (0, 1], got {grid_resolution}")
     snaps = np.asarray(snapshots, dtype=complex)
     n = snaps.shape[1]
     count = int(round(1.0 / grid_resolution))
@@ -306,13 +312,17 @@ def oracle_periodogram(snapshots, grid_resolution: float) -> float:
     return float(grid[int(np.argmax(power))])
 
 
-def _noiseless_known_k_trial(cfg: SimConfig, seed: int, trial: int, count: int):
-    """``(users, obs, report)`` of one noiseless model-mode trial ranged with ``count`` given."""
-    rng = np.random.default_rng([seed, trial])
-    users = draw_users(cfg, rng, count=count)
-    obs = synthesize_model_mode(users, cfg.layout(), 0.0, rng)
-    report = range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay, known_num_codes=count))
-    return users, obs, report
+def _noiseless_known_k_trials(cfg: SimConfig, seed: int, counts: list[int]):
+    """``(users, obs, report)`` per noiseless model-mode trial ``i``: ``counts[i]`` users from
+    the stream ``(seed, i)``, ranged with that count given.  Empty ``counts`` is rejected."""
+    if not counts:
+        raise ValidationError("a noiseless check needs at least one trial")
+    for trial, count in enumerate(counts):
+        rng = np.random.default_rng([seed, trial])
+        users = draw_users(cfg, rng, count=count)
+        obs = synthesize_model_mode(users, cfg.layout(), 0.0, rng)
+        ranger = RangerConfig(max_delay=cfg.max_delay, known_num_codes=count)
+        yield users, obs, range_subchannel(obs, ranger)
 
 
 def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: float = 1e-4) -> float:
@@ -321,10 +331,8 @@ def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: fl
     Runs noiseless single-user scenarios and compares the subspace
     frequency estimate against :func:`oracle_periodogram`, wrap-aware.
     """
-    cfg = SimConfig()
     worst = 0.0
-    for trial in range(trials):
-        _, obs, report = _noiseless_known_k_trial(cfg, seed, trial, 1)
+    for _, obs, report in _noiseless_known_k_trials(SimConfig(), seed, [1] * trials):
         diff = report.effective_cfos[0] - oracle_periodogram(freq_snapshots(obs), grid_resolution)
         worst = max(worst, abs(diff - round(diff)))
     return float(worst)
@@ -341,8 +349,7 @@ def noiseless_exactness(seed: int, trials: int, max_cfo: float) -> tuple[int, fl
     cfg = SimConfig(max_cfo=max_cfo, mode="model")
     exact = 0
     worst_cfo = worst_delay = 0.0
-    for trial in range(trials):
-        users, _, report = _noiseless_known_k_trial(cfg, seed, trial, 1 + trial % 3)
+    for users, _, report in _noiseless_known_k_trials(cfg, seed, [1 + i % 3 for i in range(trials)]):
         if report.detected != {u.code for u in users}:
             continue
         exact += 1
@@ -402,10 +409,7 @@ plot "{csv_name}" using 1:4 with linespoints title "p_err"
 
 def parse_snr_list(text: str) -> tuple[float, ...]:
     """SNR points in dB from comma- or space-separated values ("inf" allowed)."""
-    try:
-        return tuple(float(t) for t in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"bad SNR list {text!r}: {exc}") from exc
+    return tuple(float(t) for t in text.replace(",", " ").split())
 
 
 def _field_parser(hint):
@@ -415,17 +419,35 @@ def _field_parser(hint):
     return get_args(hint)[0] if get_args(hint) else hint
 
 
-_FIELD_PARSERS = {name: _field_parser(hint) for name, hint in get_type_hints(SimConfig).items()}
+def _has_field_type(value, hint) -> bool:
+    """Whether ``value`` fits a ``SimConfig`` field hint; numpy numbers fit, bools do not."""
+    if hint == tuple[float, ...]:
+        return isinstance(value, tuple) and all(_has_field_type(v, float) for v in value)
+    kinds = [{int: numbers.Integral, float: numbers.Real}.get(k, k) for k in get_args(hint) or [hint]]
+    return isinstance(value, tuple(kinds)) and not isinstance(value, bool)
+
+
+_FIELD_HINTS = get_type_hints(SimConfig)  # evaluated once: each call re-evaluates every annotation
+_FIELD_PARSERS = {name: _field_parser(hint) for name, hint in _FIELD_HINTS.items()}
+
+
+def parse_setting(key: str, text: str):
+    """One ``SimConfig`` field's value, parsed from text by the field's type."""
+    if key not in _FIELD_PARSERS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        return _FIELD_PARSERS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> SimConfig:
     """Parse flat ``key = value`` lines into a configuration.
 
-    Blank lines and ``#`` comments are ignored; unknown keys are errors.
-    Each value is parsed by its ``SimConfig`` field type; ``snr_list_db``
-    takes comma- or space-separated values ("inf" allowed).
+    Blank lines and ``#`` comments are ignored; each value goes through
+    :func:`parse_setting`, and its errors name the line.
     """
-    overrides = {}
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -434,22 +456,23 @@ def parse_config_text(text: str) -> SimConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _FIELD_PARSERS:
-            raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         try:
-            overrides[key] = _FIELD_PARSERS[key](value)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    return replace(SimConfig(), **overrides)
+            settings[key] = parse_setting(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+    return replace(SimConfig(), **settings)
 
 
-def load_config(path) -> SimConfig:
-    """Read and validate a configuration file."""
+def load_config(path, overrides=()) -> SimConfig:
+    """Read a config file, apply ``(key, text)`` overrides after its lines, validate the result.
+
+    Overrides are parsed like config lines, and the last one for a key wins.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"could not read config {path}: {exc}") from exc
-    cfg = parse_config_text(text)
+    cfg = replace(parse_config_text(text), **{k: parse_setting(k, v) for k, v in overrides})
     cfg.validate()
     return cfg

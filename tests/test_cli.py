@@ -98,7 +98,7 @@ class TestRun:
         main(["run", "--config", str(config_path), "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("snr", ["ten", "nan"])
+    @pytest.mark.parametrize("snr", ["ten", "nan", ""])
     def test_bad_snr_override_fails_cleanly(self, config_path, tmp_path, capsys, snr):
         code = main(
             ["run", "--config", str(config_path), "--snr", snr, "--out", str(tmp_path / "x.csv")]
@@ -114,7 +114,6 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("override", [["--seed", "-1"], ["--snr", "-4000"]])
     def test_override_that_would_crash_a_trial_fails_cleanly(
         self, config_path, tmp_path, capsys, override
@@ -123,6 +122,29 @@ class TestRun:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_override_repairs_an_invalid_file_value(self, tmp_path):
+        # only the merged configuration is validated, not the file alone
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("max_cfo = 0.05", "max_cfo = 0.2"))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg), "--omega", "0.05", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[6] == "0.05"
+
+    @pytest.mark.parametrize("override, key", [
+        (["--trials", "abc"], "trials"), (["--trials", "1.5"], "trials"),
+        (["--k", "2.0"], "num_users"), (["--mode", "bogus"], "mode"),
+    ])
+    def test_bad_override_text_fails_like_a_config_line(
+        self, config_path, tmp_path, capsys, override, key
+    ):
+        # a flag's text is parsed like a config line: exit 1 naming the key, no usage line
+        code = main(["run", "--config", str(config_path), *override,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "usage:" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_nan_omega_fails_cleanly(self, config_path, tmp_path, capsys):

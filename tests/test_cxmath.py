@@ -174,17 +174,6 @@ class TestLsRotation:
         with pytest.raises(RankDeficiencyError):
             ls_rotation(z1, z1)
 
-    def test_non_finite_input_raises_validation_error(self, capfd):
-        # rejected before LAPACK, which would print DLASCL/ZLASCL errors to stderr
-        for bad in (np.nan, np.inf):
-            z = np.ones((3, 2), dtype=complex)
-            z[0, 0] = bad
-            with pytest.raises(ValidationError, match="non-finite"):
-                ls_rotation(z, np.ones((3, 2)))
-            with pytest.raises(ValidationError, match="non-finite"):
-                ls_rotation(np.ones((3, 2)), z)
-        assert "LASCL" not in capfd.readouterr().err
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             ls_rotation(np.zeros((3, 2)), np.zeros((3, 1)))
@@ -250,8 +239,9 @@ class TestGeneralEigenvalues:
 @pytest.mark.parametrize("kernel", [
     hermitian_evd,
     lambda a: ls_rotation(a, np.ones_like(a)),
+    lambda a: ls_rotation(np.ones_like(a), a),
     general_eigenvalues,
-], ids=["hermitian_evd", "ls_rotation", "general_eigenvalues"])
+], ids=["hermitian_evd", "ls_rotation", "ls_rotation_rhs", "general_eigenvalues"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_kernels_reject_non_finite_input(kernel, bad, capfd):
     # a typed error naming the input, raised before LAPACK sees it (OpenBLAS would print

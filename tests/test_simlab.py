@@ -3,6 +3,7 @@
 import csv
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from rangesim.simlab import (
     format_count,
     load_config,
     noise_variance,
+    noiseless_exactness,
     oracle_periodogram,
     parse_config_text,
+    parse_setting,
     run_sweep,
     run_trial,
     timing_error_event,
@@ -238,6 +241,14 @@ class TestRunTrial:
         with pytest.raises(ValidationError, match="trial index must be non-negative, got -1"):
             run_trial(SimConfig(mode="model"), 0.0, -1)
 
+    def test_fractional_trial_index_rejected(self):
+        # numpy's stream seeding would raise a bare TypeError; numpy integers still index
+        cfg = SimConfig(mode="model")
+        with pytest.raises(ValidationError, match="trial index must be an integer, got 1.5"):
+            run_trial(cfg, 10.0, 1.5)
+        same = run_trial(cfg, 10.0, np.int64(1)).report.per_code
+        assert same == run_trial(cfg, 10.0, 1).report.per_code
+
     @pytest.mark.parametrize("count", [0, 3])
     def test_negative_max_delay_rejected(self, count):
         # a config that skipped validate; numpy's integer draw would say only "high <= 0"
@@ -292,6 +303,22 @@ class TestOraclePeriodogram:
 
     def test_quick_cross_validation(self):
         assert esprit_periodogram_gap(trials=5, seed=11) <= 2e-4
+
+    @pytest.mark.parametrize("resolution", [0.0, math.nan, 2.0])
+    def test_grid_resolution_outside_unit_interval_rejected(self, resolution):
+        # 0 divided by zero, NaN failed in int(), and 2.0 made an empty grid for argmax
+        with pytest.raises(ValidationError, match="grid resolution"):
+            oracle_periodogram(np.ones((8, 4), dtype=complex), resolution)
+
+    def test_gap_over_no_trials_rejected(self):
+        # read 0.0 before: a perfect-looking gap measured on nothing
+        with pytest.raises(ValidationError, match="at least one trial"):
+            esprit_periodogram_gap(trials=0)
+
+    def test_exactness_over_no_trials_rejected(self):
+        # read (0, 0.0, 0.0) before
+        with pytest.raises(ValidationError, match="at least one trial"):
+            noiseless_exactness(seed=1, trials=0, max_cfo=0.05)
 
 
 class TestCsv:
@@ -406,6 +433,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad value for trials"):
             parse_config_text("trials = 2.5\n")
 
+    @pytest.mark.parametrize("key, text", [("trials", "2.5"), ("num_users", "abc"),
+                                           ("snr_list_db", "0, ten"), ("bogus", "1")])
+    def test_setting_fails_as_its_config_line_does(self, key, text):
+        with pytest.raises(ConfigError) as setting:
+            parse_setting(key, text)
+        with pytest.raises(ConfigError) as line:
+            parse_config_text(f"mode = model\n{key} = {text}\n")
+        assert str(line.value) == f"line 2: {setting.value}"
+        assert key in str(setting.value) and not str(setting.value).startswith("line")
+
+    def test_setting_parses_by_field_type(self):
+        assert parse_setting("snr_list_db", "0, inf") == (0.0, math.inf)
+        assert parse_setting("tile_spacing", "40") == 40
+        assert parse_setting("max_cfo", "0.05") == 0.05
+        assert parse_setting("mode", "model") == "model"
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_delay", 10.5), ("trials", 2.5), ("num_users", 2.0), ("master_seed", 1.5),
+        ("snr_list_db", 10), ("snr_list_db", [0.0]), ("trials", True), ("tile_spacing", 40.0),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, field, value):
+        # before, max_delay = 10.5 ran to completion, 2.5 trials and friends validated and then
+        # died in run_sweep with a bare TypeError, and snr_list_db = 10 in validate itself
+        cfg = replace(SimConfig(mode="model", trials=2), **{field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            run_sweep(cfg)
+
+    def test_numpy_numbers_fit_their_fields(self):
+        plain = SimConfig(num_users=2, trials=3, master_seed=4, max_delay=100, tile_spacing=64,
+                          max_cfo=0.05, snr_list_db=(10.0,), mode="model")
+        typed = replace(plain, num_users=np.int64(2), trials=np.int32(3), master_seed=np.uint8(4),
+                        max_delay=np.int16(100), tile_spacing=np.int64(64),
+                        max_cfo=np.float64(0.05), snr_list_db=(np.float32(10.0),))
+        typed.validate()
+        assert run_sweep(typed) == run_sweep(plain)
+
     def test_removed_knob_is_unknown(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config_text("data_subcarrier_load = qpsk\n")
@@ -457,6 +522,26 @@ class TestConfigParsing:
         path.write_text(self.GOOD)
         cfg = load_config(path)
         assert cfg.trials == 50
+
+    def test_overrides_apply_after_the_file_and_the_merge_is_validated(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("max_cfo = 0.2\ntrials = 5\n")  # beyond the acquisition bound
+        with pytest.raises(ConfigError, match="max_cfo"):
+            load_config(path)
+        cfg = load_config(path, [("max_cfo", "0.3"), ("trials", "7"), ("max_cfo", "0.05")])
+        assert (cfg.max_cfo, cfg.trials) == (0.05, 7)  # the last override of a key wins
+        with pytest.raises(ConfigError, match="max_cfo"):
+            load_config(path, [("max_cfo", "0.05"), ("max_cfo", "0.3")])
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("trials", "abc", "^bad value for trials"), ("max_cfo", "0.9", "^max_cfo"),
+        ("data_subcarrier_load", "qpsk", "^unknown configuration key"),
+    ])
+    def test_bad_override_rejected(self, tmp_path, key, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(self.GOOD)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path, [(key, text)])
 
     @pytest.mark.parametrize("line", ["master_seed = -1", "snr_list_db = 0, -4000",
                                       "snr_list_db = -3070"])
