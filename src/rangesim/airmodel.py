@@ -232,9 +232,12 @@ def _tile_tap_phasors(layout: TileLayout, n_taps: int) -> np.ndarray:
     return phasors
 
 
-def draw_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarray:
-    """Sample one channel realisation: independent circular Gaussian taps."""
-    return _complex_noise(rng, profile.n_taps, profile.tap_variances())
+def draw_channel(profile: ChannelProfile, rng: np.random.Generator,
+                 size: int | None = None) -> np.ndarray:
+    """Independent circular Gaussian taps: one channel, shape (n_taps,), or with ``size=K``
+    K channels in one draw, shape (K, n_taps), bit-identical to K one-channel calls in a row."""
+    lead = () if size is None else (size,)
+    return _complex_noise(rng, (*lead, profile.n_taps), profile.tap_variances(), len(lead))
 
 
 def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
@@ -274,10 +277,13 @@ def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
     return np.divide(np.sin(t), den, out=np.ones_like(den), where=den != 0)  # D(0) = 1
 
 
-def _complex_noise(rng: np.random.Generator, shape, variance) -> np.ndarray:
-    """Circular Gaussian of the given variance: one draw, all real parts then all imaginary."""
+def _complex_noise(rng: np.random.Generator, shape, variance, stacked: int = 0) -> np.ndarray:
+    """Circular Gaussian of the given variance: one draw, all real parts then all imaginary.
+    The first ``stacked`` axes index such arrays, drawn one after another as calls in a row."""
     noise = np.empty(shape, dtype=complex)
-    noise.view(float).reshape(-1, 2).T[:] = rng.standard_normal((2, noise.size))
+    lead, size = noise.shape[:stacked], math.prod(noise.shape[stacked:])
+    noise.view(float).reshape(*lead, size, 2).swapaxes(-1, -2)[:] = rng.standard_normal(
+        (*lead, 2, size))
     noise *= np.sqrt(variance / 2.0)
     return noise
 
@@ -293,17 +299,16 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     i.i.d. circular Gaussian of the given variance per grid entry.
     """
     n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
-    grid = np.zeros((n_blocks, layout.n_tiles, width), dtype=complex)
+    grid = _complex_noise(rng, (n_blocks, layout.n_tiles, width), noise_var)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
         codes, delays, cfos, responses, _ = _stack_users(users, layout)
         xi, eta = effective_offsets(codes, delays, cfos, layout)
-        tile_means = responses.reshape(layout.n_tiles, width, -1).mean(axis=1)  # (q, k)
+        tile_means = responses.reshape(layout.n_tiles, width, -1).sum(axis=1) / width  # (q, k)
         delay_phase = np.exp(-2j * np.pi * layout.tile_bins[:, :1] * delays / n)
         amps = cfo_attenuation(cfos, n) * tile_means * delay_phase
         block_phase = np.exp(2j * np.pi * xi * np.arange(n_blocks)[:, None])  # (m, k)
         tile_phase = np.exp(2j * np.pi * eta * np.arange(width)[:, None])  # (v, k)
         grid += (block_phase[:, None, :] * amps) @ tile_phase.T
-    grid += _complex_noise(rng, grid.shape, noise_var)
     return TileObservations(layout, grid)
 
 
@@ -324,7 +329,7 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     bin, as in model mode: the unitary DFT of white time-domain noise.
     """
     n, bins = layout.n_subcarriers, layout.tile_bins
-    grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
+    grid = _complex_noise(rng, (layout.n_blocks, bins.size), noise_var)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
         codes, delays, cfos, responses, ends = _stack_users(users, layout)
         if max(ends) > layout.cp_ranging:
@@ -333,9 +338,11 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
         kernel = _leakage_kernel(layout, cfos).take(gather, axis=1)  # (k, b', b)
         # rank-one tiles, with the phases of D split between each user's blocks and bins
         alpha = np.exp(1j * np.pi * cfos[:, None] * block_steps / n) * block_codes[codes]  # (k, m)
-        ramp = np.exp(bins.ravel() * (2 * delays[:, None] + 1) * (-1j * np.pi / n))  # (k, b)
+        # b (2 delay + 1) is an exact integer in float64: reduced mod 2N, the ramp's
+        # argument stays below 2 pi instead of reaching about 1400 rad
+        turns = np.mod(bins.ravel() * (2 * delays[:, None] + 1), 2 * n)
+        ramp = np.exp(turns * (-1j * np.pi / n))  # (k, b)
         rows = ramp * bin_codes[codes] * responses.T
         leaked = (kernel @ rows.view(float).reshape(len(users), -1, 2)).view(complex)[..., 0]
         grid += (alpha.T @ leaked) * bin_phase
-    grid += _complex_noise(rng, grid.shape, noise_var)
     return TileObservations(layout, grid.reshape(layout.n_blocks, *bins.shape))

@@ -1,20 +1,27 @@
-"""Dense complex linear algebra for the ranging receiver, backed by LAPACK.
+"""Dense complex linear algebra for the ranging receiver.
 
-Each kernel is a thin :mod:`numpy.linalg` call that keeps this package's
-error contract: bad input raises :class:`ValidationError` or
-:class:`DimensionError`, and every LAPACK failure surfaces as
-:class:`NumericalError`, never as ``LinAlgError``.  All functions are pure.
+The eigenvalue kernels are thin :mod:`numpy.linalg` calls; the ESPRIT
+rotation is a closed form of a few matrix products.  Each kernel checks its
+input in one pass, before LAPACK sees it: bad input raises
+:class:`ValidationError` or :class:`DimensionError`, and every LAPACK
+failure surfaces as :class:`NumericalError`, never as ``LinAlgError``.
+All functions are pure.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, RankDeficiencyError, ValidationError
 
 _HERMITIAN_REL_TOL = 1e-12
+# Largest entry of U^H U - I that ls_rotation accepts as orthonormal columns;
+# eigh's eigenvectors of 4x4 matrices miss I by at most about 2e-15.
+_ORTHONORMAL_TOL = 1e-10
 # Singular values below this fraction of the largest count as zero: the
-# same as a 1e-12 relative bound on the eigenvalues of the Gram matrix Z1^H Z1.
+# same as a 1e-12 relative bound on the eigenvalues of the Gram matrix U[:-1]^H U[:-1].
 _RANK_RCOND = 1e-6
 
 
@@ -48,10 +55,12 @@ def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
     against largest entry of ``a``).
     """
     a = _as_square(a, "hermitian_evd")
-    if not np.isfinite(a).all():
+    # max-abs norms: a squared-sum norm overflows once entries pass about 1e154.  NaN and
+    # inf carry into the largest entry, so its one pass is also the finite check.
+    scale = float(np.abs(a).max(initial=0.0))
+    if not math.isfinite(scale):
         raise ValidationError("matrix has non-finite entries")
-    # max-abs norms: a squared-sum norm overflows once entries pass about 1e154
-    if np.abs(a - a.conj().T).max(initial=0.0) > _HERMITIAN_REL_TOL * np.abs(a).max(initial=0.0):
+    if np.abs(a - a.conj().T).max(initial=0.0) > _HERMITIAN_REL_TOL * scale:
         raise ValidationError("matrix is not Hermitian to working tolerance")
     try:
         eigenvalues, vectors = np.linalg.eigh(a)
@@ -60,31 +69,36 @@ def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1])
 
 
-def ls_rotation(z1, z2) -> np.ndarray:
-    """Least-squares solution X of ``Z1 @ X ~= Z2`` by LAPACK (``np.linalg.lstsq``).
+def ls_rotation(basis) -> np.ndarray:
+    """Least-squares rotation X of ``U[:-1] @ X ~= U[1:]`` for an (n, k) basis U, 1 <= k < n.
 
-    Both inputs must share the same (rows, k) shape with rows >= k >= 1.
-    Raises :class:`ValidationError` for non-finite entries, and
-    :class:`RankDeficiencyError` when a singular value of Z1 falls below
-    1e-6 of its largest: the subspace dimension was overestimated or the
-    snapshot set is degenerate.
+    U must have orthonormal columns, as eigenvectors do.  With ``w`` the
+    conjugated last row of U, ``U[:-1]^H U[:-1] = I - w w^H``, so
+    ``X = C + w (w^H C) / (1 - |w|^2)`` with ``C = U[:-1]^H U[1:]``.  Raises
+    :class:`ValidationError` when an entry of ``U^H U - I`` exceeds 1e-10,
+    non-finite input included, and :class:`RankDeficiencyError` when
+    ``1 - |w|^2 <= 1e-12``: the subspace dimension was overestimated.  For
+    k >= 2 that is a 1e-6 bound on the ratio of U[:-1]'s singular values,
+    which are 1 and ``sqrt(1 - |w|^2)``; for k = 1 it is stricter.
     """
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    if z1.ndim != 2 or z1.shape != z2.shape:
-        raise DimensionError(f"ls_rotation needs equal 2-d shapes, got {z1.shape} and {z2.shape}")
-    rows, k = z1.shape
-    if k < 1 or rows < k:
-        raise DimensionError(f"ls_rotation needs rows >= cols >= 1, got {z1.shape}")
-    if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
-        raise ValidationError("ls_rotation input has non-finite entries")
-    try:
-        x, _, rank, _ = np.linalg.lstsq(z1, z2, rcond=_RANK_RCOND)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"least-squares solve failed: {exc}") from exc
-    if rank < k:
-        raise RankDeficiencyError(f"Z1 has rank {rank} < {k}: subspace dimension overestimated")
-    return x
+    u = np.asarray(basis, dtype=complex)
+    if u.ndim != 2 or not 1 <= u.shape[1] < u.shape[0]:
+        raise DimensionError(f"ls_rotation needs an (n, k) basis with 1 <= k < n, got {u.shape}")
+    u_h = u.conj().T
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite input: caught just below
+        gram = u_h @ u
+    gram.flat[:: u.shape[1] + 1] -= 1.0
+    deviation = float(np.abs(gram).max())
+    if not deviation <= _ORTHONORMAL_TOL:  # NaN and inf carry into the largest entry
+        raise ValidationError(
+            f"ls_rotation input is non-finite or not orthonormal: U^H U - I reaches {deviation:.3g}")
+    w = u_h[:, -1]
+    rest = 1.0 - float(np.vdot(w, w).real)  # the smallest eigenvalue of U[:-1]^H U[:-1]
+    if rest <= _RANK_RCOND * _RANK_RCOND:
+        raise RankDeficiencyError(
+            f"U[:-1] is rank deficient (1 - |w|^2 = {rest:.3g}): subspace dimension overestimated")
+    c = u_h[:, :-1] @ u[1:]
+    return c + w[:, None] * ((u[-1] @ c) / rest)
 
 
 def general_eigenvalues(a) -> np.ndarray:

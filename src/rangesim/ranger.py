@@ -131,27 +131,27 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     """Frequencies of the dominant complex exponentials, in cycles, [-1/2, 1/2).
 
     Takes the eigenvalues and eigenvectors as :func:`hermitian_evd` returns them.
-    Splits the leading eigenvectors into their first and last rows, solves
-    for the rotation between the two, and reads each rotation eigenvalue's
-    phase.  The result is ordered by descending strength (power the
-    correlation assigns to each frequency's steering direction), so when
-    the source count was overestimated the junk estimate sorts last; no
-    ordering is otherwise guaranteed or meaningful.  Raises
-    :class:`ValidationError` for non-finite eigenvalues.
+    Solves for the rotation that maps the leading eigenvectors' first n - 1
+    rows onto their last n - 1 (:func:`ls_rotation`, a closed form for
+    orthonormal columns), and reads each rotation eigenvalue's phase.  The
+    result is ordered by descending strength (power the correlation assigns
+    to each frequency's steering direction), so when the source count was
+    overestimated the junk estimate sorts last; no ordering is otherwise
+    guaranteed or meaningful.  Raises :class:`ValidationError` for
+    non-finite eigenvalues.
     """
     eigenvalues = _finite(eigenvalues, "eigenvalues")
     n = eigenvectors.shape[0]
     if not 1 <= num_sources < n:
         raise DimensionError(f"source count must lie in [1, {n - 1}], got {num_sources}")
-    basis = eigenvectors[:, :num_sources]
-    rotation = ls_rotation(basis[:-1, :], basis[1:, :])
-    phases = np.angle(general_eigenvalues(rotation)) / (2.0 * np.pi)
-    phases[phases >= 0.5] -= 1.0
+    roots = general_eigenvalues(ls_rotation(eigenvectors[:, :num_sources]))
+    phases = np.arctan2(roots.imag, roots.real) / (2.0 * np.pi)
+    phases -= phases >= 0.5  # a phase of exactly pi wraps to -1/2
 
-    steering = np.exp(2j * np.pi * np.outer(np.arange(n), phases)) / math.sqrt(n)
+    steering = np.exp(2j * np.pi * (np.arange(n)[:, None] * phases)) / math.sqrt(n)
     weights = eigenvectors.conj().T @ steering  # (eigenvector, phase)
     strength = eigenvalues @ (np.abs(weights) ** 2)
-    return phases[np.argsort(-strength, kind="stable")]
+    return phases[(-strength).argsort(kind="stable")]
 
 
 def _finite(values, name: str) -> np.ndarray:

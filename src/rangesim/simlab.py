@@ -177,14 +177,12 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
         raise ValidationError(f"max_delay must be non-negative, got {cfg.max_delay}")
     if k == 0:  # empty draws consume nothing from the stream, so skip them
         return []
-    codes = rng.choice(layout.max_codes, size=k, replace=False)
-    delays = rng.integers(0, cfg.max_delay + 1, size=k)
+    codes = rng.choice(layout.max_codes, size=k, replace=False).tolist()
+    delays = rng.integers(0, cfg.max_delay + 1, size=k).tolist()
     omega = abs(cfg.max_cfo)  # -0.0 draws as zero offset, not as an empty interval
-    cfos = rng.uniform(-omega, omega, size=k)
-    return [
-        UserTruth(int(codes[i]), int(delays[i]), float(cfos[i]), draw_channel(profile, rng))
-        for i in range(k)
-    ]
+    cfos = rng.uniform(-omega, omega, size=k).tolist()
+    cirs = draw_channel(profile, rng, size=k)  # one draw, as k one-channel draws in a row
+    return [UserTruth(*fields) for fields in zip(codes, delays, cfos, cirs)]
 
 
 def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
@@ -312,12 +310,18 @@ def oracle_periodogram(snapshots, grid_resolution: float) -> float:
     return float(grid[int(np.argmax(power))])
 
 
-def _noiseless_known_k_trials(cfg: SimConfig, seed: int, counts: list[int]):
-    """``(users, obs, report)`` per noiseless model-mode trial ``i``: ``counts[i]`` users from
-    the stream ``(seed, i)``, ranged with that count given.  Empty ``counts`` is rejected."""
-    if not counts:
-        raise ValidationError("a noiseless check needs at least one trial")
-    for trial, count in enumerate(counts):
+def _noiseless_known_k_trials(cfg: SimConfig, seed: int, trials: int, counts: tuple[int, ...]):
+    """``(users, obs, report)`` per noiseless model-mode trial ``i < trials``: ``counts[i %
+    len(counts)]`` users from the stream ``(seed, i)``, ranged with that count given.
+    Checks ``cfg`` (:class:`ConfigError`), and that ``seed`` is a non-negative integer and
+    ``trials`` a positive one (:class:`ValidationError`), before the first trial."""
+    cfg.validate()
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValidationError(f"a noiseless check needs at least one trial, got {trials!r}")
+    for trial in range(trials):
+        count = counts[trial % len(counts)]
         rng = np.random.default_rng([seed, trial])
         users = draw_users(cfg, rng, count=count)
         obs = synthesize_model_mode(users, cfg.layout(), 0.0, rng)
@@ -332,7 +336,7 @@ def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: fl
     frequency estimate against :func:`oracle_periodogram`, wrap-aware.
     """
     worst = 0.0
-    for _, obs, report in _noiseless_known_k_trials(SimConfig(), seed, [1] * trials):
+    for _, obs, report in _noiseless_known_k_trials(SimConfig(), seed, trials, (1,)):
         diff = report.effective_cfos[0] - oracle_periodogram(freq_snapshots(obs), grid_resolution)
         worst = max(worst, abs(diff - round(diff)))
     return float(worst)
@@ -349,7 +353,7 @@ def noiseless_exactness(seed: int, trials: int, max_cfo: float) -> tuple[int, fl
     cfg = SimConfig(max_cfo=max_cfo, mode="model")
     exact = 0
     worst_cfo = worst_delay = 0.0
-    for users, _, report in _noiseless_known_k_trials(cfg, seed, [1 + i % 3 for i in range(trials)]):
+    for users, _, report in _noiseless_known_k_trials(cfg, seed, trials, (1, 2, 3)):
         if report.detected != {u.code for u in users}:
             continue
         exact += 1

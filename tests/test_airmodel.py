@@ -301,6 +301,18 @@ class TestDrawChannel:
             want = np.sqrt(v / 2) * (re + 1j * im)
             np.testing.assert_array_equal(draw_channel(profile, ours), want)
 
+    @pytest.mark.parametrize("size", [0, 1, 3, 7])
+    def test_size_draws_channels_as_calls_in_a_row(self, size):
+        # draw_channel(profile, rng, size=K) is K one-channel draws from the same stream,
+        # bit for bit, and leaves the stream where they would
+        profile = ChannelProfile(12, 12.0)
+        ours, twin = np.random.default_rng(9), np.random.default_rng(9)
+        got = draw_channel(profile, ours, size=size)
+        want = np.array([draw_channel(profile, twin) for _ in range(size)], dtype=complex)
+        assert got.shape == (size, 12) and got.dtype == complex
+        assert got.tobytes() == want.reshape(size, 12).tobytes()
+        assert ours.bit_generator.state == twin.bit_generator.state
+
     def test_unit_average_energy(self):
         # the closed form above, drawn 100 000 times at once
         profile = ChannelProfile(12, 12.0)
@@ -398,6 +410,21 @@ class TestWaveformMode:
                         * np.exp(-2j * np.pi * bin_idx * 6 / n)
                     )
                     assert obs.grid[m, q, v] == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("delay", [0, 1, 17, 100, 204, 243])
+    def test_delay_ramp_is_exact_at_long_delays(self, delay):
+        # one tap, no CFO: each bin is the code times exp(-j pi b (2 delay + 1) / N) times
+        # exp(j pi b / N); with b (2 delay + 1) reduced mod 2N first, the round-off of a
+        # ramp argument near 1400 rad (1.6e-13) does not show
+        layout, code = reference_layout(), 2
+        n, bins = layout.n_subcarriers, layout.tile_bins
+        user = UserTruth(code, delay, 0.0, np.array([1.0 + 0j]))
+        grid = synthesize_waveform_mode([user], layout, 0.0, np.random.default_rng(0)).grid
+        turns = (bins * (2 * delay + 1)) % (2 * n)
+        ramp = np.exp(-1j * np.pi * turns / n) * np.exp(1j * np.pi * bins / n)
+        v, m = np.arange(layout.tile_width), np.arange(layout.n_blocks)[:, None, None]
+        want = closed_form_symbol(code, v, m, layout.tile_width, layout.n_blocks) * ramp
+        np.testing.assert_allclose(grid, want, rtol=0, atol=1e-14)
 
     def test_single_bin_cfo_identity(self):
         # one loaded subcarrier through the literal chain (IDFT, prefix, spin,

@@ -142,43 +142,66 @@ class TestHermitianEvd:
         np.testing.assert_array_equal(lam, np.zeros(3))
 
 
+def orthonormal_basis(rng, n, k):
+    """An (n, k) basis with orthonormal columns: the Q factor of a random complex matrix."""
+    return np.linalg.qr(random_complex(rng, (n, k)))[0]
+
+
 class TestLsRotation:
     def test_identity_when_equal(self):
-        rng = np.random.default_rng(21)
-        z = random_complex(rng, (4, 2))
-        np.testing.assert_allclose(ls_rotation(z, z), np.eye(2), atol=1e-12)
+        # a constant column repeats itself under the shift: the rotation is the identity
+        u = np.full((4, 1), 0.5, dtype=complex)
+        np.testing.assert_allclose(ls_rotation(u), np.eye(1), atol=1e-12)
 
     def test_pure_exponential_shift(self):
         xi = 0.23
-        e = np.exp(2j * np.pi * xi * np.arange(4)).reshape(-1, 1)
-        rot = ls_rotation(e[:-1], e[1:])
+        e = np.exp(2j * np.pi * xi * np.arange(4)).reshape(-1, 1) / 2.0
+        rot = ls_rotation(e)
         assert rot.shape == (1, 1)
         np.testing.assert_allclose(rot[0, 0], np.exp(2j * np.pi * xi), atol=1e-12)
 
     def test_construct_then_solve(self):
-        rng = np.random.default_rng(22)
-        z1 = random_complex(rng, (3, 2))
-        g = random_complex(rng, (2, 2))
-        np.testing.assert_allclose(ls_rotation(z1, z1 @ g), g, atol=1e-10)
+        # V = Q R with V Vandermonde in known phases, so Q[1:] = Q[:-1] (R diag(z) R^-1)
+        phases = np.array([0.1, -0.3, 0.45])
+        z = np.exp(2j * np.pi * phases)
+        q, r = np.linalg.qr(z ** np.arange(5)[:, None])
+        want = r @ np.diag(z) @ np.linalg.inv(r)
+        np.testing.assert_allclose(ls_rotation(q), want, atol=1e-10)
+        got = np.sort(np.angle(np.linalg.eigvals(ls_rotation(q))) / (2 * np.pi))
+        np.testing.assert_allclose(got, np.sort(phases), atol=1e-10)
 
     def test_matches_numpy_lstsq(self):
         rng = np.random.default_rng(23)
-        z1 = random_complex(rng, (5, 3))
-        z2 = random_complex(rng, (5, 3))
-        ref = np.linalg.lstsq(z1, z2, rcond=None)[0]
-        np.testing.assert_allclose(ls_rotation(z1, z2), ref, atol=1e-10)
+        for n in range(2, 7):
+            for k in range(1, n):
+                for _ in range(5):
+                    u = orthonormal_basis(rng, n, k)
+                    ref = np.linalg.lstsq(u[:-1], u[1:], rcond=None)[0]
+                    np.testing.assert_allclose(ls_rotation(u), ref, rtol=0, atol=1e-12)
 
     def test_rank_deficient_raises(self):
-        col = np.arange(1.0, 4.0).reshape(-1, 1)
-        z1 = np.hstack([col, col])  # duplicated column
+        # the second column lives on the last row, so U[:-1] loses a dimension
+        u = np.zeros((4, 2), dtype=complex)
+        u[0, 0] = u[3, 1] = 1.0
         with pytest.raises(RankDeficiencyError):
-            ls_rotation(z1, z1)
+            ls_rotation(u)
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            ls_rotation(np.zeros((3, 2)), np.zeros((3, 1)))
-        with pytest.raises(DimensionError):
-            ls_rotation(np.zeros((2, 3)), np.zeros((2, 3)))
+        for shape in [(4,), (4, 0), (3, 3), (2, 3)]:  # 1-d, k = 0, k = n, k > n
+            with pytest.raises(DimensionError):
+                ls_rotation(np.zeros(shape))
+
+    @pytest.mark.parametrize("distort", [
+        lambda u: 1.001 * u[:, 1],
+        lambda u: 0.5 * u[:, 1],
+        lambda u: 2.0 * u[:, 1],
+        lambda u: (u[:, 1] + 1e-6 * u[:, 0]) / np.sqrt(1 + 1e-12),  # unit norm, not orthogonal
+    ], ids=["longer", "half", "double", "skewed"])
+    def test_non_orthonormal_basis_rejected(self, distort):
+        u = orthonormal_basis(np.random.default_rng(24), 4, 2)
+        u[:, 1] = distort(u)
+        with pytest.raises(ValidationError, match="not orthonormal"):
+            ls_rotation(u)
 
 
 class TestGeneralEigenvalues:
@@ -238,8 +261,8 @@ class TestGeneralEigenvalues:
 
 @pytest.mark.parametrize("kernel", [
     hermitian_evd,
-    lambda a: ls_rotation(a, np.ones_like(a)),
-    lambda a: ls_rotation(np.ones_like(a), a),
+    lambda a: ls_rotation(a[:, :2]),
+    lambda a: ls_rotation(a[:, 1:]),
     general_eigenvalues,
 ], ids=["hermitian_evd", "ls_rotation", "ls_rotation_rhs", "general_eigenvalues"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

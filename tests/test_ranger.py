@@ -15,6 +15,7 @@ from rangesim.airmodel import (
     draw_channel,
     effective_offsets,
     synthesize_model_mode,
+    synthesize_waveform_mode,
 )
 from rangesim.cxmath import forward_backward, hermitian_evd
 from rangesim.errors import ConfigError, DimensionError, RankDeficiencyError, ValidationError
@@ -220,6 +221,26 @@ class TestEspritPhases:
         remixed_vecs = vecs.copy()
         remixed_vecs[:, :2] = remixed_vecs[:, :2] @ q
         np.testing.assert_allclose(np.sort(esprit_phases(lam, remixed_vecs, 2)), base, atol=1e-7)
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_matches_lstsq_rotation_on_seeded_grids(self, mode):
+        # the closed-form rotation reads the same phases as a general least-squares solve
+        layout = reference_layout()
+        synthesize = {"model": synthesize_model_mode, "waveform": synthesize_waveform_mode}[mode]
+        for trial in range(12):
+            rng = np.random.default_rng([41, trial])
+            users = random_users(rng, layout, 1 + trial % 3)
+            obs = synthesize(users, layout, [0.0, 0.1, 1.0][trial % 3], rng)
+            for snaps in (freq_snapshots(obs), tile_snapshots(obs)):
+                lam, vecs = self.make_spectrum(snaps)
+                for k in range(1, 4):
+                    basis = vecs[:, :k]
+                    rotation = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)[0]
+                    want = np.angle(np.linalg.eigvals(rotation)) / (2 * np.pi)
+                    got = esprit_phases(lam, vecs, k)
+                    gaps = wrap_half(got[:, None] - want[None, :])  # wrap-aware, any order
+                    assert np.abs(gaps).min(axis=1).max() <= 1e-12
+                    assert np.abs(gaps).min(axis=0).max() <= 1e-12
 
     def test_rank_deficiency_propagates(self):
         # second "eigenvector" lives entirely on the last row, so the upper

@@ -320,6 +320,31 @@ class TestOraclePeriodogram:
         with pytest.raises(ValidationError, match="at least one trial"):
             noiseless_exactness(seed=1, trials=0, max_cfo=0.05)
 
+    def test_exactness_rejects_cfo_beyond_acquisition(self):
+        # read (0, 0.0, 0.0) before: the built config was never validated
+        with pytest.raises(ConfigError, match="max_cfo"):
+            noiseless_exactness(seed=1, trials=2, max_cfo=0.5)
+
+    @pytest.mark.parametrize("helper", [
+        lambda seed: noiseless_exactness(seed=seed, trials=2, max_cfo=0.05),
+        lambda seed: esprit_periodogram_gap(trials=2, seed=seed),
+    ], ids=["exactness", "gap"])
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "fractional"])
+    def test_seed_must_be_a_non_negative_integer(self, helper, seed):
+        # numpy's seeding raised a bare ValueError or TypeError before
+        with pytest.raises(ValidationError, match="seed"):
+            helper(seed)
+
+    @pytest.mark.parametrize("helper", [
+        lambda trials: noiseless_exactness(seed=1, trials=trials, max_cfo=0.05),
+        lambda trials: esprit_periodogram_gap(trials=trials, seed=1),
+    ], ids=["exactness", "gap"])
+    @pytest.mark.parametrize("trials", [1.5, 2.5])
+    def test_trial_count_must_be_an_integer(self, helper, trials):
+        # range() and list repetition raised a bare TypeError before
+        with pytest.raises(ValidationError, match="at least one trial"):
+            helper(trials)
+
 
 class TestCsv:
     def rows(self):
