@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 
 @dataclass(frozen=True)
@@ -44,23 +44,19 @@ class TileLayout:
     cp_ranging: int
 
     def __post_init__(self):
-        if self.tile_width < 2 or self.n_blocks < 2:
-            raise ValidationError("tile_width and n_blocks must both be at least 2")
+        n = require_int("n_subcarriers", self.n_subcarriers, 1)
+        require_int("n_blocks", self.n_blocks, 2)
+        width = require_int("tile_width", self.tile_width, 2)
+        require_int("ranging prefix", self.cp_ranging, 0, n)  # at most the block it extends
         if not self.tile_starts:
             raise ValidationError("a layout needs at least one tile")
-        if self.cp_ranging < 0:
-            raise ValidationError("the ranging prefix cannot be negative")
-        if self.cp_ranging > self.n_subcarriers:
-            raise ValidationError("the ranging prefix cannot be longer than the block it extends")
-        bins = self.tile_bins
-        outside = (bins[:, 0] < 0) | (bins[:, -1] >= self.n_subcarriers)
-        if outside.any():
-            raise ValidationError(f"tile at {bins[outside, 0][0]} exceeds the subcarrier range")
-        if np.bincount(bins.ravel()).max() > 1:
+        for start in self.tile_starts:
+            require_int("tile start", start, 0, n - width)
+        if np.bincount(self.tile_bins.ravel()).max() > 1:
             raise ValidationError("tiles overlap; they must be pairwise disjoint")
 
     @classmethod
-    @functools.lru_cache(maxsize=32)
+    @functools.lru_cache(maxsize=32, typed=True)  # typed: 4.0 must not hit the entry of 4
     def uniform(cls, n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging,
                 spacing=None) -> "TileLayout":
         """Layout with ``n_tiles`` tiles spaced evenly across the spectrum.
@@ -68,10 +64,8 @@ class TileLayout:
         Cached: equal arguments return the same frozen instance, so callers
         may ask for the layout as often as they like.
         """
-        if n_tiles < 1:
-            raise ValidationError("a layout needs at least one tile")
-        if spacing is None:
-            spacing = n_subcarriers // n_tiles
+        require_int("n_tiles", n_tiles, 1)
+        spacing = n_subcarriers // n_tiles if spacing is None else require_int("spacing", spacing, 1)
         starts = tuple(q * spacing for q in range(n_tiles))
         return cls(n_subcarriers, n_blocks, tile_width, starts, cp_ranging)
 
@@ -152,8 +146,7 @@ class ChannelProfile:
     decay: float
 
     def __post_init__(self):
-        if self.n_taps < 1:
-            raise ValidationError("a channel needs at least one tap")
+        require_int("n_taps", self.n_taps, 1)
         if not self.decay > 0:
             raise ValidationError(f"decay constant must be a positive number, got {self.decay}")
 
@@ -185,8 +178,8 @@ def code_matrix(code, tile_width: int, n_blocks: int) -> np.ndarray:
     ``code`` may also be an array of codes; their matrices then stack
     along the leading axes.
     """
-    if tile_width < 2 or n_blocks < 2:
-        raise ValidationError("codes need tile_width >= 2 and n_blocks >= 2")
+    require_int("tile_width", tile_width, 2)
+    require_int("n_blocks", n_blocks, 2)
     v = np.arange(tile_width)[:, None] / (tile_width - 1)
     m = np.arange(n_blocks)[None, :] / (n_blocks - 1)
     return np.exp(np.multiply.outer(2j * np.pi * np.asarray(code), v + m))
@@ -243,27 +236,30 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator,
 def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
     """``(codes, delays, cfos, responses, ends)`` of the users, one entry or column per user.
 
-    Checks each user as it goes: the code must lie in [0, max_codes), the
-    delay must be non-negative, and no two users may share a code.
+    Checks each user as it goes: the code must be an integer in [0, max_codes),
+    the delay a non-negative integer, the CFO finite and the channel a 1-d
+    array; then that no two users share a code and that the taps' total power is finite.
     ``responses`` holds the channel gains per flat tile bin and user; ``ends`` delay + taps.
     """
-    max_codes = layout.max_codes
+    last_code = layout.max_codes - 1
     codes, delays, cfos, taps, ends = [], [], [], [], []
     for u in users:
-        if not 0 <= u.code < max_codes:
-            raise ValidationError(f"code {u.code} outside [0, {max_codes - 1}]")
-        if u.delay < 0:
-            raise ValidationError("delays must be non-negative")
-        codes.append(u.code)
-        delays.append(u.delay)
+        codes.append(require_int("code", u.code, 0, last_code))
+        delays.append(require_int("delays", u.delay, 0))
+        if not math.isfinite(u.cfo):
+            raise ValidationError(f"CFO must be finite, got {u.cfo!r}")
         cfos.append(u.cfo)
         taps.append(np.asarray(u.cir, dtype=complex))
+        if taps[-1].ndim != 1:
+            raise ValidationError(f"a channel must be a 1-d tap array, got shape {taps[-1].shape}")
         ends.append(u.delay + taps[-1].size)
     if len(set(codes)) != len(codes):
         raise ValidationError("active users must carry distinct ranging codes")
     cirs = np.zeros((len(taps), max((h.size for h in taps), default=1)), dtype=complex)
     for row, h in zip(cirs, taps):  # ragged channels are zero-padded to the longest
         row[: h.size] = h
+    if not math.isfinite(np.vdot(cirs, cirs).real):  # one BLAS pass: NaN and inf carry into it
+        raise ValidationError("channel taps must be finite, with a finite total power")
     return (np.array(codes, dtype=int), np.array(delays, dtype=float), np.array(cfos, dtype=float),
             _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T, ends)
 
@@ -279,7 +275,10 @@ def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
 
 def _complex_noise(rng: np.random.Generator, shape, variance, stacked: int = 0) -> np.ndarray:
     """Circular Gaussian of the given variance: one draw, all real parts then all imaginary.
-    The first ``stacked`` axes index such arrays, drawn one after another as calls in a row."""
+    The first ``stacked`` axes index such arrays, drawn one after another as calls in a row.
+    A scalar variance must be finite and non-negative."""
+    if not isinstance(variance, np.ndarray) and not 0 <= variance < math.inf:
+        raise ValidationError(f"noise variance must be finite and non-negative, got {variance!r}")
     noise = np.empty(shape, dtype=complex)
     lead, size = noise.shape[:stacked], math.prod(noise.shape[stacked:])
     noise.view(float).reshape(*lead, size, 2).swapaxes(-1, -2)[:] = rng.standard_normal(
@@ -304,7 +303,9 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
         codes, delays, cfos, responses, _ = _stack_users(users, layout)
         xi, eta = effective_offsets(codes, delays, cfos, layout)
         tile_means = responses.reshape(layout.n_tiles, width, -1).sum(axis=1) / width  # (q, k)
-        delay_phase = np.exp(-2j * np.pi * layout.tile_bins[:, :1] * delays / n)
+        # b delay is an exact integer in float64: reduced mod N, the phase's argument stays
+        # below 2 pi instead of reaching about 1200 rad
+        delay_phase = np.exp(np.mod(layout.tile_bins[:, :1] * delays, n) * (-2j * np.pi / n))
         amps = cfo_attenuation(cfos, n) * tile_means * delay_phase
         block_phase = np.exp(2j * np.pi * xi * np.arange(n_blocks)[:, None])  # (m, k)
         tile_phase = np.exp(2j * np.pi * eta * np.arange(width)[:, None])  # (v, k)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all rangesim modules."""
+"""Exception hierarchy shared by all rangesim modules, and the one integer check."""
+
+from numbers import Integral
 
 
 class RangingError(Exception):
@@ -23,3 +25,19 @@ class RankDeficiencyError(NumericalError):
 
 class ConfigError(RangingError):
     """Simulation configuration violates one of its invariants."""
+
+
+def require_int(name, value, lo, hi=None, error=ValidationError):
+    """``value`` unchanged if it is an integer in [lo, hi], or at least ``lo`` when ``hi`` is None.
+
+    Python and numpy integers pass; bools and every float (3.0 and NaN too) do not.  A
+    violation raises ``error`` naming the argument, its bounds and ``repr(value)``.
+    """
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise error(f"{name} {value!r} outside [{lo}, {hi}]")
+    if value < lo:
+        bound = "non-negative" if lo == 0 else f"at least {lo}"
+        raise error(f"{name} must be {bound}, got {value!r}")
+    return value

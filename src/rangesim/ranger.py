@@ -33,7 +33,7 @@ import numpy as np
 
 from .airmodel import TileLayout, TileObservations
 from .cxmath import forward_backward, general_eigenvalues, hermitian_evd, ls_rotation
-from .errors import ConfigError, DimensionError, RangingError, ValidationError
+from .errors import ConfigError, DimensionError, RangingError, ValidationError, require_int
 
 EIGENVALUE_FLOOR = 1e-18
 
@@ -108,10 +108,8 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     if not all(map(math.isfinite, lam)):
         raise ValidationError(f"eigenvalues must be finite, got {lam}")
     n = len(lam)
-    if not 0 <= cap <= n - 1:
-        raise ValidationError(f"model-order cap must lie in [0, {n - 1}], got {cap}")
-    if num_snapshots < 1:
-        raise ValidationError("need a positive snapshot count")
+    require_int("model-order cap", cap, 0, n - 1)
+    require_int("snapshot count", num_snapshots, 1)
     numerical_zero = 1e-12 * max(0.0, *lam)
     lam = [EIGENVALUE_FLOOR if x < numerical_zero else max(x, EIGENVALUE_FLOOR) for x in lam]
     # sums over the trailing eigenvalues lam[k:], accumulated from the last one
@@ -142,8 +140,7 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     """
     eigenvalues = _finite(eigenvalues, "eigenvalues")
     n = eigenvectors.shape[0]
-    if not 1 <= num_sources < n:
-        raise DimensionError(f"source count must lie in [1, {n - 1}], got {num_sources}")
+    require_int("source count", num_sources, 1, n - 1, DimensionError)
     roots = general_eigenvalues(ls_rotation(eigenvectors[:, :num_sources]))
     phases = np.arctan2(roots.imag, roots.real) / (2.0 * np.pi)
     phases -= phases >= 0.5  # a phase of exactly pi wraps to -1/2
@@ -175,8 +172,7 @@ def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]
 
 
 def _check_max_delay(layout: TileLayout, max_delay: int) -> None:
-    if not 0 <= max_delay < layout.delay_bound:
-        raise ConfigError(f"max delay must lie in [0, {layout.delay_bound:.0f}) samples")
+    require_int("max delay", max_delay, 0, math.ceil(layout.delay_bound) - 1, ConfigError)
 
 
 def map_timing(effective_timings, layout: TileLayout,
@@ -198,8 +194,11 @@ def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
     :func:`map_timing` return them, and returns ``(per_code, collisions)``,
     ``per_code`` mapping each detected code to its ``(cfo, delay)``.  When
     two estimates of a stage reduce to the same code index, the first one
-    keeps the attribution and the clash is counted.
+    keeps the attribution and the clash is counted.  Raises
+    :class:`DimensionError` when a stage's codes and values differ in length.
     """
+    if len(cfo_codes) != len(cfos) or len(timing_codes) != len(delays):
+        raise DimensionError("each stage needs one value per code estimate")
     # built from the back, so the first estimate of each code is written last
     cfo_by_code = dict(zip(cfo_codes[::-1].tolist(), cfos[::-1].tolist()))
     timing_by_code = dict(zip(timing_codes[::-1].tolist(), delays[::-1].tolist()))
@@ -218,8 +217,8 @@ def _stage(name: str, fn, *args):
 def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     """Run the full three-step receiver over one subchannel's observations."""
     layout = obs.layout
-    if cfg.known_num_codes is not None and not 0 <= cfg.known_num_codes <= layout.max_codes:
-        raise ConfigError(f"known code count must lie in [0, {layout.max_codes}]")
+    if cfg.known_num_codes is not None:
+        require_int("known code count", cfg.known_num_codes, 0, layout.max_codes, ConfigError)
     _check_max_delay(layout, cfg.max_delay)
 
     snaps_f = freq_snapshots(obs)

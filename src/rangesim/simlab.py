@@ -27,7 +27,7 @@ from .airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from .errors import ConfigError, RangingError, ValidationError
+from .errors import ConfigError, DimensionError, RangingError, ValidationError, require_int
 from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
@@ -74,10 +74,13 @@ class SimConfig:
         return ChannelProfile(self.channel_taps, self.channel_decay)
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` on the first violated invariant, field types first."""
+        """Raise :class:`ConfigError` on the first violated invariant, field types first:
+        each integer field (``tile_spacing`` unless None) must be a non-negative integer."""
         for name, hint in _FIELD_HINTS.items():
             value = getattr(self, name)
-            if not _has_field_type(value, hint):  # the message quotes the annotation's text
+            if value is not None and hint in (int, int | None):
+                require_int(name, value, 0, error=ConfigError)
+            elif not _has_field_type(value, hint):  # the message quotes the annotation's text
                 raise ConfigError(f"{name} must be {SimConfig.__annotations__[name]}, got {value!r}")
         try:
             layout = self.layout()
@@ -87,16 +90,13 @@ class SimConfig:
         if not 0 <= self.max_cfo < layout.acquisition_bound:  # also rejects NaN
             raise ConfigError(f"max_cfo must lie in [0, {layout.acquisition_bound:.6g}), "
                               f"the acquisition bound, got {self.max_cfo}")
-        if not 0 <= self.max_delay < layout.delay_bound:
-            raise ConfigError(f"max_delay must lie in [0, {layout.delay_bound:.0f})")
-        if not 0 <= self.num_users <= layout.max_codes:
-            raise ConfigError(f"num_users must lie in [0, {layout.max_codes}]")
+        require_int("max_delay", self.max_delay, 0, math.ceil(layout.delay_bound) - 1, ConfigError)
+        require_int("num_users", self.num_users, 0, layout.max_codes, ConfigError)
         if self.max_delay + self.channel_taps > self.cp_ranging:
             raise ConfigError("max_delay plus channel_taps must fit inside cp_ranging")
-        if self.cp_data <= self.channel_taps:
-            raise ConfigError("cp_data must exceed channel_taps or no delay is tolerable")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
+        # cp_data must exceed channel_taps or no delay is tolerable
+        require_int("cp_data", self.cp_data, self.channel_taps + 1, error=ConfigError)
+        require_int("trials", self.trials, 1, error=ConfigError)
         if not self.snr_list_db:
             raise ConfigError("snr_list_db cannot be empty")
         floor = layout.snr_floor_db
@@ -105,8 +105,6 @@ class SimConfig:
                               f"or +inf, got {self.snr_list_db}")
         if self.mode not in ("model", "waveform"):
             raise ConfigError(f"mode must be 'model' or 'waveform', got {self.mode!r}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 @dataclass
@@ -163,25 +161,24 @@ def timing_error_event(delay_est: float, delay_true: float, cp_data: int, n_taps
     ``err = (delay_est - delay_true) + (n_taps - cp_data) / 2``.
     """
     err = (delay_est - delay_true) + (n_taps - cp_data) / 2.0
+    if not math.isfinite(err):  # a NaN error compares False both ways: it would read as aligned
+        raise ValidationError(f"delays must be finite, got estimate {delay_est!r}, "
+                              f"truth {delay_true!r}")
     return err > 0 or err < n_taps - cp_data - 1
 
 
 def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = None) -> list[UserTruth]:
     """Sample one trial's ground truth: distinct codes, uniform delays and CFOs."""
     layout = cfg.layout()
-    profile = cfg.channel_profile()
-    k = cfg.num_users if count is None else count
-    if not 0 <= k <= layout.max_codes:
-        raise ValidationError(f"user count {k} outside [0, {layout.max_codes}]")
-    if cfg.max_delay < 0:
-        raise ValidationError(f"max_delay must be non-negative, got {cfg.max_delay}")
+    k = require_int("user count", cfg.num_users if count is None else count, 0, layout.max_codes)
+    require_int("max_delay", cfg.max_delay, 0)
     if k == 0:  # empty draws consume nothing from the stream, so skip them
         return []
     codes = rng.choice(layout.max_codes, size=k, replace=False).tolist()
     delays = rng.integers(0, cfg.max_delay + 1, size=k).tolist()
     omega = abs(cfg.max_cfo)  # -0.0 draws as zero offset, not as an empty interval
     cfos = rng.uniform(-omega, omega, size=k).tolist()
-    cirs = draw_channel(profile, rng, size=k)  # one draw, as k one-channel draws in a row
+    cirs = draw_channel(cfg.channel_profile(), rng, size=k)  # one draw, as k calls in a row
     return [UserTruth(*fields) for fields in zip(codes, delays, cfos, cirs)]
 
 
@@ -195,11 +192,7 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     var = noise_variance(snr_db)
     if not snr_db > layout.snr_floor_db:
         raise ValidationError(f"SNR {snr_db} dB is not above the floor {layout.snr_floor_db:.6g} dB")
-    if not isinstance(trial_index, numbers.Integral):
-        raise ValidationError(f"trial index must be an integer, got {trial_index!r}")
-    if trial_index < 0:
-        raise ValidationError(f"trial index must be non-negative, got {trial_index}")
-    rng = np.random.default_rng([cfg.master_seed, trial_index])
+    rng = np.random.default_rng([cfg.master_seed, require_int("trial index", trial_index, 0)])
     truth = draw_users(cfg, rng)
 
     if cfg.mode == "model":
@@ -261,8 +254,7 @@ WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 def wilson_interval(count, trials):
     """Wilson score 95% interval for a binomial proportion ``count / trials``."""
-    if not (trials >= 1 and 0 <= count <= trials):
-        raise ValidationError(f"need 0 <= count <= trials and trials >= 1, got {count}/{trials}")
+    require_int("count", count, 0, require_int("trial count", trials, 1))
     p = count / trials
     z2 = WILSON_Z * WILSON_Z
     centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)
@@ -302,6 +294,10 @@ def oracle_periodogram(snapshots, grid_resolution: float) -> float:
     if not 0 < grid_resolution <= 1:  # also rejects NaN
         raise ValidationError(f"grid resolution must lie in (0, 1], got {grid_resolution}")
     snaps = np.asarray(snapshots, dtype=complex)
+    if snaps.ndim != 2 or snaps.size == 0:
+        raise DimensionError(f"need a non-empty (snapshots, n) array, got shape {snaps.shape}")
+    if not np.isfinite(snaps).all():
+        raise ValidationError("snapshots must be finite")
     n = snaps.shape[1]
     count = int(round(1.0 / grid_resolution))
     grid = -0.5 + grid_resolution * np.arange(count)
@@ -316,10 +312,8 @@ def _noiseless_known_k_trials(cfg: SimConfig, seed: int, trials: int, counts: tu
     Checks ``cfg`` (:class:`ConfigError`), and that ``seed`` is a non-negative integer and
     ``trials`` a positive one (:class:`ValidationError`), before the first trial."""
     cfg.validate()
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise ValidationError(f"a noiseless check needs at least one trial, got {trials!r}")
+    require_int("seed", seed, 0)
+    require_int("trial count", trials, 1)
     for trial in range(trials):
         count = counts[trial % len(counts)]
         rng = np.random.default_rng([seed, trial])
@@ -424,11 +418,11 @@ def _field_parser(hint):
 
 
 def _has_field_type(value, hint) -> bool:
-    """Whether ``value`` fits a ``SimConfig`` field hint; numpy numbers fit, bools do not."""
+    """Whether ``value`` fits a non-integer ``SimConfig`` field hint; numpy floats fit, bools
+    do not."""
     if hint == tuple[float, ...]:
         return isinstance(value, tuple) and all(_has_field_type(v, float) for v in value)
-    kinds = [{int: numbers.Integral, float: numbers.Real}.get(k, k) for k in get_args(hint) or [hint]]
-    return isinstance(value, tuple(kinds)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real if hint is float else hint) and not isinstance(value, bool)
 
 
 _FIELD_HINTS = get_type_hints(SimConfig)  # evaluated once: each call re-evaluates every annotation

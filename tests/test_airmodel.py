@@ -104,9 +104,9 @@ class TestTileLayout:
             TileLayout(16, 4, 4, (0, 2), 4)
 
     def test_tile_past_edge_rejected(self):
-        with pytest.raises(ValidationError, match="tile at 14 "):
+        with pytest.raises(ValidationError, match=r"tile start 14 outside \[0, 12\]"):
             TileLayout(16, 4, 4, (0, 14), 4)
-        with pytest.raises(ValidationError, match="tile at -1 "):
+        with pytest.raises(ValidationError, match=r"tile start -1 outside \[0, 12\]"):
             TileLayout(16, 4, 4, (-1, 8), 4)
 
     def test_degenerate_width_rejected(self):
@@ -383,6 +383,19 @@ class TestModelMode:
         obs = synthesize_model_mode([], layout, 0.25, np.random.default_rng(6))
         assert np.mean(np.abs(obs.grid) ** 2) == pytest.approx(0.25, rel=0.2)
 
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_delay_phase_is_exact_at_long_delays(self, code):
+        # one tap, no CFO, no noise: block 0, tile position 0 of tile q carries
+        # exp(-2j pi b_q delay / N) alone, with b_q delay reduced mod N first; unreduced,
+        # the argument reaches 1202 rad and misses by up to 2.4e-13
+        layout = reference_layout()
+        n, starts = layout.n_subcarriers, np.array(layout.tile_starts)
+        for delay in range(205):
+            user = UserTruth(code, delay, 0.0, np.array([1.0 + 0j]))
+            grid = synthesize_model_mode([user], layout, 0.0, np.random.default_rng(0)).grid
+            want = np.exp(-2j * np.pi * ((starts * delay) % n) / n)
+            np.testing.assert_allclose(grid[0, :, 0], want, rtol=0, atol=1e-14)
+
 
 class TestWaveformMode:
     def test_synchronized_loopback(self):
@@ -651,11 +664,30 @@ def test_synthesizers_match_per_user_loops(scenario):
     ([(0, 0), (3, 0)], r"code 3 outside \[0, 2\]"),
     ([(-1, 0)], r"code -1 outside \[0, 2\]"),
     ([(0, 0), (2, -1)], "delays must be non-negative"),
-], ids=["duplicate code", "code past range", "negative code", "negative delay"])
+    # before, a 2-d channel raised a bare numpy ValueError and the rest made a non-finite
+    # grid that surfaced only in the receiver, as "matrix has non-finite entries"
+    ([(0, 0), (1, 2, np.nan)], "CFO must be finite"),
+    ([(0, 0), (1, 2, -np.inf)], "CFO must be finite"),
+    ([(0, 0), (1, 2, 0.01, [1.0, np.nan])], "channel taps must be finite"),
+    ([(0, 0), (1, 2, 0.01, [[1.0, 1.0], [1.0, 1.0]])], "1-d tap array"),
+], ids=["duplicate code", "code past range", "negative code", "negative delay",
+        "nan cfo", "inf cfo", "nan tap", "2-d channel"])
 def test_user_checks_fire_in_both_synthesizers(synthesize, users, message):
-    users = [UserTruth(code, delay, 0.0, np.ones(1, dtype=complex)) for code, delay in users]
+    def user(code, delay, cfo=0.0, cir=(1.0,)):
+        return UserTruth(code, delay, cfo, np.array(cir, dtype=complex))
+
     with pytest.raises(ValidationError, match=message):
-        synthesize(users, small_layout(), 0.0, np.random.default_rng(0))
+        synthesize([user(*u) for u in users], small_layout(), 0.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
+                         ids=["model", "waveform"])
+@pytest.mark.parametrize("noise_var", [-0.25, np.nan, np.inf])
+def test_noise_variance_must_be_finite_and_non_negative(synthesize, noise_var):
+    # a negative variance made NaN noise, NaN and inf a non-finite grid: each surfaced
+    # only in the receiver, as "matrix has non-finite entries"
+    with pytest.raises(ValidationError, match="noise variance"):
+        synthesize([], small_layout(), noise_var, np.random.default_rng(0))
 
 
 def test_observation_shape_guard():

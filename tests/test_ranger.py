@@ -372,6 +372,15 @@ class TestDetectCodes:
         assert per_code[1][0] == cfos[0]
         assert coll == 1
 
+    @pytest.mark.parametrize("stage", ["frequency", "timing"])
+    def test_stage_codes_and_values_of_unequal_length_rejected(self, stage):
+        # zip dropped the unmatched entries and returned ({}, 1) or a partial attribution
+        f, t = list(self.freq([0, 2])), list(self.timing([0, 2]))
+        short = f if stage == "frequency" else t
+        short[1] = short[1][:1]
+        with pytest.raises(DimensionError, match="one value per code estimate"):
+            detect_codes(*f, *t)
+
     def test_matches_first_wins_loop(self):
         rng = np.random.default_rng(14)
         for _ in range(100):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangesim.errors import ConfigError, ValidationError
+from rangesim.errors import ConfigError, DimensionError, ValidationError
 from rangesim.ranger import RangingReport
 from rangesim.simlab import (
     CSV_HEADER,
@@ -87,6 +87,12 @@ class TestWilson:
 
 
 class TestTimingErrorEvent:
+    @pytest.mark.parametrize("estimate, truth", [(math.nan, 100.0), (100.0, math.inf)])
+    def test_non_finite_delay_rejected(self, estimate, truth):
+        # NaN compared False against both window edges and scored as aligned
+        with pytest.raises(ValidationError, match="delays must be finite"):
+            timing_error_event(estimate, truth, 32, 12)
+
     def test_perfect_estimate_never_errs(self):
         assert not timing_error_event(100.0, 100.0, 32, 12)
 
@@ -310,14 +316,27 @@ class TestOraclePeriodogram:
         with pytest.raises(ValidationError, match="grid resolution"):
             oracle_periodogram(np.ones((8, 4), dtype=complex), resolution)
 
+    @pytest.mark.parametrize("snaps", [np.zeros((0, 4)), np.zeros(4)], ids=["empty", "1-d"])
+    def test_snapshots_without_rows_rejected(self, snaps):
+        # the empty array read -0.5: argmax over a power of all zeros
+        with pytest.raises(DimensionError, match="non-empty"):
+            oracle_periodogram(snaps, 1e-2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_snapshots_rejected(self, bad):
+        snaps = np.ones((8, 4), dtype=complex)
+        snaps[3, 1] = bad
+        with pytest.raises(ValidationError, match="snapshots must be finite"):
+            oracle_periodogram(snaps, 1e-2)
+
     def test_gap_over_no_trials_rejected(self):
         # read 0.0 before: a perfect-looking gap measured on nothing
-        with pytest.raises(ValidationError, match="at least one trial"):
+        with pytest.raises(ValidationError, match="trial count must be at least 1, got 0"):
             esprit_periodogram_gap(trials=0)
 
     def test_exactness_over_no_trials_rejected(self):
         # read (0, 0.0, 0.0) before
-        with pytest.raises(ValidationError, match="at least one trial"):
+        with pytest.raises(ValidationError, match="trial count must be at least 1, got 0"):
             noiseless_exactness(seed=1, trials=0, max_cfo=0.05)
 
     def test_exactness_rejects_cfo_beyond_acquisition(self):
@@ -342,7 +361,7 @@ class TestOraclePeriodogram:
     @pytest.mark.parametrize("trials", [1.5, 2.5])
     def test_trial_count_must_be_an_integer(self, helper, trials):
         # range() and list repetition raised a bare TypeError before
-        with pytest.raises(ValidationError, match="at least one trial"):
+        with pytest.raises(ValidationError, match=f"trial count must be an integer, got {trials}"):
             helper(trials)
 
 
