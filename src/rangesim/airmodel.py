@@ -229,7 +229,7 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator,
                  size: int | None = None) -> np.ndarray:
     """Independent circular Gaussian taps: one channel, shape (n_taps,), or with ``size=K``
     K channels in one draw, shape (K, n_taps), bit-identical to K one-channel calls in a row."""
-    lead = () if size is None else (size,)
+    lead = () if size is None else (require_int("size", size, 0),)
     return _complex_noise(rng, (*lead, profile.n_taps), profile.tap_variances(), len(lead))
 
 

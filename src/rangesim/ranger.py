@@ -135,11 +135,14 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     result is ordered by descending strength (power the correlation assigns
     to each frequency's steering direction), so when the source count was
     overestimated the junk estimate sorts last; no ordering is otherwise
-    guaranteed or meaningful.  Raises :class:`ValidationError` for
-    non-finite eigenvalues.
+    guaranteed or meaningful.  Raises :class:`ValidationError` for non-finite
+    eigenvalues and :class:`DimensionError` unless they pair n with (n, n) eigenvectors.
     """
     eigenvalues = _finite(eigenvalues, "eigenvalues")
     n = eigenvectors.shape[0]
+    if eigenvectors.shape != (n, n) or eigenvalues.shape != (n,):
+        raise DimensionError(f"need n eigenvalues and (n, n) eigenvectors, got shapes "
+                             f"{eigenvalues.shape} and {eigenvectors.shape}")
     require_int("source count", num_sources, 1, n - 1, DimensionError)
     roots = general_eigenvalues(ls_rotation(eigenvectors[:, :num_sources]))
     phases = np.arctan2(roots.imag, roots.real) / (2.0 * np.pi)

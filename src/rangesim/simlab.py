@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -31,6 +31,8 @@ from .errors import ConfigError, DimensionError, RangingError, ValidationError, 
 from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
+_CONFIG_KEYS = {"spacing": "tile_spacing", "ranging prefix": "cp_ranging",
+                "n_taps": "channel_taps", "decay constant": "channel_decay"}
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class SimConfig:
     Defaults reproduce the documented reference setup: 1024 subcarriers,
     16 four-carrier tiles observed over 4 blocks, 12-tap channels with
     decay constant 12, delays up to 204 samples, ranging prefix 256 and
-    data prefix 32.
+    data prefix 32.  Construction and ``dataclasses.replace`` run :meth:`validate`.
     """
 
     n_subcarriers: int = 1024
@@ -73,6 +75,9 @@ class SimConfig:
     def channel_profile(self) -> ChannelProfile:
         return ChannelProfile(self.channel_taps, self.channel_decay)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         """Raise :class:`ConfigError` on the first violated invariant, field types first:
         each integer field (``tile_spacing`` unless None) must be a non-negative integer."""
@@ -85,8 +90,9 @@ class SimConfig:
         try:
             layout = self.layout()
             self.channel_profile()
-        except RangingError as exc:
-            raise ConfigError(str(exc)) from exc
+        except RangingError as exc:  # name the key when the layout or profile names it otherwise
+            key = next((k for n, k in _CONFIG_KEYS.items() if str(exc).startswith(n + " ")), None)
+            raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
         if not 0 <= self.max_cfo < layout.acquisition_bound:  # also rejects NaN
             raise ConfigError(f"max_cfo must lie in [0, {layout.acquisition_bound:.6g}), "
                               f"the acquisition bound, got {self.max_cfo}")
@@ -97,11 +103,9 @@ class SimConfig:
         # cp_data must exceed channel_taps or no delay is tolerable
         require_int("cp_data", self.cp_data, self.channel_taps + 1, error=ConfigError)
         require_int("trials", self.trials, 1, error=ConfigError)
-        if not self.snr_list_db:
-            raise ConfigError("snr_list_db cannot be empty")
         floor = layout.snr_floor_db
-        if not all(snr > floor for snr in self.snr_list_db):  # also rejects NaN
-            raise ConfigError(f"snr_list_db entries must be numbers above {floor:.6g} dB "
+        if not self.snr_list_db or not all(snr > floor for snr in self.snr_list_db):  # and NaN
+            raise ConfigError(f"snr_list_db must hold one or more numbers above {floor:.6g} dB "
                               f"or +inf, got {self.snr_list_db}")
         if self.mode not in ("model", "waveform"):
             raise ConfigError(f"mode must be 'model' or 'waveform', got {self.mode!r}")
@@ -170,8 +174,7 @@ def timing_error_event(delay_est: float, delay_true: float, cp_data: int, n_taps
 def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = None) -> list[UserTruth]:
     """Sample one trial's ground truth: distinct codes, uniform delays and CFOs."""
     layout = cfg.layout()
-    k = require_int("user count", cfg.num_users if count is None else count, 0, layout.max_codes)
-    require_int("max_delay", cfg.max_delay, 0)
+    k = cfg.num_users if count is None else require_int("user count", count, 0, layout.max_codes)
     if k == 0:  # empty draws consume nothing from the stream, so skip them
         return []
     codes = rng.choice(layout.max_codes, size=k, replace=False).tolist()
@@ -195,13 +198,8 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     rng = np.random.default_rng([cfg.master_seed, require_int("trial index", trial_index, 0)])
     truth = draw_users(cfg, rng)
 
-    if cfg.mode == "model":
-        obs = synthesize_model_mode(truth, layout, var, rng)
-    elif cfg.mode == "waveform":
-        obs = synthesize_waveform_mode(truth, layout, var, rng)
-    else:
-        raise ConfigError(f"mode must be 'model' or 'waveform', got {cfg.mode!r}")
-
+    synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
+    obs = synthesize(truth, layout, var, rng)
     return TrialResult(truth, range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay)))
 
 
@@ -273,7 +271,6 @@ def format_count(count, trials):
 
 def run_sweep(cfg: SimConfig, progress=None) -> list[MetricsRow]:
     """One metrics row per configured SNR point, in order; trials are scored as they run."""
-    cfg.validate()
     rows = []
     for snr_db in cfg.snr_list_db:
         trials = (run_trial(cfg, snr_db, i) for i in range(cfg.trials))
@@ -309,9 +306,8 @@ def oracle_periodogram(snapshots, grid_resolution: float) -> float:
 def _noiseless_known_k_trials(cfg: SimConfig, seed: int, trials: int, counts: tuple[int, ...]):
     """``(users, obs, report)`` per noiseless model-mode trial ``i < trials``: ``counts[i %
     len(counts)]`` users from the stream ``(seed, i)``, ranged with that count given.
-    Checks ``cfg`` (:class:`ConfigError`), and that ``seed`` is a non-negative integer and
-    ``trials`` a positive one (:class:`ValidationError`), before the first trial."""
-    cfg.validate()
+    Checks that ``seed`` is a non-negative integer and ``trials`` a positive one
+    (:class:`ValidationError`) before the first trial."""
     require_int("seed", seed, 0)
     require_int("trial count", trials, 1)
     for trial in range(trials):
@@ -439,11 +435,13 @@ def parse_setting(key: str, text: str):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def parse_config_text(text: str) -> SimConfig:
-    """Parse flat ``key = value`` lines into a configuration.
+def parse_config_text(text: str, overrides=()) -> SimConfig:
+    """Parse flat ``key = value`` lines, then ``(key, text)`` overrides, into a configuration.
 
     Blank lines and ``#`` comments are ignored; each value goes through
-    :func:`parse_setting`, and its errors name the line.
+    :func:`parse_setting`, and a line's errors name the line.  Overrides
+    apply after the lines, the last one for a key wins, and only the merged
+    settings are built into a (validated) :class:`SimConfig`.
     """
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -458,19 +456,15 @@ def parse_config_text(text: str) -> SimConfig:
             settings[key] = parse_setting(key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    return replace(SimConfig(), **settings)
+    settings.update((key, parse_setting(key, value)) for key, value in overrides)
+    return SimConfig(**settings)
 
 
 def load_config(path, overrides=()) -> SimConfig:
-    """Read a config file, apply ``(key, text)`` overrides after its lines, validate the result.
-
-    Overrides are parsed like config lines, and the last one for a key wins.
-    """
+    """:func:`parse_config_text` of a config file's lines and ``(key, text)`` overrides."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"could not read config {path}: {exc}") from exc
-    cfg = replace(parse_config_text(text), **{k: parse_setting(k, v) for k, v in overrides})
-    cfg.validate()
-    return cfg
+    return parse_config_text(text, overrides)

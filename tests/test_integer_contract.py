@@ -1,6 +1,7 @@
 """The one integer contract: every count, index, code, size and delay of the public API
 goes through ``errors.require_int``, so a bool, any float or an out-of-range value raises
-the site's typed error naming the argument, and numpy integers in range still pass."""
+the site's typed error naming the argument, and numpy integers in range still pass.  A
+``SimConfig`` holding such a value, or any other invalid one, cannot even be built."""
 
 import math
 from dataclasses import replace
@@ -14,6 +15,7 @@ from rangesim.airmodel import (
     TileObservations,
     UserTruth,
     code_matrix,
+    draw_channel,
     synthesize_model_mode,
 )
 from rangesim.cxmath import hermitian_evd
@@ -71,6 +73,9 @@ SITES = {
                                    ValidationError, "spacing", 0, np.int16(16)),
     "ChannelProfile.n_taps": (lambda v: ChannelProfile(v, 12.0),
                               ValidationError, "n_taps", 0, np.int64(3)),
+    "draw_channel.size": (lambda v: draw_channel(ChannelProfile(3, 1.0), np.random.default_rng(0),
+                                                 size=v),
+                          ValidationError, "size", -1, np.int64(2)),
     "code_matrix.tile_width": (lambda v: code_matrix(1, v, 4),
                                ValidationError, "tile_width", 1, np.int64(4)),
     "code_matrix.n_blocks": (lambda v: code_matrix(1, 4, v),
@@ -92,9 +97,6 @@ SITES = {
                              ConfigError, "max delay", -1, np.int64(204)),
     "draw_users.count": (lambda v: draw_users(SimConfig(), np.random.default_rng(0), count=v),
                          ValidationError, "user count", 4, np.int64(2)),
-    "draw_users.max_delay": (
-        lambda v: draw_users(replace(SimConfig(), max_delay=v), np.random.default_rng(0)),
-        ValidationError, "max_delay", -1, np.int16(204)),
     "run_trial.trial_index": (lambda v: run_trial(SimConfig(mode="model"), 10.0, v),
                               ValidationError, "trial index", -1, np.int64(1)),
     "wilson_interval.count": (lambda v: wilson_interval(v, 10),
@@ -125,6 +127,24 @@ for _field, _bad in FIELD_LIMITS.items():
     SITES[f"SimConfig.{_field}"] = (
         lambda v, f=_field: replace(_DEFAULTS, **{f: v}).validate(), ConfigError, _field, _bad,
         np.int64(64 if _good is None else _good))
+
+# every value that no SimConfig may hold, beyond the integer limits above
+INVALID_FIELDS = [*FIELD_LIMITS.items(), ("max_cfo", 0.5), ("max_cfo", math.nan), ("cp_data", 5),
+                  ("mode", "bogus"), ("snr_list_db", (0.0, math.nan))]
+
+
+@pytest.mark.parametrize("build", ["construct", "replace"])
+@pytest.mark.parametrize("field, value", INVALID_FIELDS,
+                         ids=[f"{field}={value!r}" for field, value in INVALID_FIELDS])
+def test_no_invalid_config_can_be_built(field, value, build):
+    # before, each of these built a config that only a remembered validate() rejected:
+    # max_cfo = 0.5 scored p_f = 0.775 at 20 dB and cp_data = 5 a timing error of 1.0
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        if build == "construct":
+            SimConfig(**{field: value})
+        else:
+            replace(SimConfig(), **{field: value})
+
 
 BAD_KINDS = {"bool": True, "fraction": 1.5, "integral float": 3.0, "nan": math.nan}
 

@@ -266,6 +266,14 @@ class TestEspritPhases:
         with pytest.raises(DimensionError):
             esprit_phases(lam, vecs, 3)
 
+    @pytest.mark.parametrize("eigenvalues, eigenvectors", [
+        (np.ones(4), np.eye(4)[:, :3]), (np.ones(3), np.eye(4)), (np.ones((4, 1)), np.eye(4)),
+    ], ids=["non-square vectors", "too few values", "2-d values"])
+    def test_spectrum_of_mismatched_shape_rejected(self, eigenvalues, eigenvectors):
+        # a matmul deep inside used to fail with a bare ValueError, or not at all
+        with pytest.raises(DimensionError, match=r"need n eigenvalues and \(n, n\) eigenvectors"):
+            esprit_phases(eigenvalues, eigenvectors, 1)
+
 
 class TestMapCfo:
     def test_zero(self):

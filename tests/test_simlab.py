@@ -235,8 +235,8 @@ class TestRunTrial:
         # the reference layout separates at most 3 codes
         with pytest.raises(ValidationError, match="user count"):
             draw_users(SimConfig(), np.random.default_rng(0), count=count)
-        with pytest.raises(ValidationError, match="user count"):
-            run_trial(SimConfig(num_users=count), 0.0, 0)
+        with pytest.raises(ConfigError, match="num_users"):
+            SimConfig(num_users=count)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -255,11 +255,10 @@ class TestRunTrial:
         same = run_trial(cfg, 10.0, np.int64(1)).report.per_code
         assert same == run_trial(cfg, 10.0, 1).report.per_code
 
-    @pytest.mark.parametrize("count", [0, 3])
-    def test_negative_max_delay_rejected(self, count):
-        # a config that skipped validate; numpy's integer draw would say only "high <= 0"
-        with pytest.raises(ValidationError, match="max_delay must be non-negative, got -1"):
-            draw_users(SimConfig(max_delay=-1), np.random.default_rng(0), count=count)
+    def test_negative_max_delay_rejected(self):
+        # numpy's integer draw would say only "high <= 0"; no such config can be built
+        with pytest.raises(ConfigError, match="max_delay must be non-negative, got -1"):
+            SimConfig(max_delay=-1)
 
 
 class TestRunSweep:
@@ -465,9 +464,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("snr", ["nan", "-inf"])
     def test_non_numeric_snr_rejected(self, snr):
         # NaN would score every trial a miss; -inf means infinite noise power
-        cfg = parse_config_text(f"snr_list_db = 0, {snr}\n")
         with pytest.raises(ConfigError, match="snr_list_db"):
-            cfg.validate()
+            parse_config_text(f"snr_list_db = 0, {snr}\n")
 
     def test_bad_snr_value_names_line(self):
         with pytest.raises(ConfigError, match="line 2: bad value for snr_list_db"):
@@ -500,11 +498,8 @@ class TestConfigParsing:
     def test_field_of_the_wrong_type_rejected(self, field, value):
         # before, max_delay = 10.5 ran to completion, 2.5 trials and friends validated and then
         # died in run_sweep with a bare TypeError, and snr_list_db = 10 in validate itself
-        cfg = replace(SimConfig(mode="model", trials=2), **{field: value})
         with pytest.raises(ConfigError, match=f"^{field} must be "):
-            cfg.validate()
-        with pytest.raises(ConfigError, match=f"^{field} must be "):
-            run_sweep(cfg)
+            replace(SimConfig(mode="model", trials=2), **{field: value})
 
     def test_numpy_numbers_fit_their_fields(self):
         plain = SimConfig(num_users=2, trials=3, master_seed=4, max_delay=100, tile_spacing=64,
@@ -539,9 +534,8 @@ class TestConfigParsing:
             parse_config_text("channel_decay = nan\n").validate()
 
     def test_acquisition_bound_enforced(self):
-        cfg = parse_config_text("max_cfo = 0.1334\n")
         with pytest.raises(ConfigError, match="acquisition"):
-            cfg.validate()
+            parse_config_text("max_cfo = 0.1334\n")
         parse_config_text("max_cfo = 0.1\n").validate()
 
     def test_delay_bound_enforced(self):
@@ -553,9 +547,18 @@ class TestConfigParsing:
             parse_config_text("max_delay = 250\n").validate()
 
     def test_prefix_longer_than_block_rejected(self):
-        cfg = SimConfig(n_subcarriers=64, n_tiles=4, cp_ranging=100, cp_data=20, max_delay=20)
         with pytest.raises(ConfigError, match="prefix"):
-            cfg.validate()
+            SimConfig(n_subcarriers=64, n_tiles=4, cp_ranging=100, cp_data=20, max_delay=20)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("channel_taps", 0, "n_taps must be at least 1, got 0"),
+        ("tile_spacing", 0, "spacing must be at least 1, got 0"),
+        ("cp_ranging", 2000, r"ranging prefix 2000 outside \[0, 1024\]"),
+    ], ids=["channel_taps", "tile_spacing", "cp_ranging"])
+    def test_layout_and_channel_errors_name_the_config_key(self, field, value, message):
+        # the layout and the channel profile name these arguments differently
+        with pytest.raises(ConfigError, match=f"^{field}: {message}$"):
+            SimConfig(**{field: value}).validate()
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="could not read"):
