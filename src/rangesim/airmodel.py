@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_int
+from .errors import ValidationError, require_finite, require_int
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,11 @@ class ChannelProfile:
 
 @dataclass
 class TileObservations:
-    """DFT outputs on the ranging tiles: grid[m, q, v] is block m, tile q, offset v."""
+    """DFT outputs on the ranging tiles: grid[m, q, v] is block m, tile q, offset v.
+
+    The grid must match the layout's shape and have a finite total power, checked in one
+    BLAS pass that NaN and inf carry into: that bounds every correlation sum the receiver forms.
+    """
 
     layout: TileLayout
     grid: np.ndarray
@@ -170,16 +174,20 @@ class TileObservations:
         expected = (self.layout.n_blocks, self.layout.n_tiles, self.layout.tile_width)
         if self.grid.shape != expected:
             raise ValidationError(f"grid shape {self.grid.shape} does not match layout {expected}")
+        if not math.isfinite(np.vdot(self.grid, self.grid).real):
+            raise ValidationError("grid must be finite, with a finite total power")
 
 
 def code_matrix(code, tile_width: int, n_blocks: int) -> np.ndarray:
     """Full (tile_width, n_blocks) ranging code matrix.
 
     ``code`` may also be an array of codes; their matrices then stack
-    along the leading axes.
+    along the leading axes.  Each code must be a non-negative integer.
     """
     require_int("tile_width", tile_width, 2)
     require_int("n_blocks", n_blocks, 2)
+    for c in np.ravel(code).tolist():  # ints, or the bools and floats that require_int rejects
+        require_int("code", c, 0)
     v = np.arange(tile_width)[:, None] / (tile_width - 1)
     m = np.arange(n_blocks)[None, :] / (n_blocks - 1)
     return np.exp(np.multiply.outer(2j * np.pi * np.asarray(code), v + m))
@@ -236,9 +244,9 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator,
 def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
     """``(codes, delays, cfos, responses, ends)`` of the users, one entry or column per user.
 
-    Checks each user as it goes: the code must be an integer in [0, max_codes),
-    the delay a non-negative integer, the CFO finite and the channel a 1-d
-    array; then that no two users share a code and that the taps' total power is finite.
+    Checks each user as it goes: the code must be an integer in [0, max_codes), the delay
+    a non-negative integer, the CFO finite and the channel a 1-d array; then that no two
+    users share a code and that the taps' total power, one BLAS pass, is finite.
     ``responses`` holds the channel gains per flat tile bin and user; ``ends`` delay + taps.
     """
     last_code = layout.max_codes - 1
@@ -246,9 +254,7 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
     for u in users:
         codes.append(require_int("code", u.code, 0, last_code))
         delays.append(require_int("delays", u.delay, 0))
-        if not math.isfinite(u.cfo):
-            raise ValidationError(f"CFO must be finite, got {u.cfo!r}")
-        cfos.append(u.cfo)
+        cfos.append(require_finite("CFO", u.cfo))
         taps.append(np.asarray(u.cir, dtype=complex))
         if taps[-1].ndim != 1:
             raise ValidationError(f"a channel must be a 1-d tap array, got shape {taps[-1].shape}")
@@ -276,7 +282,7 @@ def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
 def _complex_noise(rng: np.random.Generator, shape, variance, stacked: int = 0) -> np.ndarray:
     """Circular Gaussian of the given variance: one draw, all real parts then all imaginary.
     The first ``stacked`` axes index such arrays, drawn one after another as calls in a row.
-    A scalar variance must be finite and non-negative."""
+    A scalar variance must be finite and non-negative: one comparison, which NaN fails too."""
     if not isinstance(variance, np.ndarray) and not 0 <= variance < math.inf:
         raise ValidationError(f"noise variance must be finite and non-negative, got {variance!r}")
     noise = np.empty(shape, dtype=complex)

@@ -10,11 +10,10 @@ All functions are pure.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DimensionError, NumericalError, RankDeficiencyError, ValidationError
+from .errors import (DimensionError, NumericalError, RankDeficiencyError, ValidationError,
+                     require_finite)
 
 _HERMITIAN_REL_TOL = 1e-12
 # Largest entry of U^H U - I that ls_rotation accepts as orthonormal columns;
@@ -50,16 +49,13 @@ def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues in non-increasing order, and orthonormal eigenvectors whose
     column ``j`` pairs with ``eigenvalues[j]``.  The order within a tie is
     unspecified; nothing downstream depends on it.  Raises
-    :class:`ValidationError` for non-finite entries or input that is not
-    Hermitian to a relative tolerance of 1e-12 (largest entry of ``a - a^H``
-    against largest entry of ``a``).
+    :class:`ValidationError` for non-finite entries (the one pass taking the
+    largest entry is the finite check) or input that is not Hermitian to a
+    relative tolerance of 1e-12 (largest entry of ``a - a^H`` against ``a``'s).
     """
     a = _as_square(a, "hermitian_evd")
-    # max-abs norms: a squared-sum norm overflows once entries pass about 1e154.  NaN and
-    # inf carry into the largest entry, so its one pass is also the finite check.
-    scale = float(np.abs(a).max(initial=0.0))
-    if not math.isfinite(scale):
-        raise ValidationError("matrix has non-finite entries")
+    # max-abs norms: a squared-sum norm overflows once entries pass about 1e154
+    scale = require_finite("matrix's largest entry", float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.conj().T).max(initial=0.0) > _HERMITIAN_REL_TOL * scale:
         raise ValidationError("matrix is not Hermitian to working tolerance")
     try:
@@ -91,7 +87,7 @@ def ls_rotation(basis) -> np.ndarray:
     deviation = float(np.abs(gram).max())
     if not deviation <= _ORTHONORMAL_TOL:  # NaN and inf carry into the largest entry
         raise ValidationError(
-            f"ls_rotation input is non-finite or not orthonormal: U^H U - I reaches {deviation:.3g}")
+            f"ls_rotation basis is non-finite or not orthonormal: U^H U - I reaches {deviation:.3g}")
     w = u_h[:, -1]
     rest = 1.0 - float(np.vdot(w, w).real)  # the smallest eigenvalue of U[:-1]^H U[:-1]
     if rest <= _RANK_RCOND * _RANK_RCOND:
@@ -106,9 +102,7 @@ def general_eigenvalues(a) -> np.ndarray:
 
     Raises :class:`ValidationError` for non-finite entries.
     """
-    a = _as_square(a, "general_eigenvalues")
-    if not np.isfinite(a).all():
-        raise ValidationError("general_eigenvalues input has non-finite entries")
+    a = require_finite("matrix", _as_square(a, "general_eigenvalues"))
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

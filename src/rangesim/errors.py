@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all rangesim modules, and the one integer check."""
+"""Exception hierarchy shared by all rangesim modules, and the one integer and finiteness checks."""
 
+import math
 from numbers import Integral
+
+import numpy as np
 
 
 class RangingError(Exception):
@@ -41,3 +44,17 @@ def require_int(name, value, lo, hi=None, error=ValidationError):
         bound = "non-negative" if lo == 0 else f"at least {lo}"
         raise error(f"{name} must be {bound}, got {value!r}")
     return value
+
+
+def require_finite(name, values, error=ValidationError):
+    """``values`` unchanged if a finite real scalar (one ``math.isfinite`` call), or as an array
+    if one ``np.isfinite`` pass finds no NaN or ±inf in it.  A violation raises ``error``
+    naming the argument and its (first) non-finite value."""
+    if isinstance(values, (float, int, np.floating, np.integer)):  # the Real ABC is slower
+        if math.isfinite(values):
+            return values
+        raise error(f"{name} must be finite, got {values!r}")
+    array = np.asarray(values)
+    if np.isfinite(array).all():
+        return array
+    raise error(f"{name} must be finite, got {array[~np.isfinite(array)][0].item()!r}")

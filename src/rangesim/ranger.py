@@ -33,9 +33,10 @@ import numpy as np
 
 from .airmodel import TileLayout, TileObservations
 from .cxmath import forward_backward, general_eigenvalues, hermitian_evd, ls_rotation
-from .errors import ConfigError, DimensionError, RangingError, ValidationError, require_int
+from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
+                     require_int)
 
-EIGENVALUE_FLOOR = 1e-18
+EIGENVALUE_FLOOR = 1e-18  # relative to the largest eigenvalue
 
 
 @dataclass
@@ -97,21 +98,25 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     ratio of the trailing eigenvalues plus a parameter-count penalty, and
     returns the first minimiser in {0, ..., cap}.  Eigenvalues within
     round-off of zero (relative to the largest) are snapped to a common
-    floor first: their mutual ratios are numerical noise and would
-    otherwise bias the score in exactly-noiseless runs.
+    floor first, ``EIGENVALUE_FLOOR`` times the largest: their mutual ratios
+    are numerical noise and would otherwise bias the score in
+    exactly-noiseless runs.  Both are relative, so the count does not
+    depend on the spectrum's scale.  Raises :class:`ValidationError` unless
+    the eigenvalues' sum is finite: one check for NaN, ±inf and overflow.
 
     The few candidates are scored in plain float arithmetic, cheaper than
     array calls at this size; the logarithms come from one ``np.log`` call,
     so every score matches numpy's whole-array evaluation to the last bit.
     """
     lam = np.asarray(eigenvalues, dtype=float).tolist()
-    if not all(map(math.isfinite, lam)):
-        raise ValidationError(f"eigenvalues must be finite, got {lam}")
+    if not math.isfinite(sum(lam)):  # NaN and inf carry into the sum, and overflow makes inf
+        raise ValidationError(f"eigenvalues must be finite, with a finite sum, got {lam}")
     n = len(lam)
     require_int("model-order cap", cap, 0, n - 1)
     require_int("snapshot count", num_snapshots, 1)
-    numerical_zero = 1e-12 * max(0.0, *lam)
-    lam = [EIGENVALUE_FLOOR if x < numerical_zero else max(x, EIGENVALUE_FLOOR) for x in lam]
+    top = max(0.0, *lam)
+    floor = EIGENVALUE_FLOOR * top or EIGENVALUE_FLOOR  # an all-zero spectrum: equal floors, K = 0
+    lam = [floor if x < 1e-12 * top else max(x, floor) for x in lam]
     # sums over the trailing eigenvalues lam[k:], accumulated from the last one
     tail_sums = list(itertools.accumulate(reversed(lam)))[::-1]
     logs = np.log(lam + [tail_sums[k] / (n - k) for k in range(cap + 1)]).tolist()
@@ -138,7 +143,7 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     guaranteed or meaningful.  Raises :class:`ValidationError` for non-finite
     eigenvalues and :class:`DimensionError` unless they pair n with (n, n) eigenvectors.
     """
-    eigenvalues = _finite(eigenvalues, "eigenvalues")
+    eigenvalues = require_finite("eigenvalues", eigenvalues)
     n = eigenvectors.shape[0]
     if eigenvectors.shape != (n, n) or eigenvalues.shape != (n,):
         raise DimensionError(f"need n eigenvalues and (n, n) eigenvectors, got shapes "
@@ -154,13 +159,6 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     return phases[(-strength).argsort(kind="stable")]
 
 
-def _finite(values, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{name} must be finite, got {values}")
-    return values
-
-
 def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]:
     """Split effective CFOs elementwise into ``(codes, cfos)``, codes in [0, n_blocks - 2].
 
@@ -168,7 +166,7 @@ def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]
     intervals disjoint (checked at configuration time, not here).
     """
     span = layout.n_blocks - 1
-    effective_cfos = _finite(effective_cfos, "effective CFOs")
+    effective_cfos = require_finite("effective CFOs", effective_cfos)
     raw = np.floor(span * effective_cfos + 0.5)
     cfos = (layout.n_subcarriers / layout.block_len) * (effective_cfos - raw / span)
     return raw.astype(int) % span, cfos
@@ -184,7 +182,7 @@ def map_timing(effective_timings, layout: TileLayout,
     _check_max_delay(layout, max_delay)
     span = layout.tile_width - 1
     half_bias = max_delay * span / (2.0 * layout.n_subcarriers)
-    effective_timings = _finite(effective_timings, "effective timings")
+    effective_timings = require_finite("effective timings", effective_timings)
     raw = np.floor(span * effective_timings + half_bias + 0.5)
     delays = layout.n_subcarriers * (raw / span - effective_timings)
     return raw.astype(int) % span, delays

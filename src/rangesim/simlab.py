@@ -27,7 +27,8 @@ from .airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from .errors import ConfigError, DimensionError, RangingError, ValidationError, require_int
+from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
+                     require_int)
 from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
@@ -143,7 +144,7 @@ class MetricsRow:
 def noise_variance(snr_db: float) -> float:
     """Noise power for a given SNR in dB; +inf maps to exactly zero.
 
-    NaN, -inf and an SNR whose power overflows raise :class:`ValidationError`.
+    One check that the power is finite rejects NaN, -inf and overflow (:class:`ValidationError`).
     """
     if snr_db == math.inf:
         return 0.0
@@ -164,10 +165,8 @@ def timing_error_event(delay_est: float, delay_true: float, cp_data: int, n_taps
     prefix: no event iff ``n_taps - cp_data - 1 <= err <= 0`` with
     ``err = (delay_est - delay_true) + (n_taps - cp_data) / 2``.
     """
-    err = (delay_est - delay_true) + (n_taps - cp_data) / 2.0
-    if not math.isfinite(err):  # a NaN error compares False both ways: it would read as aligned
-        raise ValidationError(f"delays must be finite, got estimate {delay_est!r}, "
-                              f"truth {delay_true!r}")
+    err = require_finite("delay estimate", delay_est) - require_finite("true delay", delay_true)
+    err += (n_taps - cp_data) / 2.0  # a NaN error would compare False both ways: read as aligned
     return err > 0 or err < n_taps - cp_data - 1
 
 
@@ -293,9 +292,7 @@ def oracle_periodogram(snapshots, grid_resolution: float) -> float:
     snaps = np.asarray(snapshots, dtype=complex)
     if snaps.ndim != 2 or snaps.size == 0:
         raise DimensionError(f"need a non-empty (snapshots, n) array, got shape {snaps.shape}")
-    if not np.isfinite(snaps).all():
-        raise ValidationError("snapshots must be finite")
-    n = snaps.shape[1]
+    n = require_finite("snapshots", snaps).shape[1]
     count = int(round(1.0 / grid_resolution))
     grid = -0.5 + grid_resolution * np.arange(count)
     probes = np.exp(-2j * np.pi * np.outer(grid, np.arange(n)))

