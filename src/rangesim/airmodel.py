@@ -104,9 +104,9 @@ class TileLayout:
 
     @functools.cached_property
     def snr_floor_db(self) -> float:
-        """Lowest usable SNR in dB (exclusive): correlation sums stay finite at 100x noise power."""
-        snapshots = self.n_tiles * max(self.tile_width, self.n_blocks)
-        return 10.0 * math.log10(100.0 * snapshots / sys.float_info.max)
+        """Lowest usable SNR in dB (exclusive): the grid's total power stays finite at 100x noise."""
+        bins = self.n_blocks * self.n_tiles * self.tile_width
+        return 10.0 * math.log10(100.0 * bins / sys.float_info.max)
 
     @functools.cached_property
     def _leakage_tables(self) -> tuple[np.ndarray, ...]:

@@ -46,15 +46,15 @@ def require_int(name, value, lo, hi=None, error=ValidationError):
     return value
 
 
-def require_finite(name, values, error=ValidationError):
+def require_finite(name, values):
     """``values`` unchanged if a finite real scalar (one ``math.isfinite`` call), or as an array
-    if one ``np.isfinite`` pass finds no NaN or ±inf in it.  A violation raises ``error``
-    naming the argument and its (first) non-finite value."""
+    if one ``np.isfinite`` pass finds no NaN or ±inf in it.  A violation raises
+    ``ValidationError`` naming the argument and its (first) non-finite value."""
     if isinstance(values, (float, int, np.floating, np.integer)):  # the Real ABC is slower
         if math.isfinite(values):
             return values
-        raise error(f"{name} must be finite, got {values!r}")
+        raise ValidationError(f"{name} must be finite, got {values!r}")
     array = np.asarray(values)
     if np.isfinite(array).all():
         return array
-    raise error(f"{name} must be finite, got {array[~np.isfinite(array)][0].item()!r}")
+    raise ValidationError(f"{name} must be finite, got {array[~np.isfinite(array)][0].item()!r}")

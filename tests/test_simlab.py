@@ -59,7 +59,7 @@ class TestNoiseVariance:
 
 class TestSnrFloor:
     def test_reference_floor(self):
-        assert SimConfig().layout().snr_floor_db == pytest.approx(-3044.4854, abs=1e-4)
+        assert SimConfig().layout().snr_floor_db == pytest.approx(-3038.4648, abs=1e-4)
 
     @pytest.mark.parametrize("mode", ["model", "waveform"])
     def test_run_trial_enforces_the_floor_validate_uses(self, mode):
@@ -67,7 +67,7 @@ class TestSnrFloor:
         cfg = SimConfig(mode=mode)
         floor = cfg.layout().snr_floor_db
         for snr in (floor - 1.0, -3070.0):
-            with pytest.raises(ValidationError, match=f"SNR {snr} dB .*floor -3044.49 dB"):
+            with pytest.raises(ValidationError, match=f"SNR {snr} dB .*floor -3038.46 dB"):
                 run_trial(cfg, snr, 0)
             with pytest.raises(ConfigError, match="snr_list_db"):
                 SimConfig(snr_list_db=(snr,))
@@ -75,6 +75,16 @@ class TestSnrFloor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_trial(cfg, floor + 1.0, 0)
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_grid_check_admits_a_wide_layout_just_above_the_floor(self, mode):
+        # the floor bounds the grid's total power, which TileObservations checks; a floor
+        # from the terms of one correlation sum let this grid's total power overflow
+        cfg = SimConfig(n_blocks=128, n_tiles=8, tile_width=128, max_delay=8, max_cfo=0.001,
+                        mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_trial(cfg, cfg.layout().snr_floor_db + 0.1, 0)
 
 
 class TestWilson:
