@@ -9,10 +9,12 @@ Two generators produce the tile observations the receiver consumes:
   user's frequency offset leaks every tile bin into every other one through
   the DFT window's Dirichlet kernel, as intercarrier leakage does on air.
 
-Both modes share that kernel (:func:`cfo_attenuation`) and one noise model,
-i.i.d. circular Gaussian per tile bin.  They draw from an injected random
-generator and share no state, so independent trials can run concurrently
-on independent streams.
+Both modes share that kernel, model mode on each user's own bins
+(:func:`cfo_attenuation`) and waveform mode factored over the layout's bin
+distances (:func:`_leakage_kernel`), and one noise model, i.i.d. circular
+Gaussian per tile bin.  They draw from an injected random generator and
+share no state, so independent trials can run concurrently on independent
+streams.
 """
 
 from __future__ import annotations
@@ -56,14 +58,9 @@ class TileLayout:
             raise ValidationError("tiles overlap; they must be pairwise disjoint")
 
     @classmethod
-    @functools.lru_cache(maxsize=32, typed=True)  # typed: 4.0 must not hit the entry of 4
     def uniform(cls, n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging,
                 spacing=None) -> "TileLayout":
-        """Layout with ``n_tiles`` tiles spaced evenly across the spectrum.
-
-        Cached: equal arguments return the same frozen instance, so callers
-        may ask for the layout as often as they like.
-        """
+        """Layout with ``n_tiles`` tiles spaced evenly across the spectrum."""
         require_int("n_tiles", n_tiles, 1)
         spacing = n_subcarriers // n_tiles if spacing is None else require_int("spacing", spacing, 1)
         starts = tuple(q * spacing for q in range(n_tiles))
@@ -140,23 +137,29 @@ class UserTruth:
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Exponentially decaying multipath power profile with unit total power."""
+    """Exponentially decaying multipath power profile with unit total power, computed once
+    at construction: a decay that overflows float arithmetic (an integer past the float range,
+    or below about n_taps / 1.8e308) fails there."""
 
     n_taps: int
     decay: float
 
+    @np.errstate(all="raise", under="ignore")  # far taps may underflow to 0
     def __post_init__(self):
         require_int("n_taps", self.n_taps, 1)
         if not self.decay > 0:
             raise ValidationError(f"decay constant must be a positive number, got {self.decay}")
-
-    @functools.lru_cache(maxsize=32)
-    def tap_variances(self) -> np.ndarray:
-        """Per-tap powers summing to 1; computed once per (n_taps, decay), read-only."""
-        raw = np.exp(-np.arange(self.n_taps) / self.decay)
+        try:
+            raw = np.exp(-np.arange(self.n_taps) / self.decay)
+        except (OverflowError, FloatingPointError):
+            raise ValidationError(f"decay constant {self.decay!r} gives no finite tap powers")
         variances = raw / raw.sum()
         variances.flags.writeable = False
-        return variances
+        object.__setattr__(self, "_variances", variances)
+
+    def tap_variances(self) -> np.ndarray:
+        """Per-tap powers summing to 1, read-only."""
+        return self._variances
 
 
 @dataclass
@@ -282,9 +285,9 @@ def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
 def _complex_noise(rng: np.random.Generator, shape, variance, stacked: int = 0) -> np.ndarray:
     """Circular Gaussian of the given variance: one draw, all real parts then all imaginary.
     The first ``stacked`` axes index such arrays, drawn one after another as calls in a row.
-    A scalar variance must be finite and non-negative: one comparison, which NaN fails too."""
-    if not isinstance(variance, np.ndarray) and not 0 <= variance < math.inf:
-        raise ValidationError(f"noise variance must be finite and non-negative, got {variance!r}")
+    A scalar variance must be real, finite (:func:`require_finite`) and non-negative."""
+    if not isinstance(variance, np.ndarray) and not 0 <= require_finite("noise variance", variance):
+        raise ValidationError(f"noise variance must be non-negative, got {variance!r}")
     noise = np.empty(shape, dtype=complex)
     lead, size = noise.shape[:stacked], math.prod(noise.shape[stacked:])
     noise.view(float).reshape(*lead, size, 2).swapaxes(-1, -2)[:] = rng.standard_normal(
@@ -329,7 +332,7 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     the ranging prefix (checked here), so every kept DFT window sees a
     circular convolution.  The frequency offset, a continuous rotation of
     the slot, sends each loaded bin into every bin of kept window m with
-    the Dirichlet kernel ``cfo_attenuation(d + cfo)`` of their distance d,
+    the Dirichlet kernel D(d + cfo) of their distance d (:func:`_leakage_kernel`),
     times the rotation at the window start,
     exp(2j pi cfo (m * block_len + cp_ranging) / N).  Users are summed and
     i.i.d. circular Gaussian noise of the given variance is added per tile

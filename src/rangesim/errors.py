@@ -49,11 +49,17 @@ def require_int(name, value, lo, hi=None, error=ValidationError):
 def require_finite(name, values):
     """``values`` unchanged if a finite real scalar (one ``math.isfinite`` call), or as an array
     if one ``np.isfinite`` pass finds no NaN or ±inf in it.  A violation raises
-    ``ValidationError`` naming the argument and its (first) non-finite value."""
+    ``ValidationError`` naming the argument and its (first) non-finite value; so does a complex
+    scalar, and an integer past the float range.  Arrays may be complex."""
     if isinstance(values, (float, int, np.floating, np.integer)):  # the Real ABC is slower
-        if math.isfinite(values):
-            return values
+        try:
+            if math.isfinite(values):
+                return values
+        except OverflowError:  # an integer too large for a float
+            pass
         raise ValidationError(f"{name} must be finite, got {values!r}")
+    if isinstance(values, (complex, np.complexfloating)):
+        raise ValidationError(f"{name} must be real, got {values!r}")
     array = np.asarray(values)
     if np.isfinite(array).all():
         return array

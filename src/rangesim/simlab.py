@@ -33,7 +33,7 @@ from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchanne
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
 _CONFIG_KEYS = {"spacing": "tile_spacing", "ranging prefix": "cp_ranging",
-                "n_taps": "channel_taps", "decay constant": "channel_decay"}
+                "n_taps": "channel_taps", "decay constant": "channel_decay", "SNR": "snr_list_db"}
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,9 @@ class SimConfig:
     Defaults reproduce the documented reference setup: 1024 subcarriers,
     16 four-carrier tiles observed over 4 blocks, 12-tap channels with
     decay constant 12, delays up to 204 samples, ranging prefix 256 and
-    data prefix 32.  Construction and ``dataclasses.replace`` run :meth:`validate`.
+    data prefix 32.  Construction and ``dataclasses.replace`` run :meth:`validate`, which keeps
+    the layout and channel profile it builds for every trial and checks each SNR point with
+    :func:`noise_variance`, as every trial does.
     """
 
     n_subcarriers: int = 1024
@@ -64,17 +66,12 @@ class SimConfig:
     master_seed: int = 1
 
     def layout(self) -> TileLayout:
-        return TileLayout.uniform(
-            self.n_subcarriers,
-            self.n_blocks,
-            self.n_tiles,
-            self.tile_width,
-            self.cp_ranging,
-            spacing=self.tile_spacing,
-        )
+        """The tile layout :meth:`validate` built from the geometry fields."""
+        return self._layout
 
     def channel_profile(self) -> ChannelProfile:
-        return ChannelProfile(self.channel_taps, self.channel_decay)
+        """The channel profile :meth:`validate` built from the channel fields."""
+        return self._profile
 
     def __post_init__(self):
         self.validate()
@@ -88,12 +85,18 @@ class SimConfig:
                 require_int(name, value, 0, error=ConfigError)
             elif not _has_field_type(value, hint):  # the message quotes the annotation's text
                 raise ConfigError(f"{name} must be {SimConfig.__annotations__[name]}, got {value!r}")
+        if not self.snr_list_db:
+            raise ConfigError("snr_list_db must hold one or more SNR points")
         try:
-            layout = self.layout()
-            self.channel_profile()
-        except RangingError as exc:  # name the key when the layout or profile names it otherwise
+            layout = TileLayout.uniform(self.n_subcarriers, self.n_blocks, self.n_tiles,
+                                        self.tile_width, self.cp_ranging, spacing=self.tile_spacing)
+            profile = ChannelProfile(self.channel_taps, self.channel_decay)
+            for snr_db in self.snr_list_db:
+                noise_variance(snr_db, layout)
+        except RangingError as exc:  # name the key when the message names it otherwise
             key = next((k for n, k in _CONFIG_KEYS.items() if str(exc).startswith(n + " ")), None)
             raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
+        self.__dict__.update(_layout=layout, _profile=profile)  # frozen: set here only
         if not 0 <= self.max_cfo < layout.acquisition_bound:  # also rejects NaN
             raise ConfigError(f"max_cfo must lie in [0, {layout.acquisition_bound:.6g}), "
                               f"the acquisition bound, got {self.max_cfo}")
@@ -104,10 +107,6 @@ class SimConfig:
         # cp_data must exceed channel_taps or no delay is tolerable
         require_int("cp_data", self.cp_data, self.channel_taps + 1, error=ConfigError)
         require_int("trials", self.trials, 1, error=ConfigError)
-        floor = layout.snr_floor_db
-        if not self.snr_list_db or not all(snr > floor for snr in self.snr_list_db):  # and NaN
-            raise ConfigError(f"snr_list_db must hold one or more numbers above {floor:.6g} dB "
-                              f"or +inf, got {self.snr_list_db}")
         if self.mode not in ("model", "waveform"):
             raise ConfigError(f"mode must be 'model' or 'waveform', got {self.mode!r}")
 
@@ -141,20 +140,18 @@ class MetricsRow:
     p_f_per_code: float = 0.0  # diagnostic: (missed + false) per code opportunity
 
 
-def noise_variance(snr_db: float) -> float:
-    """Noise power for a given SNR in dB; +inf maps to exactly zero.
+def noise_variance(snr_db: float, layout: TileLayout) -> float:
+    """Noise power for an SNR in dB on ``layout``; +inf maps to exactly zero.
 
-    One check that the power is finite rejects NaN, -inf and overflow (:class:`ValidationError`).
-    """
+    The one check of a usable SNR, which :meth:`SimConfig.validate` and :func:`run_trial` share:
+    any other SNR must lie above the layout's ``snr_floor_db`` (NaN and -inf do not) and fit a
+    float (:func:`require_finite`), or :class:`ValidationError`."""
     if snr_db == math.inf:
         return 0.0
-    try:
-        var = math.pow(10.0, -snr_db / 10.0)
-    except OverflowError:
-        var = math.inf
-    if not math.isfinite(var):
-        raise ValidationError(f"SNR {snr_db} dB has no finite noise power")
-    return var
+    if not snr_db > layout.snr_floor_db:
+        raise ValidationError(f"SNR {snr_db} dB has no usable noise power: it must be +inf or "
+                              f"lie above the floor {layout.snr_floor_db:.6g} dB")
+    return math.pow(10.0, -require_finite("SNR", snr_db) / 10.0)
 
 
 def timing_error_event(delay_est: float, delay_true: float, cp_data: int, n_taps: int) -> bool:
@@ -191,9 +188,7 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     so the same index reuses its scenario at every SNR point.
     """
     layout = cfg.layout()
-    var = noise_variance(snr_db)
-    if not snr_db > layout.snr_floor_db:
-        raise ValidationError(f"SNR {snr_db} dB is not above the floor {layout.snr_floor_db:.6g} dB")
+    var = noise_variance(snr_db, layout)
     rng = np.random.default_rng([cfg.master_seed, require_int("trial index", trial_index, 0)])
     truth = draw_users(cfg, rng)
 
@@ -307,16 +302,20 @@ def _noiseless_known_k_trials(cfg: SimConfig, seed: int, trials: int, counts: tu
     (:class:`ValidationError`) before the first trial."""
     require_int("seed", seed, 0)
     require_int("trial count", trials, 1)
+    layout = cfg.layout()
     for trial in range(trials):
         count = counts[trial % len(counts)]
         rng = np.random.default_rng([seed, trial])
         users = draw_users(cfg, rng, count=count)
-        obs = synthesize_model_mode(users, cfg.layout(), 0.0, rng)
+        obs = synthesize_model_mode(users, layout, 0.0, rng)
         ranger = RangerConfig(max_delay=cfg.max_delay, known_num_codes=count)
         yield users, obs, range_subchannel(obs, ranger)
 
 
-def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: float = 1e-4) -> float:
+GAP_RESOLUTION = 1e-4  # esprit_periodogram_gap's periodogram frequency step
+
+
+def esprit_periodogram_gap(trials: int, seed: int) -> float:
     """Worst disagreement between the pipeline and the grid oracle.
 
     Runs noiseless single-user scenarios and compares the subspace
@@ -324,7 +323,7 @@ def esprit_periodogram_gap(trials: int = 50, seed: int = 77, grid_resolution: fl
     """
     worst = 0.0
     for _, obs, report in _noiseless_known_k_trials(SimConfig(), seed, trials, (1,)):
-        diff = report.effective_cfos[0] - oracle_periodogram(freq_snapshots(obs), grid_resolution)
+        diff = report.effective_cfos[0] - oracle_periodogram(freq_snapshots(obs), GAP_RESOLUTION)
         worst = max(worst, abs(diff - round(diff)))
     return float(worst)
 

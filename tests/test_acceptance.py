@@ -176,7 +176,7 @@ def test_criterion_2_wrap_consistency_grid():
 
 
 def test_criterion_3_oracle_equivalence():
-    gap = esprit_periodogram_gap(trials=50, seed=77, grid_resolution=1e-4)
+    gap = esprit_periodogram_gap(trials=50, seed=77)
     ok = gap <= 2e-4
     verdict(3, "subspace vs periodogram oracle", ok, f"max gap {gap:.2e}, limit 2e-4")
     assert gap <= 2e-4

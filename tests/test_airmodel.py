@@ -117,10 +117,6 @@ class TestTileLayout:
         with pytest.raises(ValidationError):
             TileLayout.uniform(64, 4, 4, 4, cp_ranging=100)
 
-    def test_uniform_returns_one_instance_per_geometry(self):
-        assert TileLayout.uniform(64, 4, 4, 4, 16) is TileLayout.uniform(64, 4, 4, 4, 16)
-        assert TileLayout.uniform(64, 4, 4, 4, 16) != TileLayout.uniform(64, 4, 4, 4, 8)
-
 
 class TestCodeEntry:
     """Entries of the ranging code matrix against their closed form."""
@@ -287,8 +283,9 @@ class TestDrawChannel:
         assert base == pytest.approx(0.1264878736405125, abs=1e-12)
 
     def test_tap_variances_computed_once_and_read_only(self):
-        first = ChannelProfile(12, 12.0).tap_variances()
-        assert ChannelProfile(12, 12.0).tap_variances() is first
+        profile = ChannelProfile(12, 12.0)
+        first = profile.tap_variances()
+        assert profile.tap_variances() is first
         assert not first.flags.writeable
 
     def test_matches_closed_form_draw(self):

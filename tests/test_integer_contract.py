@@ -8,8 +8,9 @@ the site's typed error naming the argument, and numpy integers in range still pa
 Every float input the receiver cannot handle goes through ``errors.require_finite`` or a
 one-pass check named in its docstring (``FINITE_SITES``): NaN, +inf and -inf raise the
 site's typed error naming the argument, with no numpy warning and before LAPACK sees the
-value, and a site whose check is a sum also rejects finite values that overflow it.  An
-SNR is not such a site: +inf is a noiseless run.
+value, and a site whose check is a sum also rejects finite values that overflow it.  A
+scalar site also rejects an integer too large for a float and a complex value.  An SNR is
+not such a site: +inf is a noiseless run.
 """
 
 import math
@@ -30,7 +31,8 @@ from rangesim.airmodel import (
     synthesize_waveform_mode,
 )
 from rangesim.cxmath import general_eigenvalues, hermitian_evd, ls_rotation
-from rangesim.errors import ConfigError, DimensionError, ValidationError, require_int
+from rangesim.errors import (ConfigError, DimensionError, ValidationError, require_finite,
+                             require_int)
 from rangesim.ranger import (
     RangerConfig,
     esprit_phases,
@@ -220,11 +222,24 @@ def test_require_int_message_states_name_bounds_and_value(value, lo, hi, message
         require_int("x", value, lo, hi)
 
 
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "x must be finite, got nan"), (10**400, "x must be finite, got 1000"),
+    (0.5j, r"x must be real, got 0.5j"), (np.complex64(1), r"x must be real, got np.complex64")],
+    ids=["nan", "10**400", "complex", "numpy-complex"])
+def test_require_finite_message_names_the_argument(value, message):
+    # an integer past the float range raised a bare OverflowError, and a complex scalar
+    # passed through as a 0-d array
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        require_finite("x", value)
+
+
 NON_FINITE = (math.nan, math.inf, -math.inf)
+BIG_INT = 10**400  # a bare OverflowError from math.isfinite before; ids show it as 10**400
 
 # site id -> (call with the float under test, error class, name in the message, the values
-#             it must reject: NaN, +inf and -inf, and where the check is a sum, one that
-#             overflows it).  Each comment says what such a value did before the check.
+#             it must reject: NaN, +inf and -inf, where the check is a sum one that
+#             overflows it, and where it is scalar an integer past the float range and a
+#             complex value).  Each comment says what such a value did before the check.
 FINITE_SITES = {
     # a NaN eigenvalue read as "no users", a -inf one as three users, and four of 1e308 as 3
     "estimate_num_codes.eigenvalues": (lambda v: estimate_num_codes([v] * 4, 64, 3),
@@ -255,31 +270,33 @@ FINITE_SITES = {
         ValidationError, "grid", (*NON_FINITE, 1e200)),
     # NaN compared False against both window edges and scored as aligned
     "timing_error_event.delay_est": (lambda v: timing_error_event(v, 100.0, 32, 12),
-                                     ValidationError, "delay estimate", NON_FINITE),
+                                     ValidationError, "delay estimate", (*NON_FINITE, BIG_INT)),
     "timing_error_event.delay_true": (lambda v: timing_error_event(100.0, v, 32, 12),
-                                      ValidationError, "true delay", NON_FINITE),
+                                      ValidationError, "true delay", (*NON_FINITE, BIG_INT)),
     "oracle_periodogram.snapshots": (lambda v: oracle_periodogram(_eye_with(v, 4), 1e-2),
                                      ValidationError, "snapshots", NON_FINITE),
 }
-# each synthesizer's user and noise checks; before them, each of these values made a
-# non-finite grid that surfaced only in the receiver, as "matrix has non-finite entries"
+# each synthesizer's user and noise checks; before them, each non-finite value made a
+# non-finite grid that surfaced only in the receiver, as "matrix has non-finite entries", a
+# complex CFO built the grid from its real part with only a ComplexWarning, and a complex
+# noise variance raised a bare TypeError
 for _mode, _synthesize in (("model", synthesize_model_mode),
                            ("waveform", synthesize_waveform_mode)):
     FINITE_SITES[f"{_mode}.user.cfo"] = (
         lambda v, f=_synthesize: f([UserTruth(0, 0, v, np.ones(1, dtype=complex))], SMALL, 0.0,
                                    np.random.default_rng(0)),
-        ValidationError, "CFO", NON_FINITE)
+        ValidationError, "CFO", (*NON_FINITE, BIG_INT, 0.1 + 0.2j))
     FINITE_SITES[f"{_mode}.user.cir"] = (
         lambda v, f=_synthesize: f([UserTruth(0, 0, 0.0, np.array([1.0, v]))], SMALL, 0.0,
                                    np.random.default_rng(0)),
         ValidationError, "channel taps", (*NON_FINITE, 1e200))
     FINITE_SITES[f"{_mode}.noise_var"] = (
         lambda v, f=_synthesize: f([], SMALL, v, np.random.default_rng(0)),
-        ValidationError, "noise variance", NON_FINITE)
+        ValidationError, "noise variance", (*NON_FINITE, BIG_INT, 1j))
 
 
 @pytest.mark.parametrize("site, value", [
-    pytest.param(site, value, id=f"{site}={value!r}")
+    pytest.param(site, value, id=f"{site}={'10**400' if value is BIG_INT else repr(value)}")
     for site, row in FINITE_SITES.items() for value in row[3]])
 def test_non_finite_value_raises_the_site_error(site, value, capfd):
     call, error, name, _ = FINITE_SITES[site]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangesim.airmodel import ChannelProfile, TileLayout
 from rangesim.errors import ConfigError, DimensionError, ValidationError
 from rangesim.ranger import RangingReport
 from rangesim.simlab import (
@@ -37,24 +38,49 @@ from rangesim.simlab import (
 from rangesim.airmodel import UserTruth
 
 
+REFERENCE = SimConfig().layout()
+
+
 class TestNoiseVariance:
     def test_zero_db_is_unit_power(self):
-        assert noise_variance(0.0) == 1.0
+        assert noise_variance(0.0, REFERENCE) == 1.0
 
     def test_twenty_db(self):
-        assert noise_variance(20.0) == pytest.approx(0.01)
+        assert noise_variance(20.0, REFERENCE) == pytest.approx(0.01)
 
     def test_infinite_snr_is_noiseless(self):
-        assert noise_variance(float("inf")) == 0.0
+        assert noise_variance(float("inf"), REFERENCE) == 0.0
 
     @pytest.mark.parametrize("snr", [float("nan"), float("-inf"), -4000.0, np.float64(-4000.0)],
                              ids=["nan", "-inf", "-4000", "-4000-numpy"])
     def test_snr_without_finite_noise_power_rejected(self, snr):
-        # these have no noise power at all, so they fail before the layout's SNR floor
+        # these have no finite noise power at all; the floor check rejects them too
         with pytest.raises(ValidationError, match="noise power"):
-            noise_variance(snr)
+            noise_variance(snr, REFERENCE)
         with pytest.raises(ValidationError, match="noise power"):
             run_trial(SimConfig(mode="model"), snr, 0)
+
+    @pytest.mark.parametrize("snr, usable", [
+        (math.nan, False), (-math.inf, False), (-4000.0, False), (REFERENCE.snr_floor_db, False),
+        (REFERENCE.snr_floor_db + 0.1, True), (0, True), (np.float64(20.0), True), (1e308, True),
+        (10**400, False), (math.inf, True)],
+        ids=["nan", "-inf", "-4000", "floor", "floor+0.1", "0", "20-numpy", "1e308", "10**400",
+             "inf"])
+    def test_validate_and_run_trial_agree(self, snr, usable):
+        # 10**400 built a config whose every trial raised: pow() overflowed only in run_trial
+        try:
+            SimConfig(mode="model", snr_list_db=(snr,))
+        except ConfigError:
+            built = False
+        else:
+            built = True
+        try:
+            run_trial(SimConfig(mode="model"), snr, 0)
+        except ValidationError:
+            ran = False
+        else:
+            ran = True
+        assert built == ran == usable
 
 
 class TestSnrFloor:
@@ -85,6 +111,60 @@ class TestSnrFloor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_trial(cfg, cfg.layout().snr_floor_db + 0.1, 0)
+
+
+class TestConfigKeepsWhatItValidated:
+    def test_layout_and_profile_are_built_once_per_config(self):
+        cfg = SimConfig()
+        layout, profile = cfg.layout(), cfg.channel_profile()
+        assert cfg.layout() is layout and cfg.channel_profile() is profile
+        assert layout == TileLayout.uniform(1024, 4, 16, 4, 256)
+        assert profile == ChannelProfile(12, 12.0)
+        fresh = replace(cfg)  # replace validates anew, so it builds its own
+        assert fresh.layout() is not layout and fresh.layout() == layout
+        assert fresh.channel_profile() is not profile and fresh.channel_profile() == profile
+        cfg.validate()  # as the benchmark worker does: harmless
+        assert cfg.layout() == layout and cfg.channel_profile() == profile
+
+    def test_a_sweep_builds_no_layout_and_no_profile(self, monkeypatch):
+        # each trial rebuilt both behind argument caches: a 90-trial waveform sweep made
+        # 183 TileLayout.uniform calls and 90 ChannelProfiles
+        cfg = SimConfig(trials=30, master_seed=4)  # waveform mode at 0, 10 and 20 dB
+        built = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        for cls in (TileLayout, ChannelProfile):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        uniform = counted("uniform", TileLayout.__dict__["uniform"].__func__)
+        monkeypatch.setattr(TileLayout, "uniform", classmethod(uniform))
+        rows = run_sweep(cfg)
+        assert sum(row.trials for row in rows) == 90
+        assert built == []
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    @pytest.mark.parametrize("field, value", [
+        ("snr_list_db", (10**400,)), ("snr_list_db", (1e308,)), ("snr_list_db", (math.inf,)),
+        ("snr_list_db", (REFERENCE.snr_floor_db + 0.1,)), ("channel_decay", 10**400),
+        ("channel_decay", math.inf), ("channel_decay", 1e-320), ("channel_decay", 5e-324)],
+        ids=["snr=10**400", "snr=1e308", "snr=inf", "snr=floor+0.1", "decay=10**400",
+             "decay=inf", "decay=1e-320", "decay=5e-324"])
+    def test_a_config_that_builds_can_run(self, field, value, mode):
+        # the 10**400 SNR and decay, and the 1e-320 decay, built configs whose every trial
+        # raised: an OverflowError or a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                cfg = SimConfig(mode=mode, **{field: value})
+            except ConfigError as exc:
+                assert str(exc).startswith(field)
+                return
+            for snr in cfg.snr_list_db:
+                run_trial(cfg, snr, 0)
 
 
 class TestWilson:
@@ -324,7 +404,7 @@ class TestOraclePeriodogram:
     def test_gap_over_no_trials_rejected(self):
         # read 0.0 before: a perfect-looking gap measured on nothing
         with pytest.raises(ValidationError, match="trial count must be at least 1, got 0"):
-            esprit_periodogram_gap(trials=0)
+            esprit_periodogram_gap(trials=0, seed=1)
 
     def test_exactness_over_no_trials_rejected(self):
         # read (0, 0.0, 0.0) before
