@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangesim.airmodel import ChannelProfile, TileLayout
 from rangesim.errors import ConfigError, DimensionError, ValidationError
 from rangesim.ranger import RangingReport
 from rangesim.simlab import (
@@ -35,7 +34,7 @@ from rangesim.simlab import (
     wilson_interval,
     write_gnuplot_script,
 )
-from rangesim.airmodel import UserTruth
+from rangesim.airmodel import ChannelProfile, TileLayout, UserTruth
 
 
 REFERENCE = SimConfig().layout()
@@ -61,11 +60,9 @@ class TestNoiseVariance:
             run_trial(SimConfig(mode="model"), snr, 0)
 
     @pytest.mark.parametrize("snr, usable", [
-        (math.nan, False), (-math.inf, False), (-4000.0, False), (REFERENCE.snr_floor_db, False),
-        (REFERENCE.snr_floor_db + 0.1, True), (0, True), (np.float64(20.0), True), (1e308, True),
-        (10**400, False), (math.inf, True)],
-        ids=["nan", "-inf", "-4000", "floor", "floor+0.1", "0", "20-numpy", "1e308", "10**400",
-             "inf"])
+        (REFERENCE.snr_floor_db, False), (REFERENCE.snr_floor_db + 0.1, True), (0, True),
+        (np.float64(20.0), True), (1e308, True), (10**400, False), (math.inf, True)],
+        ids=["floor", "floor+0.1", "0", "20-numpy", "1e308", "10**400", "inf"])
     def test_validate_and_run_trial_agree(self, snr, usable):
         # 10**400 built a config whose every trial raised: pow() overflowed only in run_trial
         try:
@@ -154,8 +151,8 @@ class TestConfigKeepsWhatItValidated:
         ids=["snr=10**400", "snr=1e308", "snr=inf", "snr=floor+0.1", "decay=10**400",
              "decay=inf", "decay=1e-320", "decay=5e-324"])
     def test_a_config_that_builds_can_run(self, field, value, mode):
-        # the 10**400 SNR and decay, and the 1e-320 decay, built configs whose every trial
-        # raised: an OverflowError or a numpy overflow warning
+        # the 10**400 SNR and decay, and the two subnormal decays, built configs whose every
+        # trial raised: an OverflowError or a numpy overflow warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
