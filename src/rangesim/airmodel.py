@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class TileLayout:
             require_int("tile start", start, 0, n - width)
         if np.bincount(self.tile_bins.ravel()).max() > 1:
             raise ValidationError("tiles overlap; they must be pairwise disjoint")
+
+    def __reduce__(self):  # copies and pickles rebuild through __post_init__: checked, read-only
+        return type(self), astuple(self)
 
     @classmethod
     def uniform(cls, n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging,
@@ -156,6 +159,9 @@ class ChannelProfile:
         variances = raw / raw.sum()
         variances.flags.writeable = False
         object.__setattr__(self, "_variances", variances)
+
+    def __reduce__(self):  # copies and pickles rebuild through __post_init__: checked, read-only
+        return type(self), astuple(self)
 
     def tap_variances(self) -> np.ndarray:
         """Per-tap powers summing to 1, read-only."""

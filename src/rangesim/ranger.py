@@ -217,17 +217,15 @@ def _stage(name: str, fn, *args):
 
 def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     """Run the full three-step receiver over one subchannel's observations."""
-    layout = obs.layout
-    if cfg.known_num_codes is not None:
-        require_int("known code count", cfg.known_num_codes, 0, layout.max_codes, ConfigError)
+    layout, num_codes = obs.layout, cfg.known_num_codes
+    if num_codes is not None:
+        require_int("known code count", num_codes, 0, layout.max_codes, ConfigError)
     _check_max_delay(layout, cfg.max_delay)
 
     snaps_f = freq_snapshots(obs)
     corr_f = forward_backward(sample_corr(snaps_f))
     lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, corr_f)
-    if cfg.known_num_codes is not None:
-        num_codes = cfg.known_num_codes
-    else:
+    if num_codes is None:
         num_codes = estimate_num_codes(lam_f, snaps_f.shape[0], layout.max_codes)
     if num_codes == 0:
         return RangingReport()

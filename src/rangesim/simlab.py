@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -43,9 +43,9 @@ class SimConfig:
     Defaults reproduce the documented reference setup: 1024 subcarriers,
     16 four-carrier tiles observed over 4 blocks, 12-tap channels with
     decay constant 12, delays up to 204 samples, ranging prefix 256 and
-    data prefix 32.  Construction and ``dataclasses.replace`` run :meth:`validate`, which keeps
-    the layout and channel profile it builds for every trial and checks each SNR point with
-    :func:`noise_variance`, as every trial does.
+    data prefix 32.  Construction, ``dataclasses.replace``, copies and pickles run :meth:`validate`,
+    which keeps the layout and channel profile it builds for every trial and checks each SNR
+    point with :func:`noise_variance`, as every trial does.
     """
 
     n_subcarriers: int = 1024
@@ -75,6 +75,9 @@ class SimConfig:
 
     def __post_init__(self):
         self.validate()
+
+    def __reduce__(self):  # copies and pickles rebuild through validate: checked, read-only
+        return type(self), astuple(self)
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on the first violated invariant, field types first:

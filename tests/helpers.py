@@ -1,0 +1,29 @@
+"""Helpers that more than one test module uses."""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from rangesim.airmodel import TileLayout
+
+
+def reference_layout():
+    """The documented default geometry: 1024 carriers, 16 tiles of 4, 4 blocks."""
+    return TileLayout.uniform(1024, 4, 16, 4, cp_ranging=256)
+
+
+def wrap_half(x):
+    """Reduce to [-1/2, 1/2)."""
+    return x - np.floor(x + 0.5)
+
+
+def pickled(obj):
+    """``obj`` after a round trip through pickle."""
+    return pickle.loads(pickle.dumps(obj))
+
+
+# each way to copy an object, for parametrize: a copy must hold what its original holds
+COPIES = [pytest.param(f, id=f.__name__) for f in (pickled, copy.deepcopy, copy.copy)]
+AS_BUILT_AND_COPIES = [pytest.param(lambda obj: obj, id="as built"), *COPIES]

@@ -26,6 +26,8 @@ from rangesim.simlab import (
     wilson_interval,
 )
 
+from helpers import wrap_half
+
 
 def verdict(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -86,10 +88,6 @@ def test_wilson_interval_reference_values():
     assert 0.0086 < lo < 0.0087 and 0.0126 < hi < 0.0128
     lo, hi = wilson_interval(50, 100)
     assert lo == pytest.approx(1 - hi, rel=1e-12)
-
-
-def wrap_half(x):
-    return x - np.floor(x + 0.5)
 
 
 @pytest.fixture(scope="module")

@@ -20,10 +20,7 @@ from rangesim.airmodel import (
 from rangesim.airmodel import _complex_noise, _leakage_kernel, _tile_tap_phasors
 from rangesim.errors import ValidationError
 
-
-def reference_layout():
-    """The documented default geometry: 1024 carriers, 16 tiles of 4, 4 blocks."""
-    return TileLayout.uniform(1024, 4, 16, 4, cp_ranging=256)
+from helpers import AS_BUILT_AND_COPIES, reference_layout
 
 
 def small_layout():
@@ -88,10 +85,16 @@ class TestTileLayout:
         assert layout.acquisition_bound == 1024 / (2 * 1280 * 3)
         assert layout.delay_bound == 1024 / 3
 
-    def test_tile_bins_built_once_and_read_only(self):
-        layout = small_layout()
+    @pytest.mark.parametrize("copied", AS_BUILT_AND_COPIES)
+    def test_tile_bins_built_once_and_read_only(self, copied):
+        built = small_layout()
+        built._leakage_tables  # a pickle or deep copy restored built tables writeable
+        layout = copied(built)
+        assert layout == built
         assert layout.tile_bins is layout.tile_bins
         assert not layout.tile_bins.flags.writeable
+        assert layout._leakage_tables is layout._leakage_tables
+        assert not any(table.flags.writeable for table in layout._leakage_tables)
         np.testing.assert_array_equal(layout.tile_bins, [[0, 1, 2, 3], [16, 17, 18, 19],
                                                          [32, 33, 34, 35], [48, 49, 50, 51]])
 
@@ -214,10 +217,12 @@ class TestChannelFrequencyResponse:
             want = np.fft.fft(cir, layout.n_subcarriers)[layout.tile_bins.ravel()]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("copied", AS_BUILT_AND_COPIES)
     @pytest.mark.parametrize("layout", [small_layout(), reference_layout(), non_uniform_layout()],
                              ids=["small", "reference", "non-uniform"])
-    def test_entries_are_tap_sums(self, layout):
+    def test_entries_are_tap_sums(self, layout, copied):
         # one read-only table per (layout, tap count), one row per flat tile bin
+        layout = copied(layout)
         phasors = _tile_tap_phasors(layout, 3)
         assert phasors is _tile_tap_phasors(layout, 3)
         assert phasors.shape == (layout.tile_bins.size, 3) and not phasors.flags.writeable
@@ -282,8 +287,10 @@ class TestDrawChannel:
         base = ChannelProfile(12, 12.0).tap_variances()[0]
         assert base == pytest.approx(0.1264878736405125, abs=1e-12)
 
-    def test_tap_variances_computed_once_and_read_only(self):
-        profile = ChannelProfile(12, 12.0)
+    @pytest.mark.parametrize("copied", AS_BUILT_AND_COPIES)
+    def test_tap_variances_computed_once_and_read_only(self, copied):
+        profile = copied(ChannelProfile(12, 12.0))
+        assert profile == ChannelProfile(12, 12.0)
         first = profile.tap_variances()
         assert profile.tap_variances() is first
         assert not first.flags.writeable
@@ -537,12 +544,9 @@ def test_model_matches_waveform_on_flat_aligned_channels(scenario):
     np.testing.assert_allclose(model.grid, wave.grid, rtol=0, atol=1e-10)
 
 
-@st.composite
-def prefix_filling_scenarios(draw):
-    """A small valid layout and users with CFOs and multi-tap channels whose delay
-    plus length fill up to the ranging prefix."""
-    layout = draw(small_layouts())
-    codes = draw(st.lists(st.integers(0, layout.max_codes - 1), min_size=1, unique=True))
+def prefix_filling_users(draw, layout, codes):
+    """One user per code, with a CFO and a multi-tap channel whose delay plus length fill
+    up to the ranging prefix."""
     gain = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
     cfo = st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True)
     users = []
@@ -551,7 +555,16 @@ def prefix_filling_scenarios(draw):
         delay = draw(st.integers(0, layout.cp_ranging - taps))
         cir = np.array(draw(st.lists(gain, min_size=taps, max_size=taps)), dtype=complex)
         users.append(UserTruth(code, delay, draw(cfo), cir))
-    return layout, users
+    return users
+
+
+@st.composite
+def prefix_filling_scenarios(draw):
+    """A small valid layout and users with CFOs and multi-tap channels whose delay
+    plus length fill up to the ranging prefix."""
+    layout = draw(small_layouts())
+    codes = draw(st.lists(st.integers(0, layout.max_codes - 1), min_size=1, unique=True))
+    return layout, prefix_filling_users(draw, layout, codes)
 
 
 def assert_matches_oracle(layout, users):
@@ -631,15 +644,7 @@ def ragged_scenarios(draw):
     layout = draw(small_layouts())
     k = draw(st.integers(0, layout.max_codes))
     codes = draw(st.permutations(range(layout.max_codes)))[:k]
-    gain = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
-    cfo = st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True)
-    users = []
-    for code in codes:
-        taps = draw(st.integers(1, layout.cp_ranging))
-        delay = draw(st.integers(0, layout.cp_ranging - taps))
-        cir = np.array(draw(st.lists(gain, min_size=taps, max_size=taps)), dtype=complex)
-        users.append(UserTruth(code, delay, draw(cfo), cir))
-    return layout, users
+    return layout, prefix_filling_users(draw, layout, codes)
 
 
 @settings(deadline=None, derandomize=True)

@@ -34,14 +34,7 @@ from rangesim.ranger import (
     tile_snapshots,
 )
 
-
-def reference_layout():
-    return TileLayout.uniform(1024, 4, 16, 4, cp_ranging=256)
-
-
-def wrap_half(x):
-    """Reduce to [-1/2, 1/2)."""
-    return x - np.floor(x + 0.5)
+from helpers import reference_layout, wrap_half
 
 
 def steering(n, freq):

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import pickle
+import struct
 import warnings
 from dataclasses import replace
 
@@ -34,7 +36,9 @@ from rangesim.simlab import (
     wilson_interval,
     write_gnuplot_script,
 )
-from rangesim.airmodel import ChannelProfile, TileLayout, UserTruth
+from rangesim.airmodel import ChannelProfile, TileLayout, UserTruth, _tile_tap_phasors
+
+from helpers import COPIES
 
 
 REFERENCE = SimConfig().layout()
@@ -162,6 +166,32 @@ class TestConfigKeepsWhatItValidated:
                 return
             for snr in cfg.snr_list_db:
                 run_trial(cfg, snr, 0)
+
+    @pytest.mark.parametrize("copied", COPIES)
+    def test_a_copy_is_rebuilt_by_validate(self, copied):
+        # a pickle or deep copy restored the kept layout and profile with writeable tables, so
+        # writing to the copy's tap variances changed every later channel draw it made
+        cfg = SimConfig(trials=20, master_seed=6)
+        run_trial(cfg, 10.0, 0)  # builds the layout's waveform leakage tables
+        twin = copied(cfg)
+        assert twin == cfg
+        run_trial(twin, 10.0, 0)
+        layout = twin.layout()
+        tables = (twin.channel_profile().tap_variances(), layout.tile_bins,
+                  _tile_tap_phasors(layout, twin.channel_taps), *layout._leakage_tables)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 5.0
+        assert run_sweep(twin) == run_sweep(cfg)
+
+    def test_a_pickle_is_rebuilt_by_validate(self):
+        # loading used to restore the fields as stored, so an edited payload built a config
+        # that validate never saw
+        payload = pickle.dumps(SimConfig(max_cfo=0.0123))
+        stored = struct.pack(">d", 0.0123)  # pickle's BINFLOAT: a big-endian double
+        assert payload.count(stored) == 1
+        with pytest.raises(ConfigError, match="max_cfo must lie in"):
+            pickle.loads(payload.replace(stored, struct.pack(">d", 0.5)))
 
 
 class TestWilson:
