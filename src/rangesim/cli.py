@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import RangingError
 from .simlab import (
+    GAP_TRIALS,
     emit_csv,
     esprit_periodogram_gap,
     load_config,
@@ -58,9 +58,7 @@ def _cmd_run(args) -> int:
     emit_csv(rows, args.out)
     print(f"wrote {args.out}")
     if args.gnuplot:
-        script = Path(args.out).with_suffix(".gp")
-        write_gnuplot_script(args.out, script)
-        print(f"wrote {script}")
+        print(f"wrote {write_gnuplot_script(args.out)}")
     return 0
 
 
@@ -80,10 +78,10 @@ def _cmd_validate(args) -> int:
 def _cmd_oracle() -> int:
     ok = True
 
-    gap = esprit_periodogram_gap(trials=50, seed=77)
+    gap = esprit_periodogram_gap()
     passed = gap <= 2e-4
     ok &= passed
-    print(f"subspace vs periodogram gap over 50 noiseless trials: {gap:.2e} "
+    print(f"subspace vs periodogram gap over {GAP_TRIALS} noiseless trials: {gap:.2e} "
           f"{'PASS' if passed else 'FAIL'} (limit 2e-4)")
 
     exact_trials, worst_cfo, worst_delay = noiseless_exactness(seed=99, trials=20, max_cfo=0.05)
@@ -107,7 +105,3 @@ def main(argv=None) -> int:
     except (RangingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -50,7 +50,8 @@ def require_finite(name, values):
     """``values`` unchanged if a finite real scalar (one ``math.isfinite`` call), or as an array
     if one ``np.isfinite`` pass finds no NaN or ±inf in it.  A violation raises
     ``ValidationError`` naming the argument and its (first) non-finite value; so does a complex
-    scalar, and an integer past the float range.  Arrays may be complex."""
+    scalar, an integer past the float range, and what is not a number (text, None) or an array
+    of numbers.  Arrays may be complex."""
     if isinstance(values, (float, int, np.floating, np.integer)):  # the Real ABC is slower
         try:
             if math.isfinite(values):
@@ -61,6 +62,10 @@ def require_finite(name, values):
     if isinstance(values, (complex, np.complexfloating)):
         raise ValidationError(f"{name} must be real, got {values!r}")
     array = np.asarray(values)
-    if np.isfinite(array).all():
+    try:
+        finite = np.isfinite(array)
+    except TypeError:  # the array holds text or objects
+        raise ValidationError(f"{name} must be a number or an array of numbers, got {values!r}")
+    if finite.all():
         return array
     raise ValidationError(f"{name} must be finite, got {array[~np.isfinite(array)][0].item()!r}")

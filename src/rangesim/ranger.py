@@ -37,6 +37,9 @@ from .errors import (ConfigError, DimensionError, RangingError, ValidationError,
                      require_int)
 
 EIGENVALUE_FLOOR = 1e-18  # relative to the largest eigenvalue
+# A largest frequency-stage eigenvalue below this puts MDL's floor under the normal float range:
+# the correlation's products have fallen into subnormals, so the grid is ranged at unit scale.
+_TINY_TOP = np.finfo(float).tiny / EIGENVALUE_FLOOR
 
 
 @dataclass
@@ -216,7 +219,10 @@ def _stage(name: str, fn, *args):
 
 
 def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
-    """Run the full three-step receiver over one subchannel's observations."""
+    """Run the full three-step receiver over one subchannel's observations.
+
+    A grid so small that its correlation underflows is ranged as its copy scaled by the exact
+    power of two that brings its largest part into [1/2, 1); an all-zero grid is an idle slot."""
     layout, num_codes = obs.layout, cfg.known_num_codes
     if num_codes is not None:
         require_int("known code count", num_codes, 0, layout.max_codes, ConfigError)
@@ -225,6 +231,10 @@ def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     snaps_f = freq_snapshots(obs)
     corr_f = forward_backward(sample_corr(snaps_f))
     lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, corr_f)
+    if lam_f[0] < _TINY_TOP and obs.grid.any():
+        parts = np.ascontiguousarray(obs.grid, dtype=complex).view(float)  # ldexp takes no complex
+        parts = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
+        return range_subchannel(TileObservations(layout, parts.view(complex)), cfg)
     if num_codes is None:
         num_codes = estimate_num_codes(lam_f, snaps_f.shape[0], layout.max_codes)
     if num_codes == 0:

@@ -147,12 +147,16 @@ def noise_variance(snr_db: float, layout: TileLayout) -> float:
     """Noise power for an SNR in dB on ``layout``; +inf maps to exactly zero.
 
     The one check of a usable SNR, which :meth:`SimConfig.validate` and :func:`run_trial` share:
-    any other SNR must lie above the layout's ``snr_floor_db`` (NaN and -inf do not) and fit a
-    float (:func:`require_finite`), or :class:`ValidationError`."""
+    any other SNR must be a real number above the layout's ``snr_floor_db`` (NaN, -inf, text
+    and None are not) and fit a float (:func:`require_finite`), or :class:`ValidationError`."""
     if snr_db == math.inf:
         return 0.0
-    if not snr_db > layout.snr_floor_db:
-        raise ValidationError(f"SNR {snr_db} dB has no usable noise power: it must be +inf or "
+    try:
+        usable = snr_db > layout.snr_floor_db
+    except TypeError:  # text, None and complex numbers do not compare
+        usable = False
+    if not usable:
+        raise ValidationError(f"SNR {snr_db!r} dB has no usable noise power: it must be +inf or "
                               f"lie above the floor {layout.snr_floor_db:.6g} dB")
     return math.pow(10.0, -require_finite("SNR", snr_db) / 10.0)
 
@@ -278,21 +282,23 @@ def run_sweep(cfg: SimConfig, progress=None) -> list[MetricsRow]:
     return rows
 
 
-def oracle_periodogram(snapshots, grid_resolution: float) -> float:
+GAP_RESOLUTION = 1e-4  # oracle_periodogram's frequency step
+GAP_TRIALS = 50  # esprit_periodogram_gap's trials, drawn from the streams (GAP_SEED, i)
+GAP_SEED = 77
+
+
+def oracle_periodogram(snapshots) -> float:
     """Brute-force single-source frequency estimate by dense grid search.
 
     Maximises the summed matched-filter power over frequencies in
-    [-1/2, 1/2), ``grid_resolution`` apart (at most 1); deliberately
-    independent of the subspace pipeline so the two can cross-validate.
+    [-1/2, 1/2), ``GAP_RESOLUTION`` apart; deliberately independent of the
+    subspace pipeline so the two can cross-validate.
     """
-    if not 0 < grid_resolution <= 1:  # also rejects NaN
-        raise ValidationError(f"grid resolution must lie in (0, 1], got {grid_resolution}")
     snaps = np.asarray(snapshots, dtype=complex)
     if snaps.ndim != 2 or snaps.size == 0:
         raise DimensionError(f"need a non-empty (snapshots, n) array, got shape {snaps.shape}")
     n = require_finite("snapshots", snaps).shape[1]
-    count = int(round(1.0 / grid_resolution))
-    grid = -0.5 + grid_resolution * np.arange(count)
+    grid = -0.5 + GAP_RESOLUTION * np.arange(round(1.0 / GAP_RESOLUTION))
     probes = np.exp(-2j * np.pi * np.outer(grid, np.arange(n)))
     power = np.sum(np.abs(probes @ snaps.T) ** 2, axis=1)
     return float(grid[int(np.argmax(power))])
@@ -315,18 +321,16 @@ def _noiseless_known_k_trials(cfg: SimConfig, seed: int, trials: int, counts: tu
         yield users, obs, range_subchannel(obs, ranger)
 
 
-GAP_RESOLUTION = 1e-4  # esprit_periodogram_gap's periodogram frequency step
-
-
-def esprit_periodogram_gap(trials: int, seed: int) -> float:
+def esprit_periodogram_gap() -> float:
     """Worst disagreement between the pipeline and the grid oracle.
 
-    Runs noiseless single-user scenarios and compares the subspace
-    frequency estimate against :func:`oracle_periodogram`, wrap-aware.
+    Runs ``GAP_TRIALS`` noiseless single-user scenarios of the reference
+    setup from the seed ``GAP_SEED`` and compares the subspace frequency
+    estimate against :func:`oracle_periodogram`, wrap-aware.
     """
     worst = 0.0
-    for _, obs, report in _noiseless_known_k_trials(SimConfig(), seed, trials, (1,)):
-        diff = report.effective_cfos[0] - oracle_periodogram(freq_snapshots(obs), GAP_RESOLUTION)
+    for _, obs, report in _noiseless_known_k_trials(SimConfig(), GAP_SEED, GAP_TRIALS, (1,)):
+        diff = report.effective_cfos[0] - oracle_periodogram(freq_snapshots(obs))
         worst = max(worst, abs(diff - round(diff)))
     return float(worst)
 
@@ -369,11 +373,12 @@ def emit_csv(rows: list[MetricsRow], destination) -> None:
         raise OSError(f"could not write metrics to {path}: {exc}") from exc
 
 
-def write_gnuplot_script(csv_path, script_path) -> None:
-    """Emit a ready-to-run gnuplot script for the three metric curves."""
-    csv_name = Path(csv_path).name
-    stem = Path(csv_path).stem
-    text = f"""# gnuplot script generated by rangesim; run: gnuplot {Path(script_path).name}
+def write_gnuplot_script(csv_path) -> Path:
+    """Write a ready-to-run gnuplot script for the three metric curves next to the CSV, as
+    ``<csv stem>.gp``, and return its path."""
+    csv_path = Path(csv_path)
+    path = csv_path.with_suffix(".gp")
+    text = f"""# gnuplot script generated by rangesim; run: gnuplot {path.name}
 set datafile separator ","
 set key autotitle columnhead
 set grid
@@ -381,23 +386,23 @@ set logscale y
 set xlabel "SNR (dB)"
 set terminal pngcairo size 900,600
 
-set output "{stem}_pf.png"
+set output "{csv_path.stem}_pf.png"
 set ylabel "detection error probability"
-plot "{csv_name}" using 1:2 with linespoints title "p_f"
+plot "{csv_path.name}" using 1:2 with linespoints title "p_f"
 
-set output "{stem}_rmse.png"
+set output "{csv_path.stem}_rmse.png"
 set ylabel "CFO RMSE (subcarrier spacings)"
-plot "{csv_name}" using 1:3 with linespoints title "rmse"
+plot "{csv_path.name}" using 1:3 with linespoints title "rmse"
 
-set output "{stem}_perr.png"
+set output "{csv_path.stem}_perr.png"
 set ylabel "timing error probability"
-plot "{csv_name}" using 1:4 with linespoints title "p_err"
+plot "{csv_path.name}" using 1:4 with linespoints title "p_err"
 """
-    path = Path(script_path)
     try:
         path.write_text(text)
     except OSError as exc:
         raise OSError(f"could not write gnuplot script to {path}: {exc}") from exc
+    return path
 
 
 def parse_snr_list(text: str) -> tuple[float, ...]:

@@ -1,12 +1,18 @@
 """Helpers that more than one test module uses."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rangesim.airmodel import TileLayout
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def reference_layout():
@@ -27,3 +33,12 @@ def pickled(obj):
 # each way to copy an object, for parametrize: a copy must hold what its original holds
 COPIES = [pytest.param(f, id=f.__name__) for f in (pickled, copy.deepcopy, copy.copy)]
 AS_BUILT_AND_COPIES = [pytest.param(lambda obj: obj, id="as built"), *COPIES]
+
+
+def run_module(*args, timeout):
+    """``python -m rangesim ARGS`` in a child process that imports rangesim from ``src`` first,
+    as pytest does, so an uninstalled checkout runs it too."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rangesim", *map(str, args)],
+                          capture_output=True, text=True, timeout=timeout, env=env)

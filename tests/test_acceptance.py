@@ -6,8 +6,6 @@ they dominate the runtime (a few minutes), and the criteria that read them
 (5-7) carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them.
 """
 
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -26,7 +24,7 @@ from rangesim.simlab import (
     wilson_interval,
 )
 
-from helpers import wrap_half
+from helpers import run_module, wrap_half
 
 
 def verdict(num, name, ok, detail=""):
@@ -174,7 +172,7 @@ def test_criterion_2_wrap_consistency_grid():
 
 
 def test_criterion_3_oracle_equivalence():
-    gap = esprit_periodogram_gap(trials=50, seed=77)
+    gap = esprit_periodogram_gap()
     ok = gap <= 2e-4
     verdict(3, "subspace vs periodogram oracle", ok, f"max gap {gap:.2e}, limit 2e-4")
     assert gap <= 2e-4
@@ -334,11 +332,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     outputs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "rangesim", "run",
-             "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True, timeout=600,
-        )
+        proc = run_module("run", "--config", cfg, "--out", out, timeout=600)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0

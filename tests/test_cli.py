@@ -1,11 +1,10 @@
 """Command-line behaviour: exit codes, overrides, reproducible output files."""
 
-import subprocess
-import sys
-
 import pytest
 
 from rangesim.cli import main
+
+from helpers import run_module
 
 GOOD_CONFIG = """
 num_users = 2
@@ -167,11 +166,6 @@ def test_module_invocation(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(GOOD_CONFIG)
     out = tmp_path / "m.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "rangesim", "run", "--config", str(cfg), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_module("run", "--config", cfg, "--out", out, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

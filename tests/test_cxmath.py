@@ -9,7 +9,7 @@ from rangesim.cxmath import (
     hermitian_evd,
     ls_rotation,
 )
-from rangesim.errors import DimensionError, RankDeficiencyError, ValidationError
+from rangesim.errors import DimensionError, NumericalError, RankDeficiencyError, ValidationError
 
 
 def random_complex(rng, shape):
@@ -250,3 +250,15 @@ class TestGeneralEigenvalues:
         got = np.sort_complex(general_eigenvalues(a))
         want = np.sort_complex(np.linalg.eigvals(a))
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("kernel, lapack_call, message", [
+    (hermitian_evd, "eigh", "Hermitian eigendecomposition failed"),
+    (general_eigenvalues, "eigvals", "eigenvalue computation failed")], ids=["eigh", "eigvals"])
+def test_lapack_failure_becomes_numerical_error(kernel, lapack_call, message, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, lapack_call, fail)
+    with pytest.raises(NumericalError, match=f"^{message}: did not converge"):
+        kernel(np.eye(3, dtype=complex))

@@ -44,7 +44,6 @@ from rangesim.ranger import (
 from rangesim.simlab import (
     SimConfig,
     draw_users,
-    esprit_periodogram_gap,
     format_count,
     noiseless_exactness,
     oracle_periodogram,
@@ -143,10 +142,6 @@ SITES = {
                                  ValidationError, "seed", -1, np.int64(3)),
     "noiseless_exactness.trials": (lambda v: noiseless_exactness(seed=1, trials=v, max_cfo=0.05),
                                    ValidationError, "trial count", 0, np.int64(1)),
-    "esprit_periodogram_gap.seed": (lambda v: esprit_periodogram_gap(trials=1, seed=v),
-                                    ValidationError, "seed", -1, np.int64(3)),
-    "esprit_periodogram_gap.trials": (lambda v: esprit_periodogram_gap(trials=v, seed=1),
-                                      ValidationError, "trial count", 0, np.int16(1)),
 }
 
 # every integer field of SimConfig, checked by validate with its out-of-range value
@@ -224,11 +219,15 @@ def test_require_int_message_states_name_bounds_and_value(value, lo, hi, message
 
 @pytest.mark.parametrize("value, message", [
     (math.nan, "x must be finite, got nan"), (10**400, "x must be finite, got 1000"),
-    (0.5j, r"x must be real, got 0.5j"), (np.complex64(1), r"x must be real, got np.complex64")],
-    ids=["nan", "10**400", "complex", "numpy-complex"])
+    (0.5j, r"x must be real, got 0.5j"), (np.complex64(1), r"x must be real, got np.complex64"),
+    ("10", "x must be a number or an array of numbers, got '10'"),
+    (None, "x must be a number or an array of numbers, got None"),
+    (object(), "x must be a number or an array of numbers, got <object object"),
+    (["1", 2.0], r"x must be a number or an array of numbers, got \['1', 2.0\]")],
+    ids=["nan", "10**400", "complex", "numpy-complex", "text", "None", "object", "text-list"])
 def test_require_finite_message_names_the_argument(value, message):
-    # an integer past the float range raised a bare OverflowError, and a complex scalar
-    # passed through as a 0-d array
+    # an integer past the float range raised a bare OverflowError, a complex scalar passed
+    # through as a 0-d array, and text, None and objects raised numpy's bare TypeError
     with pytest.raises(ValidationError, match=f"^{message}"):
         require_finite("x", value)
 
@@ -273,7 +272,7 @@ FINITE_SITES = {
                                      ValidationError, "delay estimate", (*NON_FINITE, BIG_INT)),
     "timing_error_event.delay_true": (lambda v: timing_error_event(100.0, v, 32, 12),
                                       ValidationError, "true delay", (*NON_FINITE, BIG_INT)),
-    "oracle_periodogram.snapshots": (lambda v: oracle_periodogram(_eye_with(v, 4), 1e-2),
+    "oracle_periodogram.snapshots": (lambda v: oracle_periodogram(_eye_with(v, 4)),
                                      ValidationError, "snapshots", NON_FINITE),
 }
 # each synthesizer's user and noise checks; before them, each non-finite value made a
@@ -306,3 +305,17 @@ def test_non_finite_value_raises_the_site_error(site, value, capfd):
             call(value)
     assert name in str(caught.value)
     assert "LASCL" not in capfd.readouterr().err
+
+
+# the scalar sites whose one check is require_finite: text and None raised numpy's bare
+# TypeError there before
+SCALAR_SITES = ["timing_error_event.delay_est", "timing_error_event.delay_true",
+                "model.user.cfo", "model.noise_var", "waveform.user.cfo", "waveform.noise_var"]
+
+
+@pytest.mark.parametrize("site", SCALAR_SITES)
+@pytest.mark.parametrize("value", ["10", None], ids=["text", "None"])
+def test_non_number_raises_the_site_error(site, value):
+    call, error, name, _ = FINITE_SITES[site]
+    with pytest.raises(error, match=f"^{name} must be a number"):
+        call(value)

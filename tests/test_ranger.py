@@ -461,21 +461,31 @@ class TestRangeSubchannel:
     @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
                              ids=["model", "waveform"])
     def test_decisions_do_not_depend_on_the_grid_scale(self, synthesize):
-        # an absolute eigenvalue floor read every 20 dB grid scaled by 1e-10 as an empty slot
+        # an absolute eigenvalue floor read every 20 dB grid scaled by 1e-10 as an empty slot,
+        # and from 1e-155 down the correlation's products fell into subnormals: K = 0 again
         layout, cfg = reference_layout(), RangerConfig(max_delay=204)
         for trial in range(20):
             rng = np.random.default_rng([3, trial])
             grid = synthesize(random_users(rng, layout, 3), layout, 0.01, rng).grid
             base = range_subchannel(TileObservations(layout, grid), cfg)
-            for scale in (1e-10, 1e-100, 1e100):
+            for scale in (1e-10, 1e-100, 1e100, 1e-155, 1e-200, 1e-300):
                 report = range_subchannel(TileObservations(layout, scale * grid), cfg)
                 assert (report.num_codes, report.detected) == (base.num_codes, base.detected)
+                for code, (cfo, delay) in base.per_code.items():
+                    assert report.per_code[code][0] == pytest.approx(cfo, abs=1e-12)
+                    assert report.per_code[code][1] == pytest.approx(delay, abs=1e-9)
 
     def test_known_count_validated(self):
         layout = reference_layout()
         obs = TileObservations(layout, np.zeros((4, 16, 4), dtype=complex))
         with pytest.raises(ConfigError):
             range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=4))
+
+    def test_stage_errors_name_the_stage(self):
+        # a known count on an idle grid asks the rotation for a subspace that is not there
+        obs = TileObservations(reference_layout(), np.zeros((4, 16, 4), dtype=complex))
+        with pytest.raises(RankDeficiencyError, match="^frequency-stage rotation: "):
+            range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=1))
 
     @pytest.mark.parametrize("max_delay", [10**6, -5])
     def test_max_delay_validated_without_codes(self, max_delay):
