@@ -172,14 +172,18 @@ class ChannelProfile:
 class TileObservations:
     """DFT outputs on the ranging tiles: grid[m, q, v] is block m, tile q, offset v.
 
-    The grid must match the layout's shape and have a finite total power, checked in one
-    BLAS pass that NaN and inf carry into: that bounds every correlation sum the receiver forms.
+    The grid must be a numpy array of numbers in the layout's shape, with a finite total power
+    checked in one BLAS pass that NaN and inf carry into: that bounds every correlation sum the
+    receiver forms.
     """
 
     layout: TileLayout
     grid: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.grid, np.ndarray) or self.grid.dtype.kind not in "biufc":
+            got = getattr(self.grid, "dtype", type(self.grid).__name__)
+            raise ValidationError(f"grid must be a numpy array of numbers, got {got}")
         expected = (self.layout.n_blocks, self.layout.n_tiles, self.layout.tile_width)
         if self.grid.shape != expected:
             raise ValidationError(f"grid shape {self.grid.shape} does not match layout {expected}")

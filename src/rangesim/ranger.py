@@ -104,14 +104,21 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     floor first, ``EIGENVALUE_FLOOR`` times the largest: their mutual ratios
     are numerical noise and would otherwise bias the score in
     exactly-noiseless runs.  Both are relative, so the count does not
-    depend on the spectrum's scale.  Raises :class:`ValidationError` unless
-    the eigenvalues' sum is finite: one check for NaN, ±inf and overflow.
+    depend on the spectrum's scale.  Raises :class:`DimensionError` unless the
+    eigenvalues form a 1-d array, and :class:`ValidationError` unless they are
+    real numbers (not text) whose sum is finite: one check for NaN, ±inf and
+    overflow.
 
     The few candidates are scored in plain float arithmetic, cheaper than
     array calls at this size; the logarithms come from one ``np.log`` call,
     so every score matches numpy's whole-array evaluation to the last bit.
     """
-    lam = np.asarray(eigenvalues, dtype=float).tolist()
+    lam = np.asarray(eigenvalues)
+    if lam.ndim != 1 or lam.dtype.kind not in "iuf":  # nested lists, text, None, complex
+        error = DimensionError if lam.ndim != 1 else ValidationError
+        raise error(f"eigenvalues must be a 1-d array of real numbers, got {lam.dtype} of "
+                    f"shape {lam.shape}")
+    lam = lam.astype(float, copy=False).tolist()
     if not math.isfinite(sum(lam)):  # NaN and inf carry into the sum, and overflow makes inf
         raise ValidationError(f"eigenvalues must be finite, with a finite sum, got {lam}")
     n = len(lam)

@@ -4,12 +4,16 @@ A sweep runs independent trials per SNR point.  Each trial draws fresh
 user truths and noise from a stream keyed on (master seed, trial index)
 only, so the same trial index sees the same users at every SNR point and
 two runs with the same configuration produce byte-identical CSV files.
+Trial i's stream is PCG64 seeded by ``SeedSequence([seed, i])``, hashed
+for a block of 256 indices at once, and equal draw for draw to
+``np.random.default_rng([seed, i])``.
 Trials are pure functions of (config, snr, index) and may execute with
 any degree of parallelism as long as results reduce in index order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -18,6 +22,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .airmodel import (
     ChannelProfile,
@@ -188,6 +193,91 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
     return [UserTruth(*fields) for fields in zip(codes, delays, cfos, cirs)]
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): pool mixing, then output
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's default pool, in 32-bit words
+# trial indices hashed at once; blocks start at multiples of 256, and so does each change of an
+# index's word count (2**32, 2**64, ...), so every index of a block has the same word count
+_STREAM_BLOCK = 256
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative integer as SeedSequence reads it: 32-bit words, least significant first."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` values of SeedSequence's hash constant, as a (count, 1) uint32 column."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(values, consts) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values`` with consecutive hash constants: XOR with
+    ``consts[j]``, multiply by ``consts[j + 1]`` and fold the high half in."""
+    x = (values ^ consts[:-1]) * consts[1:]
+    return x ^ (x >> np.uint32(16))
+
+
+def _mix(x, y) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
+
+
+@functools.lru_cache(maxsize=64)
+def _block_seed_words(seed: int, block: int) -> np.ndarray:
+    """Row j is ``SeedSequence([seed, 256 * block + j]).generate_state(4, np.uint64)``: numpy's
+    pool mixing and output hashing, one array operation for all 256 indices at a time."""
+    seed_words = _uint32_words(int(seed))  # numpy integers share the cache entry of their value
+    entropy = np.array(seed_words + _uint32_words(block * _STREAM_BLOCK), dtype=np.uint32)
+    entropy = np.repeat(entropy[:, None], _STREAM_BLOCK, axis=1)  # (words, indices)
+    entropy[len(seed_words)] += np.arange(_STREAM_BLOCK, dtype=np.uint32)  # carries nowhere
+    extra = max(0, len(entropy) - _POOL)
+    hashes = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
+    pool = np.zeros((_POOL, _STREAM_BLOCK), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL]
+    pool = _hash(pool, hashes[:_POOL + 1])
+    used = _POOL
+    for src in range(_POOL):  # every other word mixes in this one, hashed anew for each
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], hashes[used:used + _POOL]))
+        used += _POOL - 1
+    for word in entropy[_POOL:]:  # entropy past the pool mixes into every pool word
+        pool = _mix(pool, _hash(word, hashes[used:used + _POOL + 1]))
+        used += _POOL
+    state = _hash(pool[list(range(_POOL)) * 2], _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1))
+    words = np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+    words.setflags(write=False)
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """A trial's precomputed seed words, served to PCG64 in place of its SeedSequence."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        """PCG64's one request, ``(4, np.uint64)``: the words ``SeedSequence`` would generate."""
+        return self._words
+
+
+def _trial_stream(seed: int, index: int) -> np.random.Generator:
+    """The generator ``np.random.default_rng([seed, index])``, draw for draw, for a non-negative
+    seed and index, with its seeding hashed per block of 256 indices and kept for reuse."""
+    block, row = divmod(int(index), _STREAM_BLOCK)
+    return np.random.Generator(np.random.PCG64(_SeedWords(_block_seed_words(seed, block)[row])))
+
+
 def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """Draw one scenario, synthesize and range it.
 
@@ -196,7 +286,7 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """
     layout = cfg.layout()
     var = noise_variance(snr_db, layout)
-    rng = np.random.default_rng([cfg.master_seed, require_int("trial index", trial_index, 0)])
+    rng = _trial_stream(cfg.master_seed, require_int("trial index", trial_index, 0))
     truth = draw_users(cfg, rng)
 
     synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
@@ -314,7 +404,7 @@ def _noiseless_known_k_trials(cfg: SimConfig, seed: int, trials: int, counts: tu
     layout = cfg.layout()
     for trial in range(trials):
         count = counts[trial % len(counts)]
-        rng = np.random.default_rng([seed, trial])
+        rng = _trial_stream(seed, trial)
         users = draw_users(cfg, rng, count=count)
         obs = synthesize_model_mode(users, layout, 0.0, rng)
         ranger = RangerConfig(max_delay=cfg.max_delay, known_num_codes=count)

@@ -194,7 +194,7 @@ def failure_counts(rows):
 
 
 @pytest.mark.slow
-def test_criterion_5_detection_error_trend(k3_grid):
+def test_criterion_5_detection_error_trend(k3_grid, k2_grid):
     all_ok = True
     details = []
     for omega in (0.05, 0.1):
@@ -207,6 +207,14 @@ def test_criterion_5_detection_error_trend(k3_grid):
             f"omega {omega}: failures {', '.join(format_count(c, trials) for c in counts)} "
             f"trend={'yes' if trend else 'NO'} collapse={'yes' if collapse else 'NO'}"
         )
+    # K=3 uses every code, so only the K=2 grid (one idle code) can show false alarms
+    for omega in (0.05, 0.1):
+        counts, trials = failure_counts(k2_grid[omega])
+        trend = resolved_decreasing_counts(counts, trials)
+        all_ok &= trend
+        details.append(f"K=2 omega {omega}: failures "
+                       f"{', '.join(format_count(c, trials) for c in counts)} "
+                       f"trend={'yes' if trend else 'NO'}")
     elapsed = k3_grid["elapsed"]
     all_ok &= elapsed < 600
     verdict(5, "detection error vs SNR trend", all_ok,
@@ -221,6 +229,11 @@ def test_criterion_5_detection_error_trend(k3_grid):
             f"{', '.join(format_count(c, trials) for c in counts)} at "
             f"{'/'.join(f'{row.snr_db:g}' for row in k3_grid[omega])} dB "
             f"(see the criterion-5 paragraph under 'Install and test' in README.md)"
+        )
+        counts, trials = failure_counts(k2_grid[omega])
+        assert resolved_decreasing_counts(counts, trials), (
+            f"K=2 failure counts, false alarms included, at omega {omega} do not fall with SNR: "
+            f"{', '.join(format_count(c, trials) for c in counts)}"
         )
     assert elapsed < 600
 

@@ -319,3 +319,37 @@ def test_non_number_raises_the_site_error(site, value):
     call, error, name, _ = FINITE_SITES[site]
     with pytest.raises(error, match=f"^{name} must be a number"):
         call(value)
+
+
+# what is not an array of numbers, at the array sites of the trial path: case id -> (call,
+# error class, name in the message).  Each comment says what the value did before the check.
+NON_ARRAY_SITES = {
+    # AttributeError: a list has no shape
+    "TileObservations.grid=list": (lambda: TileObservations(REFERENCE, [[0]]),
+                                   ValidationError, "grid"),
+    # numpy's ValueError "data type must provide an itemsize", from the power check
+    "TileObservations.grid=text": (lambda: TileObservations(REFERENCE, np.full((4, 16, 4), "1")),
+                                   ValidationError, "grid"),
+    # AttributeError: None has no conjugate
+    "TileObservations.grid=None": (
+        lambda: TileObservations(REFERENCE, np.full((4, 16, 4), None)), ValidationError, "grid"),
+    # a bare TypeError from summing the nested lists
+    "estimate_num_codes.eigenvalues=nested": (lambda: estimate_num_codes([[1, 2], [3, 4]], 4, 1),
+                                              DimensionError, "eigenvalues"),
+    # returned a count: text converted to floats silently
+    "estimate_num_codes.eigenvalues=text": (lambda: estimate_num_codes(["10"] * 4, 64, 3),
+                                            ValidationError, "eigenvalues"),
+    # returned a count after a ComplexWarning: the imaginary parts were dropped
+    "estimate_num_codes.eigenvalues=complex": (
+        lambda: estimate_num_codes(np.array([2.0, 1.0, 1.0, 1.0j]), 64, 3),
+        ValidationError, "eigenvalues"),
+}
+
+
+@pytest.mark.parametrize("case", NON_ARRAY_SITES)
+def test_non_array_raises_the_site_error(case):
+    call, error, name = NON_ARRAY_SITES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would escape as another error
+        with pytest.raises(error, match=f"^{name} must be a"):
+            call()

@@ -409,6 +409,54 @@ class TestRunSweep:
         )
 
 
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 3, 2**130]
+# block edges (255, 256, 257) and the index's word-count edges (2**32, 2**64)
+STREAM_INDICES = [0, 1, 255, 256, 257, 2**32 - 1, 2**32, 2**64 + 7]
+
+
+def _reference_state(seed, index):
+    return np.random.default_rng([seed, index]).bit_generator.state
+
+
+class TestTrialStream:
+    """``simlab._trial_stream`` is ``np.random.default_rng([seed, index])``, state for state."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("index", STREAM_INDICES)
+    def test_equals_default_rng(self, seed, index):
+        assert simlab._trial_stream(seed, index).bit_generator.state == _reference_state(seed, index)
+
+    @pytest.mark.parametrize("seed, index", [
+        (np.int64(7), np.int64(300)), (np.uint64(2**64 - 1), np.uint64(2**64 - 1)),
+        (np.uint8(200), np.uint8(255)), (np.int32(2**31 - 1), np.uint32(2**32 - 1)),
+    ], ids=["int64", "uint64", "uint8", "int32-uint32"])
+    def test_numpy_integers_equal_default_rng(self, seed, index):
+        # each shares the cached block of its value, so check both orders of first use
+        expected = _reference_state(int(seed), int(index))
+        assert simlab._trial_stream(seed, index).bit_generator.state == expected
+        assert simlab._trial_stream(int(seed), int(index)).bit_generator.state == expected
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(seed=st.integers(0, 2**160), index=st.integers(0, 2**100))
+    def test_equals_default_rng_property(self, seed, index):
+        assert simlab._trial_stream(seed, index).bit_generator.state == _reference_state(seed, index)
+
+    def test_draws_equal_default_rng(self):
+        ours, reference = simlab._trial_stream(5, 1000), np.random.default_rng([5, 1000])
+        assert ours.standard_normal(64).tolist() == reference.standard_normal(64).tolist()
+        assert ours.integers(0, 2**40, 16).tolist() == reference.integers(0, 2**40, 16).tolist()
+
+    def test_noiseless_trials_and_run_trial_draw_the_same_users(self):
+        def fields(users):
+            return [(u.code, u.delay, u.cfo, u.cir.tolist()) for u in users]
+
+        cfg = SimConfig(num_users=3, mode="model", max_cfo=0.1, master_seed=12)
+        noiseless = simlab._noiseless_known_k_trials(cfg, 12, 300, (3,))
+        for i, (users, _, _) in enumerate(noiseless):
+            if i in (0, 1, 255, 256, 299):
+                assert fields(users) == fields(run_trial(cfg, 10.0, i).truth), i
+
+
 class TestOraclePeriodogram:
     def test_single_tone(self):
         rng = np.random.default_rng(0)
