@@ -12,9 +12,12 @@ Two generators produce the tile observations the receiver consumes:
 Both modes share that kernel, model mode on each user's own bins
 (:func:`cfo_attenuation`) and waveform mode factored over the layout's bin
 distances (:func:`_leakage_kernel`), and one noise model, i.i.d. circular
-Gaussian per tile bin.  They draw from an injected random generator and
-share no state, so independent trials can run concurrently on independent
-streams.
+Gaussian per tile bin.  They draw from an injected random generator.  The
+one state they share is a one-entry memo of the last noise-free signal:
+a call whose checked users and layout equal the last call's adds that
+signal to its fresh noise, as a sweep's SNR points of one trial index do.
+The memo is swapped as one tuple, so independent trials can run
+concurrently on independent streams and at worst miss it.
 """
 
 from __future__ import annotations
@@ -255,12 +258,12 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator,
 
 
 def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
-    """``(codes, delays, cfos, responses, ends)`` of the users, one entry or column per user.
+    """``(codes, delays, cfos, cirs, ends)`` of the users, one entry or row per user.
 
     Checks each user as it goes: the code must be an integer in [0, max_codes), the delay
-    a non-negative integer, the CFO finite and the channel a 1-d array; then that no two
-    users share a code and that the taps' total power, one BLAS pass, is finite.
-    ``responses`` holds the channel gains per flat tile bin and user; ``ends`` delay + taps.
+    a non-negative integer, the CFO finite and the channel a 1-d array of numbers; then that
+    no two users share a code and that the taps' total power, one BLAS pass, is finite.
+    ``cirs`` holds the channels zero-padded to the longest; ``ends`` delay + taps.
     """
     last_code = layout.max_codes - 1
     codes, delays, cfos, taps, ends = [], [], [], [], []
@@ -268,9 +271,7 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
         codes.append(require_int("code", u.code, 0, last_code))
         delays.append(require_int("delays", u.delay, 0))
         cfos.append(require_finite("CFO", u.cfo))
-        taps.append(np.asarray(u.cir, dtype=complex))
-        if taps[-1].ndim != 1:
-            raise ValidationError(f"a channel must be a 1-d tap array, got shape {taps[-1].shape}")
+        taps.append(_channel_taps(u.cir))
         ends.append(u.delay + taps[-1].size)
     if len(set(codes)) != len(codes):
         raise ValidationError("active users must carry distinct ranging codes")
@@ -280,7 +281,45 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
     if not math.isfinite(np.vdot(cirs, cirs).real):  # one BLAS pass: NaN and inf carry into it
         raise ValidationError("channel taps must be finite, with a finite total power")
     return (np.array(codes, dtype=int), np.array(delays, dtype=float), np.array(cfos, dtype=float),
-            _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T, ends)
+            cirs, ends)
+
+
+def _channel_taps(cir) -> np.ndarray:
+    """A user's channel as a 1-d complex array; what is not an array of numbers (text, objects,
+    ragged lists) or not 1-d raises :class:`ValidationError`."""
+    try:
+        taps = np.asarray(cir)
+    except ValueError:  # a ragged list
+        taps = np.empty(0, dtype=object)
+    if taps.dtype.kind not in "biufc":
+        raise ValidationError(f"channel taps must be an array of numbers, got {cir!r:.60}")
+    if taps.ndim != 1:
+        raise ValidationError(f"a channel must be a 1-d tap array, got shape {taps.shape}")
+    return taps.astype(complex, copy=False)
+
+
+_last_signal = None, None  # (key, read-only signal) of the latest synthesis with users
+
+
+def _noise_free(build, layout: TileLayout, codes, delays, cfos, cirs) -> np.ndarray:
+    """``build(layout, codes, delays, cfos, responses)`` for the checked users' arrays, with
+    ``responses`` the channel gains per flat tile bin and user, read-only.
+
+    One-entry memo: the last result is returned again while ``build``, ``layout`` and the
+    arrays' shapes and bytes are the last call's (the bytes tell 0.0 from -0.0 and see a
+    channel changed in place).  The arrays are what the arithmetic reads, so an equal key
+    gives an equal signal; the entry is replaced as one tuple only after ``build`` returns.
+    """
+    global _last_signal
+    arrays = (codes, delays, cfos, cirs)
+    key = (build, layout, *[(a.shape, a.tobytes()) for a in arrays])
+    last_key, signal = _last_signal
+    if key != last_key:
+        signal = build(layout, codes, delays, cfos,
+                       _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T)
+        signal.flags.writeable = False
+        _last_signal = key, signal
+    return signal
 
 
 def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
@@ -314,22 +353,28 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     blocks at its effective CFO, one across tile positions at its effective
     timing, and a per-tile amplitude combining the CFO attenuation, the
     tile-averaged channel and the delay phase at the tile start.  Noise is
-    i.i.d. circular Gaussian of the given variance per grid entry.
+    i.i.d. circular Gaussian of the given variance per grid entry, drawn
+    first; the users are checked on every call, and the noise-free signal
+    of the last call is reused while they and the layout are unchanged.
     """
-    n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
-    grid = _complex_noise(rng, (n_blocks, layout.n_tiles, width), noise_var)
+    grid = _complex_noise(rng, (layout.n_blocks, layout.n_tiles, layout.tile_width), noise_var)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        codes, delays, cfos, responses, _ = _stack_users(users, layout)
-        xi, eta = effective_offsets(codes, delays, cfos, layout)
-        tile_means = responses.reshape(layout.n_tiles, width, -1).sum(axis=1) / width  # (q, k)
-        # b delay is an exact integer in float64: reduced mod N, the phase's argument stays
-        # below 2 pi instead of reaching about 1200 rad
-        delay_phase = np.exp(np.mod(layout.tile_bins[:, :1] * delays, n) * (-2j * np.pi / n))
-        amps = cfo_attenuation(cfos, n) * tile_means * delay_phase
-        block_phase = np.exp(2j * np.pi * xi * np.arange(n_blocks)[:, None])  # (m, k)
-        tile_phase = np.exp(2j * np.pi * eta * np.arange(width)[:, None])  # (v, k)
-        grid += (block_phase[:, None, :] * amps) @ tile_phase.T
+        grid += _noise_free(_model_signal, layout, *_stack_users(users, layout)[:4])
     return TileObservations(layout, grid)
+
+
+def _model_signal(layout: TileLayout, codes, delays, cfos, responses) -> np.ndarray:
+    """The noise-free model-mode grid, (n_blocks, n_tiles, tile_width)."""
+    n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
+    xi, eta = effective_offsets(codes, delays, cfos, layout)
+    tile_means = responses.reshape(layout.n_tiles, width, -1).sum(axis=1) / width  # (q, k)
+    # b delay is an exact integer in float64: reduced mod N, the phase's argument stays
+    # below 2 pi instead of reaching about 1200 rad
+    delay_phase = np.exp(np.mod(layout.tile_bins[:, :1] * delays, n) * (-2j * np.pi / n))
+    amps = cfo_attenuation(cfos, n) * tile_means * delay_phase
+    block_phase = np.exp(2j * np.pi * xi * np.arange(n_blocks)[:, None])  # (m, k)
+    tile_phase = np.exp(2j * np.pi * eta * np.arange(width)[:, None])  # (v, k)
+    return (block_phase[:, None, :] * amps) @ tile_phase.T
 
 
 def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
@@ -346,23 +391,31 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     times the rotation at the window start,
     exp(2j pi cfo (m * block_len + cp_ranging) / N).  Users are summed and
     i.i.d. circular Gaussian noise of the given variance is added per tile
-    bin, as in model mode: the unitary DFT of white time-domain noise.
+    bin, as in model mode: the unitary DFT of white time-domain noise.  As
+    there, the noise is drawn first, the users are checked on every call
+    and the last call's noise-free signal is reused while nothing changed.
     """
-    n, bins = layout.n_subcarriers, layout.tile_bins
+    bins = layout.tile_bins
     grid = _complex_noise(rng, (layout.n_blocks, bins.size), noise_var)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        codes, delays, cfos, responses, ends = _stack_users(users, layout)
+        *arrays, ends = _stack_users(users, layout)
         if max(ends) > layout.cp_ranging:
             raise ValidationError("delay plus channel length must fit inside the ranging prefix")
-        gather, bin_phase, block_steps, block_codes, bin_codes = layout._leakage_tables[2:]
-        kernel = _leakage_kernel(layout, cfos).take(gather, axis=1)  # (k, b', b)
-        # rank-one tiles, with the phases of D split between each user's blocks and bins
-        alpha = np.exp(1j * np.pi * cfos[:, None] * block_steps / n) * block_codes[codes]  # (k, m)
-        # b (2 delay + 1) is an exact integer in float64: reduced mod 2N, the ramp's
-        # argument stays below 2 pi instead of reaching about 1400 rad
-        turns = np.mod(bins.ravel() * (2 * delays[:, None] + 1), 2 * n)
-        ramp = np.exp(turns * (-1j * np.pi / n))  # (k, b)
-        rows = ramp * bin_codes[codes] * responses.T
-        leaked = (kernel @ rows.view(float).reshape(len(users), -1, 2)).view(complex)[..., 0]
-        grid += (alpha.T @ leaked) * bin_phase
+        grid += _noise_free(_waveform_signal, layout, *arrays)
     return TileObservations(layout, grid.reshape(layout.n_blocks, *bins.shape))
+
+
+def _waveform_signal(layout: TileLayout, codes, delays, cfos, responses) -> np.ndarray:
+    """The noise-free waveform-mode grid, (n_blocks, n_tiles * tile_width)."""
+    n, bins = layout.n_subcarriers, layout.tile_bins
+    gather, bin_phase, block_steps, block_codes, bin_codes = layout._leakage_tables[2:]
+    kernel = _leakage_kernel(layout, cfos).take(gather, axis=1)  # (k, b', b)
+    # rank-one tiles, with the phases of D split between each user's blocks and bins
+    alpha = np.exp(1j * np.pi * cfos[:, None] * block_steps / n) * block_codes[codes]  # (k, m)
+    # b (2 delay + 1) is an exact integer in float64: reduced mod 2N, the ramp's
+    # argument stays below 2 pi instead of reaching about 1400 rad
+    turns = np.mod(bins.ravel() * (2 * delays[:, None] + 1), 2 * n)
+    ramp = np.exp(turns * (-1j * np.pi / n))  # (k, b)
+    rows = ramp * bin_codes[codes] * responses.T
+    leaked = (kernel @ rows.view(float).reshape(len(codes), -1, 2)).view(complex)[..., 0]
+    return (alpha.T @ leaked) * bin_phase

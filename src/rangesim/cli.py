@@ -28,7 +28,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a sweep and write a CSV metrics table")
+    run = sub.add_parser("run", help="run a sweep and write a CSV metrics table",
+                         description="Run a sweep trial-major (every SNR point of one trial "
+                                     "index before the next), then print one line per SNR "
+                                     "point and write the CSV metrics table.")
     run.add_argument("--config", required=True, help="path to a key=value config file")
     for flag, key in _OVERRIDES.items():
         run.add_argument(f"--{flag}", dest=key, help=f"override {key}, written as in a config file")

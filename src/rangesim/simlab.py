@@ -4,6 +4,9 @@ A sweep runs independent trials per SNR point.  Each trial draws fresh
 user truths and noise from a stream keyed on (master seed, trial index)
 only, so the same trial index sees the same users at every SNR point and
 two runs with the same configuration produce byte-identical CSV files.
+The sweep is trial-major: all SNR points of one index run before the
+next index, so the synthesizers reuse that index's noise-free signal, and
+the rows come out after the last index.
 Trial i's stream is PCG64 seeded by ``SeedSequence([seed, i])``, hashed
 for a block of 256 indices at once, and equal draw for draw to
 ``np.random.default_rng([seed, i])``.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from array import array
 from collections.abc import Iterable
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -294,6 +298,54 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     return TrialResult(truth, range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay)))
 
 
+class _PointScores:
+    """One SNR point's running scores, fed its trial results in index order."""
+
+    def __init__(self, cfg: SimConfig):
+        self.cfg = cfg
+        self.trials = self.bad_trials = self.bad_codes = self.users = self.timing_events = 0
+        # summed by sum(): from Python 3.12 it compensates, so a running += would round
+        # differently; 8 bytes per value, where a list of floats takes 32
+        self.squared = array("d")
+
+    def add(self, res: TrialResult) -> None:
+        """Score each user of one trial."""
+        cfg = self.cfg
+        wrong = res.report.detected.symmetric_difference(u.code for u in res.truth)
+        self.trials += 1
+        self.bad_trials += bool(wrong)
+        self.bad_codes += len(wrong)
+        self.users += len(res.truth)
+        for user in res.truth:
+            if user.code not in res.report.per_code:
+                self.timing_events += 1  # a missed user can never be aligned
+                continue
+            cfo_hat, delay_hat = res.report.per_code[user.code]
+            e = cfo_hat - user.cfo
+            self.squared.append(e * e)
+            self.timing_events += timing_error_event(delay_hat, user.delay, cfg.cp_data,
+                                                     cfg.channel_taps)
+
+    def row(self, snr_db: float) -> MetricsRow:
+        """The point's metrics; at least one trial must have been scored."""
+        n, cfg = self.trials, self.cfg
+        if n == 0:
+            raise ConfigError("compute_metrics needs at least one trial result")
+        squared = self.squared
+        rmse = math.sqrt(sum(squared) / len(squared)) if squared else None
+        return MetricsRow(
+            snr_db=snr_db,
+            p_f=self.bad_trials / n,
+            rmse_eps=rmse,
+            p_err_timing=self.timing_events / self.users if self.users else 0.0,
+            trials=n,
+            k=cfg.num_users,
+            omega=cfg.max_cfo,
+            mode=cfg.mode,
+            p_f_per_code=self.bad_codes / (cfg.layout().max_codes * n),
+        )
+
+
 def compute_metrics(results: Iterable[TrialResult], snr_db: float, cfg: SimConfig) -> MetricsRow:
     """Score each user of one SNR point's trials, in index order, and reduce to metrics.
 
@@ -303,39 +355,10 @@ def compute_metrics(results: Iterable[TrialResult], snr_db: float, cfg: SimConfi
     correctly detected users only, and an undetected user always counts as
     a timing error event.  ``results`` may be a one-pass iterator.
     """
-    max_codes = cfg.layout().max_codes
-    n = bad_trials = bad_codes = users = timing_events = 0
-    # summed by sum(): from Python 3.12 it compensates, so a running += would round differently
-    squared = []
-    for n, res in enumerate(results, start=1):
-        wrong = res.report.detected.symmetric_difference(u.code for u in res.truth)
-        bad_trials += bool(wrong)
-        bad_codes += len(wrong)
-        users += len(res.truth)
-        for user in res.truth:
-            if user.code not in res.report.per_code:
-                timing_events += 1  # a missed user can never be aligned
-                continue
-            cfo_hat, delay_hat = res.report.per_code[user.code]
-            e = cfo_hat - user.cfo
-            squared.append(e * e)
-            timing_events += timing_error_event(delay_hat, user.delay, cfg.cp_data,
-                                                cfg.channel_taps)
-    if n == 0:
-        raise ConfigError("compute_metrics needs at least one trial result")
-    rmse = math.sqrt(sum(squared) / len(squared)) if squared else None
-    p_err = timing_events / users if users else 0.0
-    return MetricsRow(
-        snr_db=snr_db,
-        p_f=bad_trials / n,
-        rmse_eps=rmse,
-        p_err_timing=p_err,
-        trials=n,
-        k=cfg.num_users,
-        omega=cfg.max_cfo,
-        mode=cfg.mode,
-        p_f_per_code=bad_codes / (max_codes * n),
-    )
+    scores = _PointScores(cfg)
+    for res in results:
+        scores.add(res)
+    return scores.row(snr_db)
 
 
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
@@ -361,13 +384,20 @@ def format_count(count, trials):
 
 
 def run_sweep(cfg: SimConfig, progress=None) -> list[MetricsRow]:
-    """One metrics row per configured SNR point, in order; trials are scored as they run."""
-    rows = []
-    for snr_db in cfg.snr_list_db:
-        trials = (run_trial(cfg, snr_db, i) for i in range(cfg.trials))
-        row = compute_metrics(trials, snr_db, cfg)
-        rows.append(row)
-        if progress is not None:
+    """One metrics row per configured SNR point, in order, scored as the trials run.
+
+    Trial-major: every SNR point of trial index i runs, in SNR order, before index i + 1, so
+    the synthesizers reuse each index's noise-free signal across its points.  Each point keeps
+    only its running scores.  The rows, and one ``progress(row)`` call each in SNR order,
+    come after the last index.
+    """
+    points = [(snr_db, _PointScores(cfg)) for snr_db in cfg.snr_list_db]
+    for i in range(cfg.trials):
+        for snr_db, scores in points:
+            scores.add(run_trial(cfg, snr_db, i))
+    rows = [scores.row(snr_db) for snr_db, scores in points]
+    if progress is not None:
+        for row in rows:
             progress(row)
     return rows
 

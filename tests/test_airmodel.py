@@ -1,10 +1,13 @@
 """Signal-synthesis checks: closed forms, DFT oracles, and mode cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangesim import airmodel
 from rangesim.airmodel import (
     ChannelProfile,
     TileLayout,
@@ -690,3 +693,113 @@ def test_negative_noise_variance_rejected(synthesize):
 def test_observation_shape_guard():
     with pytest.raises(ValidationError):
         TileObservations(small_layout(), np.zeros((2, 2, 2), dtype=complex))
+
+
+SYNTHESIZERS = [pytest.param(synthesize_model_mode, id="model"),
+                pytest.param(synthesize_waveform_mode, id="waveform")]
+
+
+def fresh_grid(synthesize, users, layout, seed, noise_var=0.5):
+    """The grid of a call that cannot reuse a signal: the memo entry is cleared first."""
+    airmodel._last_signal = None, None
+    return synthesize(users, layout, noise_var, np.random.default_rng(seed)).grid
+
+
+def memo_user(code=1, delay=2, cfo=0.01, cir=(1.0, 0.5j)):
+    return UserTruth(code, delay, cfo, np.array(cir, dtype=complex))
+
+
+class TestSignalMemo:
+    """The synthesizers keep their last noise-free signal; every grid must still equal the
+    grid of a call that computes it afresh, bit for bit."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(ragged_scenarios(), ragged_scenarios())
+    def test_hits_and_misses_equal_a_fresh_computation(self, first, second):
+        for synthesize in (synthesize_model_mode, synthesize_waveform_mode):
+            want = [fresh_grid(synthesize, users, layout, seed).tobytes()
+                    for seed, (layout, users) in enumerate((first, second))]
+            # alternating misses where the scenarios differ, then a hit on each
+            for seed in (0, 1, 0, 1, 1, 0, 0):
+                layout, users = (first, second)[seed]
+                grid = synthesize(users, layout, 0.5, np.random.default_rng(seed)).grid
+                assert grid.tobytes() == want[seed]
+
+    @pytest.mark.parametrize("synthesize", SYNTHESIZERS)
+    def test_a_repeat_reuses_the_signal_and_a_change_replaces_it(self, synthesize):
+        layout, users = small_layout(), [memo_user(0), memo_user(2, cfo=-0.02)]
+        synthesize(users, layout, 1.0, np.random.default_rng(0))
+        entry = airmodel._last_signal
+        synthesize(list(users), layout, 0.1, np.random.default_rng(1))  # the next SNR point
+        assert airmodel._last_signal is entry
+        for other in ([memo_user(0)], [memo_user(0), memo_user(2, delay=3, cfo=-0.02)]):
+            synthesize(other, layout, 0.1, np.random.default_rng(1))
+            assert airmodel._last_signal is not entry
+        synthesize(users, non_uniform_layout(), 0.1, np.random.default_rng(1))
+        assert airmodel._last_signal[0][1] == non_uniform_layout()
+
+    @pytest.mark.parametrize("synthesize", SYNTHESIZERS)
+    @pytest.mark.parametrize("valid, invalid, message", [
+        ([memo_user(1)], [memo_user(True)], "code must be an integer, got True"),
+        ([memo_user(1)], [memo_user(1.0)], "code must be an integer, got 1.0"),
+        ([memo_user(cfo=0.0)], [memo_user(cfo=math.nan)], "CFO must be finite"),
+        ([memo_user(cfo=0.0)], [memo_user(cfo=math.inf)], "CFO must be finite"),
+        ([memo_user(cir=(1.0, 0.5))], [memo_user(cir=(1.0, math.inf))], "channel taps must be finite"),
+        ([memo_user(cir=(1.0, 0.5))], [memo_user(cir=[(1.0, 0.5)])], "1-d tap array"),
+        ([memo_user(0), memo_user(1)], [memo_user(1), memo_user(1)], "distinct ranging codes"),
+    ], ids=["code True", "code 1.0", "nan CFO", "inf CFO", "inf tap", "2-d channel",
+            "duplicate codes"])
+    def test_invalid_users_raise_on_every_call(self, synthesize, valid, invalid, message):
+        # each invalid set compares equal to the valid one, or holds the same tap bytes
+        layout = small_layout()
+        for _ in range(2):
+            synthesize(valid, layout, 0.0, np.random.default_rng(0))
+            with pytest.raises(ValidationError, match=message):
+                synthesize(invalid, layout, 0.0, np.random.default_rng(0))
+
+    def test_delay_plus_taps_past_the_prefix_raise_on_every_call(self):
+        # the second user's padded taps, and so every signal input, equal the valid set's
+        layout, long = small_layout(), memo_user(0, cir=(1.0, 0.5, 0.25))
+        valid = [long, memo_user(1, delay=14, cir=(1.0, 0.5))]  # delay + taps = 16, the prefix
+        invalid = [long, memo_user(1, delay=14, cir=(1.0, 0.5, 0.0))]
+        for _ in range(2):
+            synthesize_waveform_mode(valid, layout, 0.0, np.random.default_rng(0))
+            with pytest.raises(ValidationError, match="ranging prefix"):
+                synthesize_waveform_mode(invalid, layout, 0.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("synthesize", SYNTHESIZERS)
+    def test_negative_zero_cfo_has_its_own_entry(self, synthesize):
+        layout = small_layout()
+        synthesize([memo_user(cfo=0.0)], layout, 0.0, np.random.default_rng(0))
+        entry = airmodel._last_signal
+        got = synthesize([memo_user(cfo=-0.0)], layout, 0.0, np.random.default_rng(1)).grid
+        assert airmodel._last_signal is not entry
+        want = fresh_grid(synthesize, [memo_user(cfo=-0.0)], layout, 1, noise_var=0.0)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("synthesize", SYNTHESIZERS)
+    def test_a_channel_changed_in_place_changes_the_grid(self, synthesize):
+        layout, cir = small_layout(), np.array([1.0, 0.5j])
+        users = [UserTruth(1, 2, 0.01, cir)]
+        before = synthesize(users, layout, 0.0, np.random.default_rng(0)).grid
+        cir[1] = -0.5j
+        after = synthesize(users, layout, 0.0, np.random.default_rng(0)).grid
+        assert not np.array_equal(before, after)
+        assert after.tobytes() == fresh_grid(synthesize, users, layout, 0, 0.0).tobytes()
+
+    @pytest.mark.parametrize("synthesize", SYNTHESIZERS)
+    def test_grid_is_writeable_and_never_the_cached_signal(self, synthesize):
+        layout, users = small_layout(), [memo_user()]
+        for seed in (0, 1):  # a miss, then a hit
+            obs = synthesize(users, layout, 0.5, np.random.default_rng(seed))
+            cached = airmodel._last_signal[1]
+            assert obs.grid.flags.writeable and not cached.flags.writeable
+            assert not np.shares_memory(obs.grid, cached)
+
+    @pytest.mark.parametrize("synthesize", SYNTHESIZERS)
+    def test_an_idle_slot_leaves_the_memo_alone(self, synthesize):
+        layout = small_layout()
+        synthesize([memo_user()], layout, 0.5, np.random.default_rng(0))
+        entry = airmodel._last_signal
+        synthesize([], layout, 0.5, np.random.default_rng(0))
+        assert airmodel._last_signal is entry

@@ -345,6 +345,19 @@ NON_ARRAY_SITES = {
         ValidationError, "eigenvalues"),
 }
 
+# a channel that is not an array of numbers, in each synthesizer: "abc", [["x"]] and a
+# ragged list raised numpy's ValueError, object() a bare TypeError, [1, None] was read as a
+# NaN tap ("must be finite"), and ["1", "2"] as the taps 1 and 2
+for _mode, _synthesize in (("model", synthesize_model_mode),
+                           ("waveform", synthesize_waveform_mode)):
+    for _kind, _cir in (("text", "abc"), ("nested-text", [["x"]]), ("object", object()),
+                        ("None-entry", [1, None]), ("ragged", [[1.0], [1.0, 2.0]]),
+                        ("numeric-text", ["1", "2"])):
+        NON_ARRAY_SITES[f"{_mode}.user.cir={_kind}"] = (
+            lambda f=_synthesize, c=_cir: f([UserTruth(0, 0, 0.0, c)], SMALL, 0.0,
+                                            np.random.default_rng(0)),
+            ValidationError, "channel taps")
+
 
 @pytest.mark.parametrize("case", NON_ARRAY_SITES)
 def test_non_array_raises_the_site_error(case):

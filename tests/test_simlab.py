@@ -5,7 +5,9 @@ import math
 import pickle
 import re
 import struct
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -407,6 +409,50 @@ class TestRunSweep:
         assert (row.p_f, row.rmse_eps, row.p_err_timing) == (
             serial.p_f, serial.rmse_eps, serial.p_err_timing
         )
+
+    @pytest.mark.parametrize("snrs", [(10.0,), (math.inf,), (0.0, math.inf, 20.0)],
+                             ids=["one point", "one inf point", "three points"])
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_rows_equal_each_points_own_reduction(self, mode, k, snrs):
+        # trial-major with running scores: the same rows as scoring each point's trials apart
+        cfg = SimConfig(num_users=k, mode=mode, max_cfo=0.1, trials=10, snr_list_db=snrs,
+                        master_seed=11)
+        want = [compute_metrics([run_trial(cfg, snr, i) for i in range(cfg.trials)], snr, cfg)
+                for snr in snrs]
+        assert repr(run_sweep(cfg)) == repr(want)
+
+    def test_progress_sees_each_row_once_in_snr_order(self):
+        cfg = replace(self.cfg(), snr_list_db=(20.0, 0.0, math.inf))
+        seen = []
+        rows = run_sweep(cfg, progress=seen.append)
+        assert len(seen) == 3 and all(a is b for a, b in zip(seen, rows))
+        assert [row.snr_db for row in seen] == [20.0, 0.0, math.inf]
+
+    def test_a_sweep_holds_no_trial_results(self):
+        # bound fixed before the first run: holding each point's TrialResults until its
+        # reduction takes several MiB here
+        cfg = SimConfig(num_users=3, mode="waveform", max_cfo=0.1, trials=500,
+                        snr_list_db=(0.0, 10.0, 20.0), master_seed=5)
+        run_trial(cfg, 0.0, 0)  # the layout's tables, built once
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_threaded_trials_equal_serial_ones(self):
+        # the synthesizers' shared signal memo must not leak one trial's signal into another
+        cfg = replace(self.cfg(), mode="waveform", num_users=3, max_cfo=0.1)
+        calls = [(snr, i) for i in range(cfg.trials) for snr in (*cfg.snr_list_db, math.inf)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda c: run_trial(cfg, *c), calls[::-1]))[::-1]
+        for (snr, i), res in zip(calls, threaded):
+            serial = run_trial(cfg, snr, i)
+            assert res.report.detected == serial.report.detected
+            assert res.report.per_code == serial.report.per_code
 
 
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96 + 3, 2**130]
