@@ -144,8 +144,9 @@ class UserTruth:
 @dataclass(frozen=True)
 class ChannelProfile:
     """Exponentially decaying multipath power profile with unit total power, computed once
-    at construction: a decay that overflows float arithmetic (an integer past the float range,
-    or below about n_taps / 1.8e308) fails there."""
+    at construction: a decay that is not a positive number (a bool is not) or that overflows
+    float arithmetic (an integer past the float range, or below about n_taps / 1.8e308) fails
+    there."""
 
     n_taps: int
     decay: float
@@ -153,7 +154,7 @@ class ChannelProfile:
     @np.errstate(all="raise", under="ignore")  # far taps may underflow to 0
     def __post_init__(self):
         require_int("n_taps", self.n_taps, 1)
-        if not self.decay > 0:
+        if isinstance(self.decay, (bool, np.bool_)) or not self.decay > 0:
             raise ValidationError(f"decay constant must be a positive number, got {self.decay}")
         try:
             raw = np.exp(-np.arange(self.n_taps) / self.decay)
@@ -175,16 +176,16 @@ class ChannelProfile:
 class TileObservations:
     """DFT outputs on the ranging tiles: grid[m, q, v] is block m, tile q, offset v.
 
-    The grid must be a numpy array of numbers in the layout's shape, with a finite total power
-    checked in one BLAS pass that NaN and inf carry into: that bounds every correlation sum the
-    receiver forms.
+    The grid must be a numpy array of numbers, not bools, in the layout's shape, with a finite
+    total power checked in one BLAS pass that NaN and inf carry into: that bounds every
+    correlation sum the receiver forms.
     """
 
     layout: TileLayout
     grid: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.grid, np.ndarray) or self.grid.dtype.kind not in "biufc":
+        if not isinstance(self.grid, np.ndarray) or self.grid.dtype.kind not in "iufc":
             got = getattr(self.grid, "dtype", type(self.grid).__name__)
             raise ValidationError(f"grid must be a numpy array of numbers, got {got}")
         expected = (self.layout.n_blocks, self.layout.n_tiles, self.layout.tile_width)
@@ -286,12 +287,12 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
 
 def _channel_taps(cir) -> np.ndarray:
     """A user's channel as a 1-d complex array; what is not an array of numbers (text, objects,
-    ragged lists) or not 1-d raises :class:`ValidationError`."""
+    bools, ragged lists) or not 1-d raises :class:`ValidationError`."""
     try:
         taps = np.asarray(cir)
     except ValueError:  # a ragged list
         taps = np.empty(0, dtype=object)
-    if taps.dtype.kind not in "biufc":
+    if taps.dtype.kind not in "iufc":
         raise ValidationError(f"channel taps must be an array of numbers, got {cir!r:.60}")
     if taps.ndim != 1:
         raise ValidationError(f"a channel must be a 1-d tap array, got shape {taps.shape}")

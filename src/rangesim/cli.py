@@ -49,15 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     flags = {key: getattr(args, key) for key in _OVERRIDES.values()}
     cfg = load_config(args.config, [(key, text) for key, text in flags.items() if text is not None])
-
-    def progress(row):
+    rows = run_sweep(cfg)
+    for row in rows:
         rmse = "n/a" if row.rmse_eps is None else f"{row.rmse_eps:.3e}"
         print(
             f"snr {row.snr_db:>5g} dB  p_f={row.p_f:.4f}  rmse_eps={rmse}  "
             f"p_err={row.p_err_timing:.4f}  p_f_per_code={row.p_f_per_code:.4f}"
         )
-
-    rows = run_sweep(cfg, progress=progress)
     emit_csv(rows, args.out)
     print(f"wrote {args.out}")
     if args.gnuplot:

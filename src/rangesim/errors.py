@@ -50,9 +50,10 @@ def require_finite(name, values):
     """``values`` unchanged if a finite real scalar (one ``math.isfinite`` call), or as an array
     if one ``np.isfinite`` pass finds no NaN or ±inf in it.  A violation raises
     ``ValidationError`` naming the argument and its (first) non-finite value; so does a complex
-    scalar, an integer past the float range, and what is not a number (text, None) or an array
-    of numbers.  Arrays may be complex."""
-    if isinstance(values, (float, int, np.floating, np.integer)):  # the Real ABC is slower
+    scalar, an integer past the float range, and what is not a number (text, None, a Python or
+    numpy bool) or an array of numbers (a bool array is not).  Arrays may be complex."""
+    # the Real ABC is slower; a bool is an int, but not a number here
+    if isinstance(values, (float, int, np.floating, np.integer)) and not isinstance(values, bool):
         try:
             if math.isfinite(values):
                 return values
@@ -62,10 +63,8 @@ def require_finite(name, values):
     if isinstance(values, (complex, np.complexfloating)):
         raise ValidationError(f"{name} must be real, got {values!r}")
     array = np.asarray(values)
-    try:
-        finite = np.isfinite(array)
-    except TypeError:  # the array holds text or objects
+    if array.dtype.kind not in "iufc":  # bools, text, None and other objects
         raise ValidationError(f"{name} must be a number or an array of numbers, got {values!r}")
-    if finite.all():
+    if np.isfinite(array).all():
         return array
     raise ValidationError(f"{name} must be finite, got {array[~np.isfinite(array)][0].item()!r}")

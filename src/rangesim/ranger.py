@@ -36,9 +36,9 @@ from .cxmath import forward_backward, general_eigenvalues, hermitian_evd, ls_rot
 from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
                      require_int)
 
-EIGENVALUE_FLOOR = 1e-18  # relative to the largest eigenvalue
-# A largest frequency-stage eigenvalue below this puts MDL's floor under the normal float range:
-# the correlation's products have fallen into subnormals, so the grid is ranged at unit scale.
+EIGENVALUE_FLOOR = 1e-12  # MDL's one floor, relative to the largest eigenvalue
+# A largest frequency-stage eigenvalue below this, about 2.2e-296, puts MDL's floor under the
+# normal float range, where the floor loses precision: the grid is ranged at unit scale instead.
 _TINY_TOP = np.finfo(float).tiny / EIGENVALUE_FLOOR
 
 
@@ -99,12 +99,12 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     Takes the correlation's eigenvalues in non-increasing order.  Scores
     every candidate count against the geometric/arithmetic mean
     ratio of the trailing eigenvalues plus a parameter-count penalty, and
-    returns the first minimiser in {0, ..., cap}.  Eigenvalues within
-    round-off of zero (relative to the largest) are snapped to a common
-    floor first, ``EIGENVALUE_FLOOR`` times the largest: their mutual ratios
-    are numerical noise and would otherwise bias the score in
-    exactly-noiseless runs.  Both are relative, so the count does not
-    depend on the spectrum's scale.  Raises :class:`DimensionError` unless the
+    returns the first minimiser in {0, ..., cap}.  Every eigenvalue below
+    ``EIGENVALUE_FLOOR`` times the largest, round-off of either sign, is
+    raised to that floor first: the mutual ratios of such values are
+    numerical noise and would otherwise bias the score in exactly-noiseless
+    runs.  The floor is relative, so the count does not depend on the
+    spectrum's scale.  Raises :class:`DimensionError` unless the
     eigenvalues form a 1-d array, and :class:`ValidationError` unless they are
     real numbers (not text) whose sum is finite: one check for NaN, ±inf and
     overflow.
@@ -126,7 +126,7 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     require_int("snapshot count", num_snapshots, 1)
     top = max(0.0, *lam)
     floor = EIGENVALUE_FLOOR * top or EIGENVALUE_FLOOR  # an all-zero spectrum: equal floors, K = 0
-    lam = [floor if x < 1e-12 * top else max(x, floor) for x in lam]
+    lam = [max(x, floor) for x in lam]
     # sums over the trailing eigenvalues lam[k:], accumulated from the last one
     tail_sums = list(itertools.accumulate(reversed(lam)))[::-1]
     logs = np.log(lam + [tail_sums[k] / (n - k) for k in range(cap + 1)]).tolist()

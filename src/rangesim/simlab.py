@@ -282,19 +282,23 @@ def _trial_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(_block_seed_words(seed, block)[row])))
 
 
+def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: int | None = None):
+    """``(users, obs)`` of one trial: ``count`` users (``cfg.num_users`` if None) drawn from the
+    stream ``(seed, index)``, then their grid synthesized in ``cfg.mode`` from the same stream."""
+    rng = _trial_stream(seed, index)
+    users = draw_users(cfg, rng, count)
+    synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
+    return users, synthesize(users, cfg.layout(), noise_var, rng)
+
+
 def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """Draw one scenario, synthesize and range it.
 
     The random stream depends only on the master seed and the trial index,
     so the same index reuses its scenario at every SNR point.
     """
-    layout = cfg.layout()
-    var = noise_variance(snr_db, layout)
-    rng = _trial_stream(cfg.master_seed, require_int("trial index", trial_index, 0))
-    truth = draw_users(cfg, rng)
-
-    synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
-    obs = synthesize(truth, layout, var, rng)
+    var = noise_variance(snr_db, cfg.layout())
+    truth, obs = _scenario(cfg, cfg.master_seed, require_int("trial index", trial_index, 0), var)
     return TrialResult(truth, range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay)))
 
 
@@ -383,23 +387,18 @@ def format_count(count, trials):
     return f"0/{trials} (< {mantissa}e{int(exponent)})"
 
 
-def run_sweep(cfg: SimConfig, progress=None) -> list[MetricsRow]:
+def run_sweep(cfg: SimConfig) -> list[MetricsRow]:
     """One metrics row per configured SNR point, in order, scored as the trials run.
 
     Trial-major: every SNR point of trial index i runs, in SNR order, before index i + 1, so
     the synthesizers reuse each index's noise-free signal across its points.  Each point keeps
-    only its running scores.  The rows, and one ``progress(row)`` call each in SNR order,
-    come after the last index.
+    only its running scores, and the rows come out after the last index.
     """
     points = [(snr_db, _PointScores(cfg)) for snr_db in cfg.snr_list_db]
     for i in range(cfg.trials):
         for snr_db, scores in points:
             scores.add(run_trial(cfg, snr_db, i))
-    rows = [scores.row(snr_db) for snr_db, scores in points]
-    if progress is not None:
-        for row in rows:
-            progress(row)
-    return rows
+    return [scores.row(snr_db) for snr_db, scores in points]
 
 
 GAP_RESOLUTION = 1e-4  # oracle_periodogram's frequency step
@@ -425,18 +424,15 @@ def oracle_periodogram(snapshots) -> float:
 
 
 def _noiseless_known_k_trials(cfg: SimConfig, seed: int, trials: int, counts: tuple[int, ...]):
-    """``(users, obs, report)`` per noiseless model-mode trial ``i < trials``: ``counts[i %
-    len(counts)]`` users from the stream ``(seed, i)``, ranged with that count given.
+    """``(users, obs, report)`` per noiseless trial ``i < trials`` of ``cfg``'s mode:
+    ``counts[i % len(counts)]`` users from the stream ``(seed, i)``, ranged with that count given.
     Checks that ``seed`` is a non-negative integer and ``trials`` a positive one
     (:class:`ValidationError`) before the first trial."""
     require_int("seed", seed, 0)
     require_int("trial count", trials, 1)
-    layout = cfg.layout()
     for trial in range(trials):
         count = counts[trial % len(counts)]
-        rng = _trial_stream(seed, trial)
-        users = draw_users(cfg, rng, count=count)
-        obs = synthesize_model_mode(users, layout, 0.0, rng)
+        users, obs = _scenario(cfg, seed, trial, 0.0, count)
         ranger = RangerConfig(max_delay=cfg.max_delay, known_num_codes=count)
         yield users, obs, range_subchannel(obs, ranger)
 
@@ -444,12 +440,13 @@ def _noiseless_known_k_trials(cfg: SimConfig, seed: int, trials: int, counts: tu
 def esprit_periodogram_gap() -> float:
     """Worst disagreement between the pipeline and the grid oracle.
 
-    Runs ``GAP_TRIALS`` noiseless single-user scenarios of the reference
-    setup from the seed ``GAP_SEED`` and compares the subspace frequency
+    Runs ``GAP_TRIALS`` noiseless single-user model-mode scenarios of the
+    reference setup from the seed ``GAP_SEED`` and compares the subspace frequency
     estimate against :func:`oracle_periodogram`, wrap-aware.
     """
     worst = 0.0
-    for _, obs, report in _noiseless_known_k_trials(SimConfig(), GAP_SEED, GAP_TRIALS, (1,)):
+    trials = _noiseless_known_k_trials(SimConfig(mode="model"), GAP_SEED, GAP_TRIALS, (1,))
+    for _, obs, report in trials:
         diff = report.effective_cfos[0] - oracle_periodogram(freq_snapshots(obs))
         worst = max(worst, abs(diff - round(diff)))
     return float(worst)

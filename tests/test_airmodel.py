@@ -337,6 +337,12 @@ class TestDrawChannel:
         with pytest.raises(ValidationError):
             ChannelProfile(3, float("nan"))
 
+    @pytest.mark.parametrize("decay", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_decay_rejected(self, decay):
+        # built a decay-1 profile: a bool read as the number 1
+        with pytest.raises(ValidationError, match="^decay constant must be a positive number"):
+            ChannelProfile(3, decay)
+
 
 class TestModelMode:
     def test_no_users_no_noise(self):

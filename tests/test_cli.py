@@ -67,6 +67,15 @@ class TestRun:
         assert lines[0] == "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
         assert len(lines) == 3
 
+    def test_one_line_per_row_in_snr_order_before_the_csv(self, config_path, tmp_path, capsys):
+        out = tmp_path / "metrics.csv"
+        assert main(["run", "--config", str(config_path), "--snr", "20, 0, inf",
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines[:3]] == [["snr", "20"], ["snr", "0"],
+                                                             ["snr", "inf"]]
+        assert lines[3:] == [f"wrote {out}"]
+
     def test_overrides_reach_the_sweep(self, config_path, tmp_path):
         out = tmp_path / "metrics.csv"
         code = main(

@@ -223,11 +223,16 @@ def test_require_int_message_states_name_bounds_and_value(value, lo, hi, message
     ("10", "x must be a number or an array of numbers, got '10'"),
     (None, "x must be a number or an array of numbers, got None"),
     (object(), "x must be a number or an array of numbers, got <object object"),
-    (["1", 2.0], r"x must be a number or an array of numbers, got \['1', 2.0\]")],
-    ids=["nan", "10**400", "complex", "numpy-complex", "text", "None", "object", "text-list"])
+    (["1", 2.0], r"x must be a number or an array of numbers, got \['1', 2.0\]"),
+    (True, "x must be a number or an array of numbers, got True$"),
+    (np.False_, r"x must be a number or an array of numbers, got np.False_$"),
+    (np.array([True, False]), r"x must be a number or an array of numbers, got array\(\[ True")],
+    ids=["nan", "10**400", "complex", "numpy-complex", "text", "None", "object", "text-list",
+         "bool", "numpy-bool", "bool-array"])
 def test_require_finite_message_names_the_argument(value, message):
     # an integer past the float range raised a bare OverflowError, a complex scalar passed
-    # through as a 0-d array, and text, None and objects raised numpy's bare TypeError
+    # through as a 0-d array, text, None and objects raised numpy's bare TypeError, and
+    # bools passed as the numbers 0 and 1
     with pytest.raises(ValidationError, match=f"^{message}"):
         require_finite("x", value)
 
@@ -308,13 +313,15 @@ def test_non_finite_value_raises_the_site_error(site, value, capfd):
 
 
 # the scalar sites whose one check is require_finite: text and None raised numpy's bare
-# TypeError there before
+# TypeError there before, and bools passed as 0 and 1 (a CFO of True synthesized a one-spacing
+# offset, 7.5 times the acquisition bound, and a noise variance of True drew unit noise)
 SCALAR_SITES = ["timing_error_event.delay_est", "timing_error_event.delay_true",
                 "model.user.cfo", "model.noise_var", "waveform.user.cfo", "waveform.noise_var"]
 
 
 @pytest.mark.parametrize("site", SCALAR_SITES)
-@pytest.mark.parametrize("value", ["10", None], ids=["text", "None"])
+@pytest.mark.parametrize("value", ["10", None, True, np.True_],
+                         ids=["text", "None", "bool", "numpy-bool"])
 def test_non_number_raises_the_site_error(site, value):
     call, error, name, _ = FINITE_SITES[site]
     with pytest.raises(error, match=f"^{name} must be a number"):
@@ -343,16 +350,29 @@ NON_ARRAY_SITES = {
     "estimate_num_codes.eigenvalues=complex": (
         lambda: estimate_num_codes(np.array([2.0, 1.0, 1.0, 1.0j]), 64, 3),
         ValidationError, "eigenvalues"),
+    # bool arrays read as 0 and 1: a grid of True ranged, the phases were weighed by
+    # eigenvalues of True and False, and effective offsets of True mapped to codes
+    "TileObservations.grid=bool": (
+        lambda: TileObservations(REFERENCE, np.ones((4, 16, 4), dtype=bool)),
+        ValidationError, "grid"),
+    "esprit_phases.eigenvalues=bool": (
+        lambda: esprit_phases(np.array([True, False, False, False]), np.eye(4, dtype=complex), 1),
+        ValidationError, "eigenvalues"),
+    "map_cfo.effective_cfos=bool": (lambda: map_cfo(np.array([True, False]), REFERENCE),
+                                    ValidationError, "effective CFOs"),
+    "map_timing.effective_timings=bool": (
+        lambda: map_timing(np.array([True, False]), REFERENCE, 204),
+        ValidationError, "effective timings"),
 }
 
 # a channel that is not an array of numbers, in each synthesizer: "abc", [["x"]] and a
 # ragged list raised numpy's ValueError, object() a bare TypeError, [1, None] was read as a
-# NaN tap ("must be finite"), and ["1", "2"] as the taps 1 and 2
+# NaN tap ("must be finite"), ["1", "2"] as the taps 1 and 2, and [True] as the tap 1
 for _mode, _synthesize in (("model", synthesize_model_mode),
                            ("waveform", synthesize_waveform_mode)):
     for _kind, _cir in (("text", "abc"), ("nested-text", [["x"]]), ("object", object()),
                         ("None-entry", [1, None]), ("ragged", [[1.0], [1.0, 2.0]]),
-                        ("numeric-text", ["1", "2"])):
+                        ("numeric-text", ["1", "2"]), ("bool", np.array([True]))):
         NON_ARRAY_SITES[f"{_mode}.user.cir={_kind}"] = (
             lambda f=_synthesize, c=_cir: f([UserTruth(0, 0, 0.0, c)], SMALL, 0.0,
                                             np.random.default_rng(0)),

@@ -168,6 +168,27 @@ class TestEstimateNumCodes:
         with pytest.raises(ValidationError):
             estimate_num_codes(np.array([1.0, 1.0]), 16, 2)
 
+    # noiseless spectra, relative to the largest eigenvalue: signal eigenvalues down to 1e-8
+    # (a user 80 dB below the strongest), then round-off of mixed size and sign
+    NOISELESS_SPECTRA = [
+        (1, [1.0, 3e-16, -2e-17, -4e-16]),
+        (1, [1.0, 2e-15, 1e-19, 0.0]),
+        (2, [1.0, 0.3, 1e-16, 1e-25]),
+        (2, [1.0, 1e-8, 5e-17, -3e-16]),
+        (3, [1.0, 0.5, 1e-8, -1e-16]),
+        (3, [1.0, 1e-3, 1e-8, 4e-16]),
+        (0, [0.0, 0.0, 0.0, 0.0]),
+    ]
+
+    @pytest.mark.parametrize("count, spectrum", NOISELESS_SPECTRA,
+                             ids=["K1-signed", "K1-sizes", "K2-sizes", "K2-weak-signed",
+                                  "K3-weak-signed", "K3-weak-sizes", "idle-zeros"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_round_off_reads_as_noise_and_signals_count(self, count, spectrum, scale):
+        # what the floor is for: without it, round-off of unequal size reads as signals, or
+        # its logarithm is not finite; at 1e-6 of the largest it hides the weakest user
+        assert estimate_num_codes(scale * np.array(spectrum), 64, 3) == count
+
 
 class TestEspritPhases:
     def make_spectrum(self, snaps):
@@ -468,7 +489,10 @@ class TestRangeSubchannel:
             rng = np.random.default_rng([3, trial])
             grid = synthesize(random_users(rng, layout, 3), layout, 0.01, rng).grid
             base = range_subchannel(TileObservations(layout, grid), cfg)
-            for scale in (1e-10, 1e-100, 1e100, 1e-155, 1e-200, 1e-300):
+            # the largest eigenvalue is 4.5 to 7.8 here: 1e-146 and 1e-148 put it between 2.2e-296
+            # and 2.2e-290, ranged as is under a 1e-12 floor and at unit scale under 1e-18, and
+            # 1e-150 just under 2.2e-296, ranged at unit scale under either
+            for scale in (1e-10, 1e-100, 1e100, 1e-146, 1e-148, 1e-150, 1e-155, 1e-200, 1e-300):
                 report = range_subchannel(TileObservations(layout, scale * grid), cfg)
                 assert (report.num_codes, report.detected) == (base.num_codes, base.detected)
                 for code, (cfo, delay) in base.per_code.items():

@@ -74,10 +74,12 @@ class TestNoiseVariance:
     @pytest.mark.parametrize("snr, usable", [
         (REFERENCE.snr_floor_db, False), (REFERENCE.snr_floor_db + 0.1, True), (0, True),
         (np.float64(20.0), True), (1e308, True), (10**400, False), (math.inf, True),
-        ("10", False), (None, False)],
-        ids=["floor", "floor+0.1", "0", "20-numpy", "1e308", "10**400", "inf", "text", "None"])
+        ("10", False), (None, False), (True, False), (np.True_, False)],
+        ids=["floor", "floor+0.1", "0", "20-numpy", "1e308", "10**400", "inf", "text", "None",
+             "bool", "numpy-bool"])
     def test_validate_and_run_trial_agree(self, snr, usable):
-        # 10**400 built a config whose every trial raised: pow() overflowed only in run_trial
+        # 10**400 built a config whose every trial raised: pow() overflowed only in run_trial,
+        # and a trial at an SNR of True ran at 1 dB
         try:
             SimConfig(mode="model", snr_list_db=(snr,))
         except ConfigError:
@@ -422,13 +424,6 @@ class TestRunSweep:
                 for snr in snrs]
         assert repr(run_sweep(cfg)) == repr(want)
 
-    def test_progress_sees_each_row_once_in_snr_order(self):
-        cfg = replace(self.cfg(), snr_list_db=(20.0, 0.0, math.inf))
-        seen = []
-        rows = run_sweep(cfg, progress=seen.append)
-        assert len(seen) == 3 and all(a is b for a, b in zip(seen, rows))
-        assert [row.snr_db for row in seen] == [20.0, 0.0, math.inf]
-
     def test_a_sweep_holds_no_trial_results(self):
         # bound fixed before the first run: holding each point's TrialResults until its
         # reduction takes several MiB here
@@ -487,15 +482,26 @@ class TestTrialStream:
     def test_equals_default_rng_property(self, seed, index):
         assert simlab._trial_stream(seed, index).bit_generator.state == _reference_state(seed, index)
 
-    def test_noiseless_trials_and_run_trial_draw_the_same_users(self):
+    def test_noiseless_trials_and_run_trial_draw_the_same_users(self, monkeypatch):
+        # in each mode, the same users as run_trial, and the grid run_trial ranges at SNR = inf
         def fields(users):
             return [(u.code, u.delay, u.cfo, u.cir.tolist()) for u in users]
 
-        cfg = SimConfig(num_users=3, mode="model", max_cfo=0.1, master_seed=12)
-        noiseless = simlab._noiseless_known_k_trials(cfg, 12, 300, (3,))
-        for i, (users, _, _) in enumerate(noiseless):
-            if i in (0, 1, 255, 256, 299):
-                assert fields(users) == fields(run_trial(cfg, 10.0, i).truth), i
+        ranged, range_subchannel = {}, simlab.range_subchannel
+
+        def record(obs, ranger):
+            ranged["grid"] = obs.grid
+            return range_subchannel(obs, ranger)
+
+        monkeypatch.setattr(simlab, "range_subchannel", record)
+        for mode in ("model", "waveform"):
+            cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, master_seed=12)
+            noiseless = simlab._noiseless_known_k_trials(cfg, 12, 300, (3,))
+            for i, (users, obs, _) in enumerate(noiseless):
+                if i in (0, 1, 255, 256, 299):
+                    assert fields(users) == fields(run_trial(cfg, 10.0, i).truth), (mode, i)
+                    run_trial(cfg, math.inf, i)
+                    assert ranged["grid"].tobytes() == obs.grid.tobytes(), (mode, i)
 
 
 class TestOraclePeriodogram:
