@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_finite, require_int
+from .errors import ValidationError, require_finite, require_int, require_numbers
 
 
 @dataclass(frozen=True)
@@ -176,18 +176,17 @@ class ChannelProfile:
 class TileObservations:
     """DFT outputs on the ranging tiles: grid[m, q, v] is block m, tile q, offset v.
 
-    The grid must be a numpy array of numbers, not bools, in the layout's shape, with a finite
-    total power checked in one BLAS pass that NaN and inf carry into: that bounds every
-    correlation sum the receiver forms.
+    The grid must be a numpy array, not a list, of numbers (``require_numbers``: not bools) in
+    the layout's shape, with a finite total power checked in one BLAS pass that NaN and inf
+    carry into: that bounds every correlation sum the receiver forms.
     """
 
     layout: TileLayout
     grid: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.grid, np.ndarray) or self.grid.dtype.kind not in "iufc":
-            got = getattr(self.grid, "dtype", type(self.grid).__name__)
-            raise ValidationError(f"grid must be a numpy array of numbers, got {got}")
+        if require_numbers("grid", self.grid) is not self.grid:  # only an ndarray comes back
+            raise ValidationError(f"grid must be a numpy array, got {type(self.grid).__name__}")
         expected = (self.layout.n_blocks, self.layout.n_tiles, self.layout.tile_width)
         if self.grid.shape != expected:
             raise ValidationError(f"grid shape {self.grid.shape} does not match layout {expected}")
@@ -262,8 +261,9 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
     """``(codes, delays, cfos, cirs, ends)`` of the users, one entry or row per user.
 
     Checks each user as it goes: the code must be an integer in [0, max_codes), the delay
-    a non-negative integer, the CFO finite and the channel a 1-d array of numbers; then that
-    no two users share a code and that the taps' total power, one BLAS pass, is finite.
+    a non-negative integer, the CFO finite and the channel a 1-d array of numbers
+    (``require_numbers``); then that no two users share a code and that the taps' total
+    power, one BLAS pass, is finite.
     ``cirs`` holds the channels zero-padded to the longest; ``ends`` delay + taps.
     """
     last_code = layout.max_codes - 1
@@ -272,7 +272,9 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
         codes.append(require_int("code", u.code, 0, last_code))
         delays.append(require_int("delays", u.delay, 0))
         cfos.append(require_finite("CFO", u.cfo))
-        taps.append(_channel_taps(u.cir))
+        taps.append(require_numbers("channel taps", u.cir))
+        if taps[-1].ndim != 1:
+            raise ValidationError(f"a channel must be a 1-d tap array, got shape {taps[-1].shape}")
         ends.append(u.delay + taps[-1].size)
     if len(set(codes)) != len(codes):
         raise ValidationError("active users must carry distinct ranging codes")
@@ -283,20 +285,6 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
         raise ValidationError("channel taps must be finite, with a finite total power")
     return (np.array(codes, dtype=int), np.array(delays, dtype=float), np.array(cfos, dtype=float),
             cirs, ends)
-
-
-def _channel_taps(cir) -> np.ndarray:
-    """A user's channel as a 1-d complex array; what is not an array of numbers (text, objects,
-    bools, ragged lists) or not 1-d raises :class:`ValidationError`."""
-    try:
-        taps = np.asarray(cir)
-    except ValueError:  # a ragged list
-        taps = np.empty(0, dtype=object)
-    if taps.dtype.kind not in "iufc":
-        raise ValidationError(f"channel taps must be an array of numbers, got {cir!r:.60}")
-    if taps.ndim != 1:
-        raise ValidationError(f"a channel must be a 1-d tap array, got shape {taps.shape}")
-    return taps.astype(complex, copy=False)
 
 
 _last_signal = None, None  # (key, read-only signal) of the latest synthesis with users

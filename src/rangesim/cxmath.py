@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DimensionError, NumericalError, RankDeficiencyError, ValidationError,
-                     require_finite)
+                     require_finite, require_numbers)
 
 _HERMITIAN_REL_TOL = 1e-12
 # Largest entry of U^H U - I that ls_rotation accepts as orthonormal columns;
@@ -25,7 +25,7 @@ _RANK_RCOND = 1e-6
 
 
 def _as_square(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    a = require_numbers("matrix", a).astype(complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} needs a square matrix, got shape {a.shape}")
     return a
@@ -37,6 +37,7 @@ def forward_backward(r) -> np.ndarray:
     Returns ``0.5 * (R + J R^T J)`` where J is the exchange matrix (ones on
     the anti-diagonal).  The result is persymmetric by construction and
     Hermitian whenever R is Hermitian; applying it twice changes nothing.
+    Raises :class:`ValidationError` for bools or text and :class:`DimensionError` unless square.
     """
     r = _as_square(r, "forward_backward")
     return 0.5 * (r + r[::-1, ::-1].T)
@@ -49,9 +50,9 @@ def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues in non-increasing order, and orthonormal eigenvectors whose
     column ``j`` pairs with ``eigenvalues[j]``.  The order within a tie is
     unspecified; nothing downstream depends on it.  Raises
-    :class:`ValidationError` for non-finite entries (the one pass taking the
-    largest entry is the finite check) or input that is not Hermitian to a
-    relative tolerance of 1e-12 (largest entry of ``a - a^H`` against ``a``'s).
+    :class:`ValidationError` for bools, text, non-finite entries (the one pass taking the largest
+    entry is the finite check) or input that is not Hermitian to a relative tolerance of
+    1e-12 (largest entry of ``a - a^H`` against ``a``'s).
     """
     a = _as_square(a, "hermitian_evd")
     # max-abs norms: a squared-sum norm overflows once entries pass about 1e154
@@ -71,13 +72,13 @@ def ls_rotation(basis) -> np.ndarray:
     U must have orthonormal columns, as eigenvectors do.  With ``w`` the
     conjugated last row of U, ``U[:-1]^H U[:-1] = I - w w^H``, so
     ``X = C + w (w^H C) / (1 - |w|^2)`` with ``C = U[:-1]^H U[1:]``.  Raises
-    :class:`ValidationError` when an entry of ``U^H U - I`` exceeds 1e-10,
-    non-finite input included, and :class:`RankDeficiencyError` when
+    :class:`ValidationError` for bools, text and an entry of ``U^H U - I`` over
+    1e-10, non-finite input included, and :class:`RankDeficiencyError` when
     ``1 - |w|^2 <= 1e-12``: the subspace dimension was overestimated.  For
     k >= 2 that is a 1e-6 bound on the ratio of U[:-1]'s singular values,
     which are 1 and ``sqrt(1 - |w|^2)``; for k = 1 it is stricter.
     """
-    u = np.asarray(basis, dtype=complex)
+    u = require_numbers("basis", basis).astype(complex, copy=False)
     if u.ndim != 2 or not 1 <= u.shape[1] < u.shape[0]:
         raise DimensionError(f"ls_rotation needs an (n, k) basis with 1 <= k < n, got {u.shape}")
     u_h = u.conj().T
@@ -100,7 +101,7 @@ def ls_rotation(basis) -> np.ndarray:
 def general_eigenvalues(a) -> np.ndarray:
     """All eigenvalues (with multiplicity, unordered) of a square matrix (``np.linalg.eigvals``).
 
-    Raises :class:`ValidationError` for non-finite entries.
+    Raises :class:`ValidationError` for bools, text or non-finite entries.
     """
     a = require_finite("matrix", _as_square(a, "general_eigenvalues"))
     try:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all rangesim modules, and the one integer and finiteness checks."""
+"""The exception hierarchy of rangesim, and its one integer, number and finiteness checks."""
 
 import math
 from numbers import Integral
@@ -46,12 +46,24 @@ def require_int(name, value, lo, hi=None, error=ValidationError):
     return value
 
 
+def require_numbers(name, values):
+    """``np.asarray(values)`` if of integers, floats or complex numbers; text, None, bools, other
+    objects and ragged lists raise ``ValidationError`` naming the argument."""
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind in "iufc":
+            return array
+    except ValueError:  # a ragged list
+        pass
+    raise ValidationError(f"{name} must be a number or an array of numbers, got {values!r:.60}")
+
+
 def require_finite(name, values):
     """``values`` unchanged if a finite real scalar (one ``math.isfinite`` call), or as an array
     if one ``np.isfinite`` pass finds no NaN or ±inf in it.  A violation raises
     ``ValidationError`` naming the argument and its (first) non-finite value; so does a complex
-    scalar, an integer past the float range, and what is not a number (text, None, a Python or
-    numpy bool) or an array of numbers (a bool array is not).  Arrays may be complex."""
+    scalar, an integer past the float range, and what :func:`require_numbers` rejects (a Python
+    or numpy bool is not a number).  Arrays may be complex."""
     # the Real ABC is slower; a bool is an int, but not a number here
     if isinstance(values, (float, int, np.floating, np.integer)) and not isinstance(values, bool):
         try:
@@ -62,9 +74,7 @@ def require_finite(name, values):
         raise ValidationError(f"{name} must be finite, got {values!r}")
     if isinstance(values, (complex, np.complexfloating)):
         raise ValidationError(f"{name} must be real, got {values!r}")
-    array = np.asarray(values)
-    if array.dtype.kind not in "iufc":  # bools, text, None and other objects
-        raise ValidationError(f"{name} must be a number or an array of numbers, got {values!r}")
+    array = require_numbers(name, values)
     if np.isfinite(array).all():
         return array
     raise ValidationError(f"{name} must be finite, got {array[~np.isfinite(array)][0].item()!r}")

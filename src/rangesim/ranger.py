@@ -34,7 +34,7 @@ import numpy as np
 from .airmodel import TileLayout, TileObservations
 from .cxmath import forward_backward, general_eigenvalues, hermitian_evd, ls_rotation
 from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
-                     require_int)
+                     require_int, require_numbers)
 
 EIGENVALUE_FLOOR = 1e-12  # MDL's one floor, relative to the largest eigenvalue
 # A largest frequency-stage eigenvalue below this, about 2.2e-296, puts MDL's floor under the
@@ -86,8 +86,8 @@ def tile_snapshots(obs: TileObservations) -> np.ndarray:
 
 
 def sample_corr(snapshots) -> np.ndarray:
-    """Average outer product of the snapshot vectors (Hermitian, PSD)."""
-    snaps = np.asarray(snapshots, dtype=complex)
+    """Average outer product of the rows of a 2-d array of numbers (Hermitian, PSD)."""
+    snaps = require_numbers("snapshots", snapshots).astype(complex, copy=False)
     if snaps.ndim != 2 or snaps.shape[0] < 1:
         raise ValidationError("sample_corr needs at least one snapshot vector")
     return (snaps.T @ snaps.conj()) / snaps.shape[0]
@@ -104,20 +104,19 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     raised to that floor first: the mutual ratios of such values are
     numerical noise and would otherwise bias the score in exactly-noiseless
     runs.  The floor is relative, so the count does not depend on the
-    spectrum's scale.  Raises :class:`DimensionError` unless the
-    eigenvalues form a 1-d array, and :class:`ValidationError` unless they are
-    real numbers (not text) whose sum is finite: one check for NaN, ±inf and
-    overflow.
+    spectrum's scale.  Raises :class:`ValidationError` unless the eigenvalues
+    are numbers (``require_numbers``: not text, bools or a ragged list), real and
+    with a finite sum (one check for NaN, ±inf and overflow), and
+    :class:`DimensionError` unless they form a 1-d array.
 
     The few candidates are scored in plain float arithmetic, cheaper than
     array calls at this size; the logarithms come from one ``np.log`` call,
     so every score matches numpy's whole-array evaluation to the last bit.
     """
-    lam = np.asarray(eigenvalues)
-    if lam.ndim != 1 or lam.dtype.kind not in "iuf":  # nested lists, text, None, complex
+    lam = require_numbers("eigenvalues", eigenvalues)
+    if lam.ndim != 1 or lam.dtype.kind == "c":
         error = DimensionError if lam.ndim != 1 else ValidationError
-        raise error(f"eigenvalues must be a 1-d array of real numbers, got {lam.dtype} of "
-                    f"shape {lam.shape}")
+        raise error(f"eigenvalues must be a 1-d array of real numbers, got {lam.dtype} {lam.shape}")
     lam = lam.astype(float, copy=False).tolist()
     if not math.isfinite(sum(lam)):  # NaN and inf carry into the sum, and overflow makes inf
         raise ValidationError(f"eigenvalues must be finite, with a finite sum, got {lam}")
@@ -150,10 +149,11 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     result is ordered by descending strength (power the correlation assigns
     to each frequency's steering direction), so when the source count was
     overestimated the junk estimate sorts last; no ordering is otherwise
-    guaranteed or meaningful.  Raises :class:`ValidationError` for non-finite
-    eigenvalues and :class:`DimensionError` unless they pair n with (n, n) eigenvectors.
+    guaranteed or meaningful.  Raises :class:`ValidationError` for non-numeric input or non-finite
+    eigenvalues, and :class:`DimensionError` unless n eigenvalues pair with (n, n) eigenvectors.
     """
     eigenvalues = require_finite("eigenvalues", eigenvalues)
+    eigenvectors = require_numbers("eigenvectors", eigenvectors)
     n = eigenvectors.shape[0]
     if eigenvectors.shape != (n, n) or eigenvalues.shape != (n,):
         raise DimensionError(f"need n eigenvalues and (n, n) eigenvectors, got shapes "
@@ -205,11 +205,14 @@ def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
     :func:`map_timing` return them, and returns ``(per_code, collisions)``,
     ``per_code`` mapping each detected code to its ``(cfo, delay)``.  When
     two estimates of a stage reduce to the same code index, the first one
-    keeps the attribution and the clash is counted.  Raises
-    :class:`DimensionError` when a stage's codes and values differ in length.
+    keeps the attribution and the clash is counted.  Raises :class:`ValidationError` for
+    non-numeric input and :class:`DimensionError` unless a stage's arrays are 1-d and equally long.
     """
-    if len(cfo_codes) != len(cfos) or len(timing_codes) != len(delays):
-        raise DimensionError("each stage needs one value per code estimate")
+    cfo_codes, cfos, timing_codes, delays = map(require_numbers, (
+        "CFO codes", "CFOs", "timing codes", "delays"), (cfo_codes, cfos, timing_codes, delays))
+    if cfos.ndim != 1 or delays.ndim != 1 or (
+            cfo_codes.shape != cfos.shape or timing_codes.shape != delays.shape):
+        raise DimensionError("each stage needs one value per code estimate, in 1-d arrays")
     # built from the back, so the first estimate of each code is written last
     cfo_by_code = dict(zip(cfo_codes[::-1].tolist(), cfos[::-1].tolist()))
     timing_by_code = dict(zip(timing_codes[::-1].tolist(), delays[::-1].tolist()))

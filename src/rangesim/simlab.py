@@ -37,7 +37,7 @@ from .airmodel import (
     synthesize_waveform_mode,
 )
 from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
-                     require_int)
+                     require_int, require_numbers)
 from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
@@ -413,7 +413,7 @@ def oracle_periodogram(snapshots) -> float:
     [-1/2, 1/2), ``GAP_RESOLUTION`` apart; deliberately independent of the
     subspace pipeline so the two can cross-validate.
     """
-    snaps = np.asarray(snapshots, dtype=complex)
+    snaps = require_numbers("snapshots", snapshots).astype(complex, copy=False)
     if snaps.ndim != 2 or snaps.size == 0:
         raise DimensionError(f"need a non-empty (snapshots, n) array, got shape {snaps.shape}")
     n = require_finite("snapshots", snaps).shape[1]
@@ -522,15 +522,11 @@ plot "{csv_path.name}" using 1:4 with linespoints title "p_err"
     return path
 
 
-def parse_snr_list(text: str) -> tuple[float, ...]:
-    """SNR points in dB from comma- or space-separated values ("inf" allowed)."""
-    return tuple(float(t) for t in text.replace(",", " ").split())
-
-
 def _field_parser(hint):
-    """The parser or cast for one field type; ``int | None`` parses as int."""
+    """The parser or cast for one field type; ``int | None`` parses as int, and SNR points in dB
+    as comma- or space-separated values ("inf" allowed)."""
     if hint == tuple[float, ...]:
-        return parse_snr_list
+        return lambda text: tuple(float(t) for t in text.replace(",", " ").split())
     return get_args(hint)[0] if get_args(hint) else hint
 
 

@@ -11,8 +11,14 @@ site's typed error naming the argument, with no numpy warning and before LAPACK 
 value, and a site whose check is a sum also rejects finite values that overflow it.  A
 scalar site also rejects an integer too large for a float and a complex value.  An SNR is
 not such a site: +inf is a noiseless run.
+
+Every array input goes through ``errors.require_numbers`` (``NON_ARRAY_SITES``): text, None,
+bools, other objects and ragged lists raise the site's typed error naming the argument, and
+a list of numbers is read as its array.  Every public ``cxmath`` kernel and every public
+``ranger`` stage that takes an array has such a row.
 """
 
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -30,16 +36,19 @@ from rangesim.airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from rangesim.cxmath import general_eigenvalues, hermitian_evd, ls_rotation
+from rangesim import cxmath, ranger
+from rangesim.cxmath import forward_backward, general_eigenvalues, hermitian_evd, ls_rotation
 from rangesim.errors import (ConfigError, DimensionError, ValidationError, require_finite,
                              require_int)
 from rangesim.ranger import (
     RangerConfig,
+    detect_codes,
     esprit_phases,
     estimate_num_codes,
     map_cfo,
     map_timing,
     range_subchannel,
+    sample_corr,
 )
 from rangesim.simlab import (
     SimConfig,
@@ -226,13 +235,14 @@ def test_require_int_message_states_name_bounds_and_value(value, lo, hi, message
     (["1", 2.0], r"x must be a number or an array of numbers, got \['1', 2.0\]"),
     (True, "x must be a number or an array of numbers, got True$"),
     (np.False_, r"x must be a number or an array of numbers, got np.False_$"),
-    (np.array([True, False]), r"x must be a number or an array of numbers, got array\(\[ True")],
+    (np.array([True, False]), r"x must be a number or an array of numbers, got array\(\[ True"),
+    ([[1.0], [1.0, 2.0]], r"x must be a number or an array of numbers, got \[\[1.0\], \[1.0")],
     ids=["nan", "10**400", "complex", "numpy-complex", "text", "None", "object", "text-list",
-         "bool", "numpy-bool", "bool-array"])
+         "bool", "numpy-bool", "bool-array", "ragged"])
 def test_require_finite_message_names_the_argument(value, message):
     # an integer past the float range raised a bare OverflowError, a complex scalar passed
     # through as a 0-d array, text, None and objects raised numpy's bare TypeError, and
-    # bools passed as the numbers 0 and 1
+    # bools passed as the numbers 0 and 1, and a ragged list raised numpy's bare ValueError
     with pytest.raises(ValidationError, match=f"^{message}"):
         require_finite("x", value)
 
@@ -365,6 +375,47 @@ NON_ARRAY_SITES = {
         ValidationError, "effective timings"),
 }
 
+RAGGED = [[1.0], [1.0, 2.0]]
+# a ragged list raised numpy's bare ValueError at each of these
+for _case, _call, _name in (
+        ("map_cfo.effective_cfos", lambda: map_cfo(RAGGED, REFERENCE), "effective CFOs"),
+        ("map_timing.effective_timings", lambda: map_timing(RAGGED, REFERENCE, 204),
+         "effective timings"),
+        ("esprit_phases.eigenvalues", lambda: esprit_phases(RAGGED, np.eye(4), 1), "eigenvalues"),
+        ("estimate_num_codes.eigenvalues", lambda: estimate_num_codes(RAGGED, 64, 1),
+         "eigenvalues"),
+        ("sample_corr.snapshots", lambda: sample_corr(RAGGED), "snapshots")):
+    NON_ARRAY_SITES[f"{_case}=ragged"] = (_call, ValidationError, _name)
+NON_ARRAY_SITES.update({
+    # numeric text was parsed into numbers, and each returned a result
+    "forward_backward.r=numeric-text": (lambda: forward_backward([["1", "2"], ["3", "4"]]),
+                                        ValidationError, "matrix"),
+    "ls_rotation.basis=numeric-text": (lambda: ls_rotation([["1"], ["0"]]),
+                                       ValidationError, "basis"),
+    "oracle_periodogram.snapshots=numeric-text": (
+        lambda: oracle_periodogram([["1", "0", "0", "0"]]), ValidationError, "snapshots"),
+    # bool arrays read as 0 and 1, and each returned a result
+    "hermitian_evd.a=bool": (lambda: hermitian_evd(np.eye(3, dtype=bool)),
+                             ValidationError, "matrix"),
+    "general_eigenvalues.a=bool": (lambda: general_eigenvalues(np.eye(2, dtype=bool)),
+                                   ValidationError, "matrix"),
+    "sample_corr.snapshots=bool": (lambda: sample_corr(np.ones((3, 2), dtype=bool)),
+                                   ValidationError, "snapshots"),
+    "oracle_periodogram.snapshots=bool": (
+        lambda: oracle_periodogram(np.ones((3, 4), dtype=bool)), ValidationError, "snapshots"),
+    # AttributeError: a list has no shape
+    "esprit_phases.eigenvectors=text": (
+        lambda: esprit_phases([2.0, 1.0, 1.0, 1.0], [["1", "0", "0", "0"]] * 4, 1),
+        ValidationError, "eigenvectors"),
+})
+# AttributeError: a list has no tolist
+for _position, (_arg, _name) in enumerate((("cfo_codes", "CFO codes"), ("cfos", "CFOs"),
+                                           ("timing_codes", "timing codes"),
+                                           ("delays", "delays"))):
+    NON_ARRAY_SITES[f"detect_codes.{_arg}=text"] = (
+        lambda p=_position: detect_codes(*[["0"] if i == p else np.zeros(1) for i in range(4)]),
+        ValidationError, _name)
+
 # a channel that is not an array of numbers, in each synthesizer: "abc", [["x"]] and a
 # ragged list raised numpy's ValueError, object() a bare TypeError, [1, None] was read as a
 # NaN tap ("must be finite"), ["1", "2"] as the taps 1 and 2, and [True] as the tap 1
@@ -386,3 +437,31 @@ def test_non_array_raises_the_site_error(case):
         warnings.simplefilter("error")  # a numpy warning would escape as another error
         with pytest.raises(error, match=f"^{name} must be a"):
             call()
+
+
+# the public ranger stages that take a TileObservations, whose grid the TileObservations rows
+# cover
+TAKE_OBSERVATIONS = {"range_subchannel", "freq_snapshots", "tile_snapshots"}
+
+
+def _public_functions(module):
+    return {name: fn for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__
+            and not name.startswith("_")}
+
+
+def test_every_public_kernel_and_array_stage_has_a_non_array_row():
+    rows = {case.partition("=")[0] for case in NON_ARRAY_SITES}  # "function.argument"
+    stages = _public_functions(ranger)
+    for name in TAKE_OBSERVATIONS:  # each exemption is still a stage taking observations
+        first = next(iter(inspect.signature(stages[name]).parameters.values()))
+        assert first.annotation == "TileObservations", name
+    covered = {row.partition(".")[0] for row in rows}
+    missing = [name for name in (*_public_functions(cxmath), *stages)
+               if name not in covered and name not in TAKE_OBSERVATIONS]
+    assert not missing, f"no NON_ARRAY_SITES row for {missing}"
+    for row in rows:  # each row names a real argument of its kernel or stage
+        name, _, argument = row.partition(".")
+        for module in (cxmath, ranger):
+            if name in _public_functions(module):
+                assert argument in inspect.signature(getattr(module, name)).parameters, row

@@ -260,6 +260,14 @@ class TestEspritPhases:
         with pytest.raises(DimensionError):
             esprit_phases(lam, vecs, 3)
 
+    def test_list_spectrum_gives_what_the_arrays_give(self):
+        # list eigenvectors raised AttributeError: a list has no shape
+        rng = np.random.default_rng(8)
+        snaps = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
+        lam, vecs = self.make_spectrum(snaps)
+        np.testing.assert_array_equal(esprit_phases(lam.tolist(), vecs.tolist(), 2),
+                                      esprit_phases(lam, vecs, 2))
+
     @pytest.mark.parametrize("eigenvalues, eigenvectors", [
         (np.ones(4), np.eye(4)[:, :3]), (np.ones(3), np.eye(4)), (np.ones((4, 1)), np.eye(4)),
     ], ids=["non-square vectors", "too few values", "2-d values"])
@@ -358,6 +366,11 @@ class TestDetectCodes:
         assert per_code[1][0] == cfos[0]
         assert coll == 1
 
+    def test_lists_give_what_the_arrays_give(self):
+        # lists raised AttributeError: a list has no tolist
+        arrays = (*self.freq([1, 1, 2], cfos=[0.01, 0.03, 0.02]), *self.timing([2, 1, 0]))
+        assert detect_codes(*(a.tolist() for a in arrays)) == detect_codes(*arrays)
+
     @pytest.mark.parametrize("stage", ["frequency", "timing"])
     def test_stage_codes_and_values_of_unequal_length_rejected(self, stage):
         # zip dropped the unmatched entries and returned ({}, 1) or a partial attribution
@@ -366,6 +379,15 @@ class TestDetectCodes:
         short[1] = short[1][:1]
         with pytest.raises(DimensionError, match="one value per code estimate"):
             detect_codes(*f, *t)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("shape", [(), (2, 1)], ids=["scalar", "2-d"])
+    def test_array_that_is_not_1d_rejected(self, position, shape):
+        # a scalar raised TypeError from len(), a 2-d array TypeError: unhashable list
+        arrays = [*self.freq([0, 2]), *self.timing([0, 2])]
+        arrays[position] = np.zeros(shape)
+        with pytest.raises(DimensionError, match="one value per code estimate"):
+            detect_codes(*arrays)
 
     def test_matches_first_wins_loop(self):
         rng = np.random.default_rng(14)
