@@ -10,14 +10,16 @@ Two generators produce the tile observations the receiver consumes:
   the DFT window's Dirichlet kernel, as intercarrier leakage does on air.
 
 Both modes share that kernel, model mode on each user's own bins
-(:func:`cfo_attenuation`) and waveform mode factored over the layout's bin
+(:func:`_cfo_attenuation`) and waveform mode factored over the layout's bin
 distances (:func:`_leakage_kernel`), and one noise model, i.i.d. circular
-Gaussian per tile bin.  They draw from an injected random generator.  The
-one state they share is a one-entry memo of the last noise-free signal:
-a call whose checked users and layout equal the last call's adds that
-signal to its fresh noise, as a sweep's SNR points of one trial index do.
-The memo is swapped as one tuple, so independent trials can run
-concurrently on independent streams and at worst miss it.
+Gaussian per tile bin.  They draw from an injected random generator, and
+check every user before the private, unchecked formula helpers (code
+matrix, effective offsets, that kernel) see it.  The one state they share
+is a one-entry memo of the last noise-free signal: a call whose checked
+users and layout equal the last call's adds that signal to its fresh
+noise, as a sweep's SNR points of one trial index do.  The memo is
+swapped as one tuple, so independent trials can run concurrently on
+independent streams and at worst miss it.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class TileLayout:
         present = np.bincount(shifted.ravel()) > 0
         angles = np.pi * (np.flatnonzero(present) - (n - 1)) / n
         steps = 2 * (np.arange(self.n_blocks) * self.block_len + self.cp_ranging) + n - 1
-        codes = code_matrix(np.arange(self.max_codes), self.tile_width, self.n_blocks)
+        codes = _code_matrix(np.arange(self.max_codes), self.tile_width, self.n_blocks)
         tables = (n * np.sin(angles), n * np.cos(angles), (np.cumsum(present) - 1)[shifted],
                   np.exp(1j * np.pi * bins / n), steps, codes[:, 0, :],
                   np.tile(codes[:, :, 0], self.n_tiles))
@@ -194,22 +196,19 @@ class TileObservations:
             raise ValidationError("grid must be finite, with a finite total power")
 
 
-def code_matrix(code, tile_width: int, n_blocks: int) -> np.ndarray:
+def _code_matrix(code, tile_width: int, n_blocks: int) -> np.ndarray:
     """Full (tile_width, n_blocks) ranging code matrix.
 
     ``code`` may also be an array of codes; their matrices then stack
-    along the leading axes.  Each code must be a non-negative integer.
+    along the leading axes.  Unchecked: its one caller, the layout's leakage
+    tables, passes the codes 0 .. max_codes - 1 of a validated layout.
     """
-    require_int("tile_width", tile_width, 2)
-    require_int("n_blocks", n_blocks, 2)
-    for c in np.ravel(code).tolist():  # ints, or the bools and floats that require_int rejects
-        require_int("code", c, 0)
     v = np.arange(tile_width)[:, None] / (tile_width - 1)
     m = np.arange(n_blocks)[None, :] / (n_blocks - 1)
     return np.exp(np.multiply.outer(2j * np.pi * np.asarray(code), v + m))
 
 
-def cfo_attenuation(offset, n_subcarriers: int):
+def _cfo_attenuation(offset, n_subcarriers: int):
     """Dirichlet kernel D(x) = (1/N) sum_t exp(2j pi x t / N) of the DFT window.
 
     The gain a tone picks up in the bin ``x`` subcarrier spacings below it:
@@ -225,7 +224,7 @@ def cfo_attenuation(offset, n_subcarriers: int):
     return (np.sin(t) + at_zero) / (den + at_zero) * np.exp(1j * t * (n - 1) / n)
 
 
-def effective_offsets(codes, delays, cfos, layout: TileLayout):
+def _effective_offsets(codes, delays, cfos, layout: TileLayout):
     """Composite per-user unknowns the subspace estimator actually sees.
 
     Returns ``(effective_cfo, effective_timing)``: the code index folds into
@@ -355,12 +354,12 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
 def _model_signal(layout: TileLayout, codes, delays, cfos, responses) -> np.ndarray:
     """The noise-free model-mode grid, (n_blocks, n_tiles, tile_width)."""
     n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
-    xi, eta = effective_offsets(codes, delays, cfos, layout)
+    xi, eta = _effective_offsets(codes, delays, cfos, layout)
     tile_means = responses.reshape(layout.n_tiles, width, -1).sum(axis=1) / width  # (q, k)
     # b delay is an exact integer in float64: reduced mod N, the phase's argument stays
     # below 2 pi instead of reaching about 1200 rad
     delay_phase = np.exp(np.mod(layout.tile_bins[:, :1] * delays, n) * (-2j * np.pi / n))
-    amps = cfo_attenuation(cfos, n) * tile_means * delay_phase
+    amps = _cfo_attenuation(cfos, n) * tile_means * delay_phase
     block_phase = np.exp(2j * np.pi * xi * np.arange(n_blocks)[:, None])  # (m, k)
     tile_phase = np.exp(2j * np.pi * eta * np.arange(width)[:, None])  # (v, k)
     return (block_phase[:, None, :] * amps) @ tile_phase.T

@@ -169,17 +169,27 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     return phases[(-strength).argsort(kind="stable")]
 
 
+def _code_indices(name: str, values, raw) -> np.ndarray:
+    """``raw``, rounded code indices, as integers: one outside int64 raises
+    :class:`ValidationError` naming ``name``, before the cast that would warn.  Python floats
+    are compared, cheaper than array calls for a few estimates."""
+    if not all(-2.0**63 <= r < 2.0**63 for r in raw.ravel().tolist()):
+        raise ValidationError(f"{name} must give code indices within int64, got {values!r:.60}")
+    return raw.astype(int)
+
+
 def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]:
     """Split effective CFOs elementwise into ``(codes, cfos)``, codes in [0, n_blocks - 2].
 
     Valid whenever the configured maximum offset keeps the per-code
-    intervals disjoint (checked at configuration time, not here).
+    intervals disjoint (checked at configuration time, not here).  Periodic with period 1;
+    NaN, ±inf and a value whose code index overflows int64 raise :class:`ValidationError`.
     """
     span = layout.n_blocks - 1
     effective_cfos = require_finite("effective CFOs", effective_cfos)
     raw = np.floor(span * effective_cfos + 0.5)
     cfos = (layout.n_subcarriers / layout.block_len) * (effective_cfos - raw / span)
-    return raw.astype(int) % span, cfos
+    return _code_indices("effective CFOs", effective_cfos, raw) % span, cfos
 
 
 def _check_max_delay(layout: TileLayout, max_delay: int) -> None:
@@ -188,14 +198,15 @@ def _check_max_delay(layout: TileLayout, max_delay: int) -> None:
 
 def map_timing(effective_timings, layout: TileLayout,
                max_delay: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split effective timings elementwise into ``(codes, delays)``, delays in samples."""
+    """Split effective timings elementwise into ``(codes, delays)``, delays in samples; periodic
+    and checked as in :func:`map_cfo`."""
     _check_max_delay(layout, max_delay)
     span = layout.tile_width - 1
     half_bias = max_delay * span / (2.0 * layout.n_subcarriers)
     effective_timings = require_finite("effective timings", effective_timings)
     raw = np.floor(span * effective_timings + half_bias + 0.5)
     delays = layout.n_subcarriers * (raw / span - effective_timings)
-    return raw.astype(int) % span, delays
+    return _code_indices("effective timings", effective_timings, raw) % span, delays
 
 
 def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
@@ -206,13 +217,17 @@ def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
     ``per_code`` mapping each detected code to its ``(cfo, delay)``.  When
     two estimates of a stage reduce to the same code index, the first one
     keeps the attribution and the clash is counted.  Raises :class:`ValidationError` for
-    non-numeric input and :class:`DimensionError` unless a stage's arrays are 1-d and equally long.
+    non-numeric input and for codes not of integer dtype (1.0 is no code; an empty array is
+    no estimates), and :class:`DimensionError` unless a stage's arrays are 1-d and equally long.
     """
     cfo_codes, cfos, timing_codes, delays = map(require_numbers, (
         "CFO codes", "CFOs", "timing codes", "delays"), (cfo_codes, cfos, timing_codes, delays))
     if cfos.ndim != 1 or delays.ndim != 1 or (
             cfo_codes.shape != cfos.shape or timing_codes.shape != delays.shape):
         raise DimensionError("each stage needs one value per code estimate, in 1-d arrays")
+    for name, codes in (("CFO codes", cfo_codes), ("timing codes", timing_codes)):
+        if codes.size and codes.dtype.kind not in "iu":
+            raise ValidationError(f"{name} must be an array of integers, got {codes!r:.60}")
     # built from the back, so the first estimate of each code is written last
     cfo_by_code = dict(zip(cfo_codes[::-1].tolist(), cfos[::-1].tolist()))
     timing_by_code = dict(zip(timing_codes[::-1].tolist(), delays[::-1].tolist()))

@@ -170,17 +170,18 @@ def noise_variance(snr_db: float, layout: TileLayout) -> float:
     return math.pow(10.0, -require_finite("SNR", snr_db) / 10.0)
 
 
-def timing_error_event(delay_est: float, delay_true: float, cp_data: int, n_taps: int) -> bool:
+def timing_error_event(delay_est: float, delay_true: float, cfg: SimConfig) -> bool:
     """Whether a delay estimate would cause interblock interference later on.
 
     The receiver backs the window off by half the data-phase slack, so the
     shifted error must stay within the interference-free span of the data
-    prefix: no event iff ``n_taps - cp_data - 1 <= err <= 0`` with
-    ``err = (delay_est - delay_true) + (n_taps - cp_data) / 2``.
+    prefix: with ``cfg``'s ``channel_taps`` L and ``cp_data`` P, no event iff
+    ``L - P - 1 <= err <= 0`` with ``err = (delay_est - delay_true) + (L - P) / 2``.
     """
     err = require_finite("delay estimate", delay_est) - require_finite("true delay", delay_true)
-    err += (n_taps - cp_data) / 2.0  # a NaN error would compare False both ways: read as aligned
-    return err > 0 or err < n_taps - cp_data - 1
+    slack = cfg.channel_taps - cfg.cp_data  # negative: a valid config has cp_data > channel_taps
+    err += slack / 2.0  # a NaN error would compare False both ways: read as aligned
+    return err > 0 or err < slack - 1
 
 
 def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = None) -> list[UserTruth]:
@@ -314,7 +315,6 @@ class _PointScores:
 
     def add(self, res: TrialResult) -> None:
         """Score each user of one trial."""
-        cfg = self.cfg
         wrong = res.report.detected.symmetric_difference(u.code for u in res.truth)
         self.trials += 1
         self.bad_trials += bool(wrong)
@@ -327,8 +327,7 @@ class _PointScores:
             cfo_hat, delay_hat = res.report.per_code[user.code]
             e = cfo_hat - user.cfo
             self.squared.append(e * e)
-            self.timing_events += timing_error_event(delay_hat, user.delay, cfg.cp_data,
-                                                     cfg.channel_taps)
+            self.timing_events += timing_error_event(delay_hat, user.delay, self.cfg)
 
     def row(self, snr_db: float) -> MetricsRow:
         """The point's metrics; at least one trial must have been scored."""

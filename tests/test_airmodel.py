@@ -13,14 +13,12 @@ from rangesim.airmodel import (
     TileLayout,
     TileObservations,
     UserTruth,
-    cfo_attenuation,
-    code_matrix,
     draw_channel,
-    effective_offsets,
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from rangesim.airmodel import _complex_noise, _leakage_kernel, _tile_tap_phasors
+from rangesim.airmodel import (_cfo_attenuation, _code_matrix, _complex_noise, _effective_offsets,
+                               _leakage_kernel, _tile_tap_phasors)
 from rangesim.errors import ValidationError
 
 from helpers import AS_BUILT_AND_COPIES, reference_layout
@@ -128,64 +126,60 @@ class TestCodeEntry:
     """Entries of the ranging code matrix against their closed form."""
 
     def test_code_zero_is_all_ones(self):
-        np.testing.assert_array_equal(code_matrix(0, 4, 4), np.ones((4, 4)))
+        np.testing.assert_array_equal(_code_matrix(0, 4, 4), np.ones((4, 4)))
 
     def test_origin_entry(self):
-        assert code_matrix(1, 4, 4)[0, 0] == pytest.approx(1.0)
+        assert _code_matrix(1, 4, 4)[0, 0] == pytest.approx(1.0)
 
     def test_phase_wraps_to_one(self):
         # code 2 at (v=1, m=2): exponent 2*(1/3 + 2/3) = 2, a full turn twice
-        assert code_matrix(2, 4, 4)[1, 2] == pytest.approx(1.0)
+        assert _code_matrix(2, 4, 4)[1, 2] == pytest.approx(1.0)
 
     def test_unit_modulus(self):
         for code in range(3):
-            np.testing.assert_allclose(np.abs(code_matrix(code, 4, 4)), 1.0, atol=1e-15)
+            np.testing.assert_allclose(np.abs(_code_matrix(code, 4, 4)), 1.0, atol=1e-15)
 
     def test_matrix_agrees_with_entries(self):
         # unequal sides pin the axis order: rows are tile positions, columns blocks
-        cm = code_matrix(2, 5, 3)
+        cm = _code_matrix(2, 5, 3)
         assert cm.shape == (5, 3)
         for v in range(5):
             for m in range(3):
                 assert cm[v, m] == pytest.approx(closed_form_symbol(2, v, m, 5, 3))
 
-    def test_degenerate_layout_rejected(self):
-        with pytest.raises(ValidationError):
-            code_matrix(1, 1, 4)
-
 
 class TestCfoAttenuation:
     def test_zero_offset(self):
-        assert cfo_attenuation(0.0, 1024) == 1.0
+        assert _cfo_attenuation(0.0, 1024) == 1.0
 
     def test_direct_evaluation(self):
-        got = cfo_attenuation(0.1, 1024)
+        got = _cfo_attenuation(0.1, 1024)
         assert abs(got) == pytest.approx(0.9836316585140042, abs=1e-12)
         assert np.angle(got) == pytest.approx(np.pi * 0.1 * 1023 / 1024, abs=1e-12)
 
     def test_conjugate_symmetry(self):
         for eps in (0.03, 0.17, 0.42):
-            assert cfo_attenuation(-eps, 1024) == pytest.approx(
-                np.conj(cfo_attenuation(eps, 1024))
+            assert _cfo_attenuation(-eps, 1024) == pytest.approx(
+                np.conj(_cfo_attenuation(eps, 1024))
             )
 
     def test_magnitude_bounded_and_decreasing(self):
         grid = np.linspace(0.0, 0.5, 51)
-        mags = [abs(cfo_attenuation(float(e), 1024)) for e in grid]
+        mags = [abs(_cfo_attenuation(float(e), 1024)) for e in grid]
         assert all(m <= 1.0 + 1e-12 for m in mags)
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
 
 class TestEffectiveOffsets:
     def test_all_zero(self):
-        assert effective_offsets(0, 0, 0.0, reference_layout()) == (0.0, 0.0)
+        assert _effective_offsets(0, 0, 0.0, reference_layout()) == (0.0, 0.0)
 
     def test_cfo_component(self):
-        xi, _ = effective_offsets(1, 0, 0.05, reference_layout())
+        xi, _ = _effective_offsets(1, 0, 0.05, reference_layout())
         assert xi == pytest.approx(1 / 3 + 0.05 * 1280 / 1024, abs=1e-15)
 
     def test_delay_component(self):
-        _, eta = effective_offsets(2, 204, 0.0, reference_layout())
+        _, eta = _effective_offsets(2, 204, 0.0, reference_layout())
         assert eta == pytest.approx(2 / 3 - 204 / 1024, abs=1e-15)
 
     def test_arrays_map_elementwise(self):
@@ -193,9 +187,9 @@ class TestEffectiveOffsets:
         layout = reference_layout()
         codes, delays = np.array([0, 2, 1, 2]), np.array([0.0, 204.0, 37.0, 1.0])
         cfos = np.array([0.0, -0.1, 0.0413, 0.09999])
-        xi, eta = effective_offsets(codes, delays, cfos, layout)
+        xi, eta = _effective_offsets(codes, delays, cfos, layout)
         for i in range(codes.size):
-            want = effective_offsets(int(codes[i]), int(delays[i]), float(cfos[i]), layout)
+            want = _effective_offsets(int(codes[i]), int(delays[i]), float(cfos[i]), layout)
             assert (xi[i], eta[i]) == want
 
 
@@ -274,7 +268,7 @@ def test_factored_kernel_matches_cfo_attenuation(layout):
     kernel = _leakage_kernel(layout, eps)
     assert kernel.dtype == float and kernel.shape == (eps.size, distances.size)
     got = kernel * np.exp(1j * np.pi * (eps[:, None] * (n - 1) - distances) / n)
-    want = cfo_attenuation(distances + eps[:, None], n)
+    want = _cfo_attenuation(distances + eps[:, None], n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     # no offset: D(d) is 1 at d = 0 and 0 elsewhere, with no 0/0 on the way
     np.testing.assert_array_equal(kernel[0], distances == 0)
@@ -353,7 +347,7 @@ class TestModelMode:
         layout = small_layout()
         user = UserTruth(2, 0, 0.0, np.array([1.0 + 0j]))
         obs = synthesize_model_mode([user], layout, 0.0, np.random.default_rng(0))
-        cm = code_matrix(2, layout.tile_width, layout.n_blocks)
+        cm = _code_matrix(2, layout.tile_width, layout.n_blocks)
         for q in range(layout.n_tiles):
             np.testing.assert_allclose(obs.grid[:, q, :], cm.T, atol=1e-12)
 
@@ -367,7 +361,7 @@ class TestModelMode:
         user = UserTruth(1, 9, 0.04, cir)
         obs = synthesize_model_mode([user], layout, 0.0, np.random.default_rng(0))
         n = layout.n_subcarriers
-        gain = cfo_attenuation(0.04, n)
+        gain = _cfo_attenuation(0.04, n)
         for m in range(layout.n_blocks):
             for q in range(layout.n_tiles):
                 start = layout.tile_starts[q]
@@ -415,7 +409,7 @@ class TestWaveformMode:
         layout = small_layout()
         user = UserTruth(1, 0, 0.0, np.array([1.0 + 0j]))
         obs = synthesize_waveform_mode([user], layout, 0.0, np.random.default_rng(0))
-        cm = code_matrix(1, layout.tile_width, layout.n_blocks)
+        cm = _code_matrix(1, layout.tile_width, layout.n_blocks)
         for q in range(layout.n_tiles):
             np.testing.assert_allclose(obs.grid[:, q, :], cm.T, atol=1e-10)
 
@@ -468,7 +462,7 @@ class TestWaveformMode:
             got = np.fft.fft(received[:, cp:], axis=1, norm="ortho")
             for m in range(layout.n_blocks):
                 window_start = np.exp(2j * np.pi * eps * (m * layout.block_len + cp) / n)
-                want = cfo_attenuation(distance + eps, n) * window_start
+                want = _cfo_attenuation(distance + eps, n) * window_start
                 np.testing.assert_allclose(got[m], want, rtol=0, atol=1e-12)
 
     def test_noise_is_model_mode_noise(self):
@@ -613,7 +607,7 @@ def model_mode_loop(users, layout):
         eta = user.code / (layout.tile_width - 1) - user.delay / n
         tile_means = tap_sum(user.cir, bins, n).mean(axis=1)
         delay_phase = np.exp(-2j * np.pi * bins[:, 0] * user.delay / n)
-        amps = cfo_attenuation(user.cfo, n) * tile_means * delay_phase
+        amps = _cfo_attenuation(user.cfo, n) * tile_means * delay_phase
         block_phase = np.exp(2j * np.pi * xi * np.arange(layout.n_blocks))
         tile_phase = np.exp(2j * np.pi * eta * np.arange(layout.tile_width))
         grid += np.einsum("m,q,v->mqv", block_phase, amps, tile_phase)
@@ -639,9 +633,9 @@ def waveform_mode_loop(users, layout):
     grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
     for user in users:
         gains = tap_sum(user.cir, bins, n) * np.exp(-2j * np.pi * bins * user.delay / n)
-        symbols = code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
+        symbols = _code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
         tiles = (symbols[:, None, :] * gains).reshape(layout.n_blocks, -1)
-        leakage = cfo_attenuation(distances + user.cfo, n)[gather]
+        leakage = _cfo_attenuation(distances + user.cfo, n)[gather]
         grid += (tiles @ leakage) * np.exp(2j * np.pi * user.cfo * window_start / n)[:, None]
     return grid.reshape(layout.n_blocks, layout.n_tiles, layout.tile_width)
 

@@ -3,19 +3,23 @@
 Every count, index, code, size and delay of the public API goes through
 ``errors.require_int`` (``SITES``), so a bool, any float or an out-of-range value raises
 the site's typed error naming the argument, and numpy integers in range still pass.  A
-``SimConfig`` holding such a value, or any other invalid one, cannot even be built.
+``SimConfig`` holding such a value, or any other invalid one, cannot even be built.  A guard
+fails when an ``int`` or ``int | None`` parameter of a public function or class constructor
+of the six modules has no ``SITES`` row; only the integer fields of output containers
+(``OUTPUT_FIELDS``) are exempt.
 
 Every float input the receiver cannot handle goes through ``errors.require_finite`` or a
 one-pass check named in its docstring (``FINITE_SITES``): NaN, +inf and -inf raise the
 site's typed error naming the argument, with no numpy warning and before LAPACK sees the
 value, and a site whose check is a sum also rejects finite values that overflow it.  A
-scalar site also rejects an integer too large for a float and a complex value.  An SNR is
-not such a site: +inf is a noiseless run.
+scalar site also rejects an integer too large for a float and a complex value, and a site
+that rounds values to code indices rejects values whose index does not fit int64.  An SNR
+is not such a site: +inf is a noiseless run.
 
 Every array input goes through ``errors.require_numbers`` (``NON_ARRAY_SITES``): text, None,
-bools, other objects and ragged lists raise the site's typed error naming the argument, and
-a list of numbers is read as its array.  Every public ``cxmath`` kernel and every public
-``ranger`` stage that takes an array has such a row.
+bools, other objects and ragged lists raise the site's typed error naming the argument, a
+list of numbers is read as its array, and a code array must hold integers.  Every public
+``cxmath`` kernel and every public ``ranger`` stage that takes an array has such a row.
 """
 
 import inspect
@@ -31,12 +35,11 @@ from rangesim.airmodel import (
     TileLayout,
     TileObservations,
     UserTruth,
-    code_matrix,
     draw_channel,
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from rangesim import cxmath, ranger
+from rangesim import airmodel, cli, cxmath, errors, ranger, simlab
 from rangesim.cxmath import forward_backward, general_eigenvalues, hermitian_evd, ls_rotation
 from rangesim.errors import (ConfigError, DimensionError, ValidationError, require_finite,
                              require_int)
@@ -114,14 +117,8 @@ SITES = {
     "draw_channel.size": (lambda v: draw_channel(ChannelProfile(3, 1.0), np.random.default_rng(0),
                                                  size=v),
                           ValidationError, "size", -1, np.int64(2)),
-    "code_matrix.tile_width": (lambda v: code_matrix(1, v, 4),
-                               ValidationError, "tile_width", 1, np.int64(4)),
-    "code_matrix.n_blocks": (lambda v: code_matrix(1, 4, v),
-                             ValidationError, "n_blocks", 1, np.int64(4)),
-    # before, code_matrix(1.5, 4, 4)[0, 1] was -1, and True and -1 built matrices too
-    "code_matrix.code": (lambda v: code_matrix(v, 4, 4), ValidationError, "code", -1, np.int64(2)),
-    "user.code": (lambda v: _model_grid(v, 0), ValidationError, "code", 3, np.int64(2)),
-    "user.delay": (lambda v: _model_grid(0, v), ValidationError, "delays", -1, np.int16(7)),
+    "UserTruth.code": (lambda v: _model_grid(v, 0), ValidationError, "code", 3, np.int64(2)),
+    "UserTruth.delay": (lambda v: _model_grid(0, v), ValidationError, "delays", -1, np.int16(7)),
     "estimate_num_codes.num_snapshots": (lambda v: estimate_num_codes(EIGENVALUES, v, 3),
                                          ValidationError, "snapshot count", 0, np.int64(64)),
     "estimate_num_codes.cap": (lambda v: estimate_num_codes(EIGENVALUES, 64, v),
@@ -201,14 +198,6 @@ def test_numpy_integer_in_range_accepted(site):
     call(good)
 
 
-@pytest.mark.parametrize("codes", [np.array([0.0, 1.0]), np.array([False, True])],
-                         ids=["float", "bool"])
-def test_code_array_of_floats_or_bools_rejected(codes):
-    # before, each built a stack of matrices, as 0.0 and False read as code 0
-    with pytest.raises(ValidationError, match="code must be an integer"):
-        code_matrix(codes, 4, 4)
-
-
 def test_require_int_passes_integers_through_unchanged():
     for value in (0, 7, np.int64(7), np.uint8(7), np.int16(-2)):
         assert require_int("x", value, -2, 7) is value
@@ -249,11 +238,13 @@ def test_require_finite_message_names_the_argument(value, message):
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 BIG_INT = 10**400  # a bare OverflowError from math.isfinite before; ids show it as 10**400
+PAST_INT64 = (1e300, -1e300, 1e19)  # finite, but three times each is no int64 code index
 
 # site id -> (call with the float under test, error class, name in the message, the values
 #             it must reject: NaN, +inf and -inf, where the check is a sum one that
-#             overflows it, and where it is scalar an integer past the float range and a
-#             complex value).  Each comment says what such a value did before the check.
+#             overflows it, where it is scalar an integer past the float range and a complex
+#             value, and where it rounds to code indices values past int64).  Each comment
+#             says what such a value did before the check.
 FINITE_SITES = {
     # a NaN eigenvalue read as "no users", a -inf one as three users, and four of 1e308 as 3
     "estimate_num_codes.eigenvalues": (lambda v: estimate_num_codes([v] * 4, 64, 3),
@@ -262,10 +253,13 @@ FINITE_SITES = {
     "esprit_phases.eigenvalues": (
         lambda v: esprit_phases([v, 1.0, 1.0, 1.0], np.eye(4, dtype=complex), 1),
         ValidationError, "eigenvalues", NON_FINITE),
+    # a value whose rounded code index does not fit int64 warned "invalid value encountered in
+    # cast" and mapped to code 1 with an offset of 0.0
     "map_cfo.effective_cfos": (lambda v: map_cfo(np.array([0.1, v]), REFERENCE),
-                               ValidationError, "effective CFOs", NON_FINITE),
+                               ValidationError, "effective CFOs", (*NON_FINITE, *PAST_INT64)),
     "map_timing.effective_timings": (lambda v: map_timing(np.array([v, 0.1]), REFERENCE, 204),
-                                     ValidationError, "effective timings", NON_FINITE),
+                                     ValidationError, "effective timings",
+                                     (*NON_FINITE, *PAST_INT64)),
     # LAPACK saw the value: OpenBLAS printed DLASCL/ZLASCL complaints to stderr, and numpy
     # raised its own error
     "hermitian_evd.a": (lambda v: hermitian_evd(_eye_with(v)),
@@ -283,9 +277,9 @@ FINITE_SITES = {
                                    RangerConfig(max_delay=204)),
         ValidationError, "grid", (*NON_FINITE, 1e200)),
     # NaN compared False against both window edges and scored as aligned
-    "timing_error_event.delay_est": (lambda v: timing_error_event(v, 100.0, 32, 12),
+    "timing_error_event.delay_est": (lambda v: timing_error_event(v, 100.0, SimConfig()),
                                      ValidationError, "delay estimate", (*NON_FINITE, BIG_INT)),
-    "timing_error_event.delay_true": (lambda v: timing_error_event(100.0, v, 32, 12),
+    "timing_error_event.delay_true": (lambda v: timing_error_event(100.0, v, SimConfig()),
                                       ValidationError, "true delay", (*NON_FINITE, BIG_INT)),
     "oracle_periodogram.snapshots": (lambda v: oracle_periodogram(_eye_with(v, 4)),
                                      ValidationError, "snapshots", NON_FINITE),
@@ -408,6 +402,14 @@ NON_ARRAY_SITES.update({
         lambda: esprit_phases([2.0, 1.0, 1.0, 1.0], [["1", "0", "0", "0"]] * 4, 1),
         ValidationError, "eigenvectors"),
 })
+# codes that are not integers were "detected": detect_codes([0.5], [0.1], [0.5], [5.0])
+# returned ({0.5: (0.1, 5.0)}, 0)
+NON_ARRAY_SITES.update({
+    "detect_codes.cfo_codes=fraction": (lambda: detect_codes([0.5], [0.1], [0], [5.0]),
+                                        ValidationError, "CFO codes"),
+    "detect_codes.timing_codes=integral-float": (lambda: detect_codes([1], [0.1], [1.0], [5.0]),
+                                                 ValidationError, "timing codes"),
+})
 # AttributeError: a list has no tolist
 for _position, (_arg, _name) in enumerate((("cfo_codes", "CFO codes"), ("cfos", "CFOs"),
                                            ("timing_codes", "timing codes"),
@@ -465,3 +467,32 @@ def test_every_public_kernel_and_array_stage_has_a_non_array_row():
         for module in (cxmath, ranger):
             if name in _public_functions(module):
                 assert argument in inspect.signature(getattr(module, name)).parameters, row
+
+
+# the integer fields of output containers: the package fills them, and no caller sets one
+OUTPUT_FIELDS = {"RangingReport.collisions", "MetricsRow.trials", "MetricsRow.k"}
+
+
+def _integer_parameters():
+    """The "name.parameter" of each int or int | None parameter of a public function or
+    class constructor of the six modules."""
+    found = set()
+    for module in (airmodel, cli, cxmath, errors, ranger, simlab):
+        classes = {name: cls for name, cls in vars(module).items()
+                   if inspect.isclass(cls) and cls.__module__ == module.__name__
+                   and not name.startswith("_") and not issubclass(cls, Exception)}
+        for name, obj in {**_public_functions(module), **classes}.items():
+            for param in inspect.signature(obj).parameters.values():
+                hint = param.annotation
+                if not isinstance(hint, str):  # a module without postponed annotations
+                    hint = inspect.formatannotation(hint)
+                if hint in ("int", "int | None"):
+                    found.add(f"{name}.{param.name}")
+    return found
+
+
+def test_every_public_integer_parameter_has_a_row():
+    found = _integer_parameters()
+    assert OUTPUT_FIELDS <= found  # each exemption is still an integer field
+    missing = sorted(found - OUTPUT_FIELDS - SITES.keys())
+    assert not missing, f"no SITES row for {missing}"

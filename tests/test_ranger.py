@@ -13,10 +13,10 @@ from rangesim.airmodel import (
     TileObservations,
     UserTruth,
     draw_channel,
-    effective_offsets,
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
+from rangesim.airmodel import _effective_offsets
 from rangesim.cxmath import forward_backward, hermitian_evd
 from rangesim.errors import ConfigError, DimensionError, RankDeficiencyError, ValidationError
 from rangesim.ranger import (
@@ -61,7 +61,7 @@ class TestSnapshots:
         rng = np.random.default_rng(0)
         user = random_users(rng, layout, 1)[0]
         obs = synthesize_model_mode([user], layout, 0.0, rng)
-        xi, eta = effective_offsets(user.code, user.delay, user.cfo, layout)
+        xi, eta = _effective_offsets(user.code, user.delay, user.cfo, layout)
         snaps = freq_snapshots(obs)
         for q in range(layout.n_tiles):
             for v in range(layout.tile_width):
@@ -305,6 +305,18 @@ class TestMapCfo:
             assert (code, cfo) == (raw % 3, (1024 / 1280) * (x - raw / 3))
 
 
+    def test_large_values_map_periodically(self):
+        # a whole turn moves the offset by its round-off only, and values as large as 1e15,
+        # whose code indices fit int64, still follow the scalar reference
+        layout = reference_layout()
+        (code, far_code), (cfo, far_cfo) = map_cfo(np.array([0.3, 5.3]), layout)
+        assert code == far_code and far_cfo == pytest.approx(cfo, abs=1e-14)
+        for x in (1e15, -1e15):
+            (code,), (cfo,) = map_cfo(np.array([x]), layout)
+            raw = math.floor(3 * x + 0.5)
+            assert (code, cfo) == (raw % 3, (1024 / 1280) * (x - raw / 3))
+
+
 class TestMapTiming:
     def test_zero(self):
         (code,), (timing,) = map_timing(np.array([0.0]), reference_layout(), 0)
@@ -327,6 +339,15 @@ class TestMapTiming:
         etas = np.random.default_rng(13).uniform(-0.5, 0.5, 200)
         codes, delays = map_timing(etas, layout, 204)
         for eta, code, delay in zip(etas.tolist(), codes.tolist(), delays.tolist()):
+            raw = math.floor(3 * eta + 204 * 3 / (2.0 * 1024) + 0.5)
+            assert (code, delay) == (raw % 3, 1024 * (raw / 3 - eta))
+
+    def test_large_values_map_periodically(self):
+        layout = reference_layout()
+        (code, far_code), (delay, far_delay) = map_timing(np.array([0.3, 5.3]), layout, 204)
+        assert code == far_code and far_delay == pytest.approx(delay, abs=1e-11)
+        for eta in (1e15, -1e15):
+            (code,), (delay,) = map_timing(np.array([eta]), layout, 204)
             raw = math.floor(3 * eta + 204 * 3 / (2.0 * 1024) + 0.5)
             assert (code, delay) == (raw % 3, 1024 * (raw / 3 - eta))
 
@@ -388,6 +409,9 @@ class TestDetectCodes:
         arrays[position] = np.zeros(shape)
         with pytest.raises(DimensionError, match="one value per code estimate"):
             detect_codes(*arrays)
+
+    def test_empty_stages_read_as_no_estimates(self):
+        assert detect_codes([], [], [], []) == ({}, 0)
 
     def test_matches_first_wins_loop(self):
         rng = np.random.default_rng(14)
@@ -456,9 +480,9 @@ class TestRangeSubchannel:
             obs = synthesize_model_mode(users, layout, 0.0, rng)
             report = range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=k))
             assert report.detected == {u.code for u in users}
-            xi, eta = effective_offsets(np.array([u.code for u in users]),
-                                        np.array([u.delay for u in users]),
-                                        np.array([u.cfo for u in users]), layout)
+            xi, eta = _effective_offsets(np.array([u.code for u in users]),
+                                         np.array([u.delay for u in users]),
+                                         np.array([u.cfo for u in users]), layout)
             want_xi = np.sort(wrap_half(xi))
             got_xi = np.sort(report.effective_cfos)
             np.testing.assert_allclose(got_xi, want_xi, atol=1e-6)
@@ -587,7 +611,7 @@ def test_mapping_recovers_every_code_from_wrapped_offsets(layout, data):
         edge = data.draw(st.floats(-ACQUISITION_EDGE, ACQUISITION_EDGE))
         cfos.append(edge * layout.acquisition_bound)
         delays.append(data.draw(st.integers(0, max_delay)))
-    xis, etas = effective_offsets(codes, np.array(delays), np.array(cfos), layout)
+    xis, etas = _effective_offsets(codes, np.array(delays), np.array(cfos), layout)
     freq_codes, got_cfos = map_cfo(wrap_half(xis), layout)
     timing_codes, got_delays = map_timing(wrap_half(etas), layout, max_delay)
     np.testing.assert_array_equal(freq_codes, codes)

@@ -215,22 +215,25 @@ class TestWilson:
 
 
 class TestTimingErrorEvent:
+    CFG = SimConfig()  # a 32-sample data prefix and 12 taps
+
     def test_perfect_estimate_never_errs(self):
-        assert not timing_error_event(100.0, 100.0, 32, 12)
+        assert not timing_error_event(100.0, 100.0, self.CFG)
 
     def test_upper_boundary(self):
-        assert not timing_error_event(110.0, 100.0, 32, 12)   # err = +10 shifted to 0
-        assert timing_error_event(110.5, 100.0, 32, 12)
+        assert not timing_error_event(110.0, 100.0, self.CFG)   # err = +10 shifted to 0
+        assert timing_error_event(110.5, 100.0, self.CFG)
 
     def test_lower_boundary(self):
-        assert not timing_error_event(89.0, 100.0, 32, 12)    # err = -11 shifted to -21
-        assert timing_error_event(88.5, 100.0, 32, 12)
+        assert not timing_error_event(89.0, 100.0, self.CFG)    # err = -11 shifted to -21
+        assert timing_error_event(88.5, 100.0, self.CFG)
 
     def test_generic_window(self):
         # cp_data=20, taps=5: shifted error must stay in [-16, 0], so the raw
         # delay error is tolerated on [-8.5, 7.5]
+        cfg = SimConfig(cp_data=20, channel_taps=5)
         for delta, want in ((7.5, False), (7.6, True), (-8.5, False), (-8.6, True)):
-            assert timing_error_event(delta, 0.0, 20, 5) is want
+            assert timing_error_event(delta, 0.0, cfg) is want
 
 
 def _truth(code):
