@@ -147,6 +147,13 @@ class TestCodeEntry:
             for m in range(3):
                 assert cm[v, m] == pytest.approx(closed_form_symbol(2, v, m, 5, 3))
 
+    def test_code_array_stacks_the_matrices(self):
+        # the layout's leakage tables build every code's matrix in one call
+        stack = _code_matrix(np.arange(3), 5, 4)
+        assert stack.shape == (3, 5, 4)
+        for code in range(3):
+            np.testing.assert_array_equal(stack[code], _code_matrix(code, 5, 4))
+
 
 class TestCfoAttenuation:
     def test_zero_offset(self):
@@ -168,6 +175,13 @@ class TestCfoAttenuation:
         mags = [abs(_cfo_attenuation(float(e), 1024)) for e in grid]
         assert all(m <= 1.0 + 1e-12 for m in mags)
         assert all(a > b for a, b in zip(mags, mags[1:]))
+
+    def test_arrays_map_elementwise(self):
+        # as _model_signal passes them: a zero entry takes D(0) = 1 without touching the rest
+        offsets = np.array([0.0, 0.1, -0.42, 0.0, 3.5])
+        got = _cfo_attenuation(offsets, 1024)
+        for i, x in enumerate(offsets.tolist()):
+            assert got[i] == _cfo_attenuation(x, 1024)
 
 
 class TestEffectiveOffsets:

@@ -24,6 +24,7 @@ list of numbers is read as its array, and a code array must hold integers.  Ever
 
 import inspect
 import math
+import types
 import warnings
 from dataclasses import replace
 
@@ -409,6 +410,11 @@ NON_ARRAY_SITES.update({
                                         ValidationError, "CFO codes"),
     "detect_codes.timing_codes=integral-float": (lambda: detect_codes([1], [0.1], [1.0], [5.0]),
                                                  ValidationError, "timing codes"),
+    # and a complex code was detected under 1 or under (1+0j), by position
+    "detect_codes.cfo_codes=complex": (lambda: detect_codes([1 + 0j], [0.1], [1], [5.0]),
+                                       ValidationError, "CFO codes"),
+    "detect_codes.timing_codes=complex": (lambda: detect_codes([1], [0.1], [1 + 0j], [5.0]),
+                                          ValidationError, "timing codes"),
 })
 # AttributeError: a list has no tolist
 for _position, (_arg, _name) in enumerate((("cfo_codes", "CFO codes"), ("cfos", "CFOs"),
@@ -473,11 +479,11 @@ def test_every_public_kernel_and_array_stage_has_a_non_array_row():
 OUTPUT_FIELDS = {"RangingReport.collisions", "MetricsRow.trials", "MetricsRow.k"}
 
 
-def _integer_parameters():
+def _integer_parameters(modules=(airmodel, cli, cxmath, errors, ranger, simlab)):
     """The "name.parameter" of each int or int | None parameter of a public function or
-    class constructor of the six modules."""
+    class constructor of ``modules``, by default the six."""
     found = set()
-    for module in (airmodel, cli, cxmath, errors, ranger, simlab):
+    for module in modules:
         classes = {name: cls for name, cls in vars(module).items()
                    if inspect.isclass(cls) and cls.__module__ == module.__name__
                    and not name.startswith("_") and not issubclass(cls, Exception)}
@@ -496,3 +502,22 @@ def test_every_public_integer_parameter_has_a_row():
     assert OUTPUT_FIELDS <= found  # each exemption is still an integer field
     missing = sorted(found - OUTPUT_FIELDS - SITES.keys())
     assert not missing, f"no SITES row for {missing}"
+
+
+GUARD_PROBE = """
+def count(n: int, limit: int | None = None, scale: float = 1.0, label=""): ...
+def _private(n: int): ...
+class Box:
+    def __init__(self, width: int, name: str): ...
+class Failure(Exception):
+    def __init__(self, code: int): ...
+"""
+
+
+@pytest.mark.parametrize("header", ["", "from __future__ import annotations\n"],
+                         ids=["evaluated", "postponed"])
+def test_guard_finds_each_public_integer_parameter(header):
+    # the guard bites on a new integer parameter, whichever way its module keeps annotations
+    probe = types.ModuleType("probe")
+    exec(header + GUARD_PROBE, vars(probe))
+    assert _integer_parameters([probe]) == {"count.n", "count.limit", "Box.width"}

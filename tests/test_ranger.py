@@ -304,7 +304,6 @@ class TestMapCfo:
             raw = math.floor(3 * x + 0.5)
             assert (code, cfo) == (raw % 3, (1024 / 1280) * (x - raw / 3))
 
-
     def test_large_values_map_periodically(self):
         # a whole turn moves the offset by its round-off only, and values as large as 1e15,
         # whose code indices fit int64, still follow the scalar reference
@@ -315,6 +314,19 @@ class TestMapCfo:
             (code,), (cfo,) = map_cfo(np.array([x]), layout)
             raw = math.floor(3 * x + 0.5)
             assert (code, cfo) == (raw % 3, (1024 / 1280) * (x - raw / 3))
+
+    def test_code_indices_up_to_the_int64_edge(self):
+        # -2**63 is the last index that fits int64 below zero and 2**63 the first that does
+        # not above it; each index that fits keeps its exact residue
+        layout = reference_layout()
+        top = 2.0**63 / 3  # 3 * top rounds to 2**63
+        for x in (-top, np.nextafter(-top, -np.inf), np.nextafter(top, 0)):
+            raw = math.floor(3 * x + 0.5)
+            assert -2**63 <= raw < 2**63
+            (code,), _ = map_cfo(np.array([x]), layout)
+            assert code == raw % 3
+        with pytest.raises(ValidationError, match="effective CFOs"):
+            map_cfo(np.array([top]), layout)
 
 
 class TestMapTiming:
@@ -350,6 +362,17 @@ class TestMapTiming:
             (code,), (delay,) = map_timing(np.array([eta]), layout, 204)
             raw = math.floor(3 * eta + 204 * 3 / (2.0 * 1024) + 0.5)
             assert (code, delay) == (raw % 3, 1024 * (raw / 3 - eta))
+
+    def test_code_indices_up_to_the_int64_edge(self):
+        layout = reference_layout()
+        top = 2.0**63 / 3
+        for eta in (-top, np.nextafter(-top, -np.inf), np.nextafter(top, 0)):
+            raw = math.floor(3 * eta + 204 * 3 / (2.0 * 1024) + 0.5)
+            assert -2**63 <= raw < 2**63
+            (code,), _ = map_timing(np.array([eta]), layout, 204)
+            assert code == raw % 3
+        with pytest.raises(ValidationError, match="effective timings"):
+            map_timing(np.array([top]), layout, 204)
 
     def test_excessive_max_delay_rejected(self):
         with pytest.raises(ConfigError):
@@ -409,6 +432,13 @@ class TestDetectCodes:
         arrays[position] = np.zeros(shape)
         with pytest.raises(DimensionError, match="one value per code estimate"):
             detect_codes(*arrays)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+    def test_integer_codes_of_any_width_accepted(self, dtype):
+        # the rule is an integer dtype, not int64: narrow and unsigned codes detect alike
+        codes = np.array([2, 0, 1], dtype=dtype)
+        got = detect_codes(codes, [0.1, 0.2, 0.3], codes[::-1], [5.0, 6.0, 7.0])
+        assert got == ({2: (0.1, 7.0), 0: (0.2, 6.0), 1: (0.3, 5.0)}, 0)
 
     def test_empty_stages_read_as_no_estimates(self):
         assert detect_codes([], [], [], []) == ({}, 0)
