@@ -1,11 +1,12 @@
 """Dense complex linear algebra for the ranging receiver.
 
 The eigenvalue kernels are thin :mod:`numpy.linalg` calls; the ESPRIT
-rotation is a closed form of a few matrix products.  Each kernel checks its
-input in one pass, before LAPACK sees it: bad input raises
+rotation is a closed form of a few matrix products.  Each public kernel checks
+its input in one pass, before LAPACK sees it: bad input raises
 :class:`ValidationError` or :class:`DimensionError`, and every LAPACK
 failure surfaces as :class:`NumericalError`, never as ``LinAlgError``.
-All functions are pure.
+Each public kernel but ``hermitian_evd`` then calls a private core that the receiver calls
+directly: ``_fb``, ``_ls_rotation`` (the rank test stays) and ``_eigvals``.  All are pure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ def forward_backward(r) -> np.ndarray:
     Hermitian whenever R is Hermitian; applying it twice changes nothing.
     Raises :class:`ValidationError` for bools or text and :class:`DimensionError` unless square.
     """
-    r = _as_square(r, "forward_backward")
+    return _fb(_as_square(r, "forward_backward"))
+
+
+def _fb(r: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r[::-1, ::-1].T)
 
 
@@ -81,14 +85,23 @@ def ls_rotation(basis) -> np.ndarray:
     u = require_numbers("basis", basis).astype(complex, copy=False)
     if u.ndim != 2 or not 1 <= u.shape[1] < u.shape[0]:
         raise DimensionError(f"ls_rotation needs an (n, k) basis with 1 <= k < n, got {u.shape}")
-    u_h = u.conj().T
+    _check_orthonormal(u)
+    return _ls_rotation(u)
+
+
+def _check_orthonormal(u: np.ndarray) -> None:
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite input: caught just below
-        gram = u_h @ u
+        gram = u.conj().T @ u
     gram.flat[:: u.shape[1] + 1] -= 1.0
     deviation = float(np.abs(gram).max())
     if not deviation <= _ORTHONORMAL_TOL:  # NaN and inf carry into the largest entry
         raise ValidationError(
             f"ls_rotation basis is non-finite or not orthonormal: U^H U - I reaches {deviation:.3g}")
+
+
+def _ls_rotation(u: np.ndarray) -> np.ndarray:
+    """:func:`ls_rotation` of a complex basis taken as orthonormal; the rank test stays."""
+    u_h = u.conj().T
     w = u_h[:, -1]
     rest = 1.0 - float(np.vdot(w, w).real)  # the smallest eigenvalue of U[:-1]^H U[:-1]
     if rest <= _RANK_RCOND * _RANK_RCOND:
@@ -103,7 +116,10 @@ def general_eigenvalues(a) -> np.ndarray:
 
     Raises :class:`ValidationError` for bools, text or non-finite entries.
     """
-    a = require_finite("matrix", _as_square(a, "general_eigenvalues"))
+    return _eigvals(require_finite("matrix", _as_square(a, "general_eigenvalues")))
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

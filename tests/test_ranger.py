@@ -20,6 +20,7 @@ from rangesim.airmodel import _effective_offsets
 from rangesim.cxmath import forward_backward, hermitian_evd
 from rangesim.errors import ConfigError, DimensionError, RankDeficiencyError, ValidationError
 from rangesim.ranger import (
+    _TINY_TOP,
     EIGENVALUE_FLOOR,
     RangerConfig,
     RangingReport,
@@ -594,6 +595,64 @@ class TestRangeSubchannel:
         obs = TileObservations(layout, np.zeros((4, 16, 4), dtype=complex))
         with pytest.raises(ConfigError, match="max delay"):
             range_subchannel(obs, RangerConfig(max_delay=max_delay))
+
+
+def ranged_by_hand(obs, cfg):
+    """The receiver's report, built by running its public stages one after the other."""
+    layout, grid = obs.layout, obs.grid
+    snaps = freq_snapshots(obs)
+    lam_f, vec_f = hermitian_evd(forward_backward(sample_corr(snaps)))
+    if lam_f[0] < _TINY_TOP and grid.any():
+        # the documented re-ranging: the grid scaled by the power of two that brings its
+        # largest part into [1/2, 1)
+        parts = grid.view(float)
+        scaled = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+        return ranged_by_hand(TileObservations(layout, scaled), cfg)
+    k = cfg.known_num_codes
+    if k is None:
+        k = estimate_num_codes(lam_f, snaps.shape[0], layout.max_codes)
+    if k == 0:
+        return RangingReport()
+    eff_cfos = esprit_phases(lam_f, vec_f, k)
+    lam_t, vec_t = hermitian_evd(forward_backward(sample_corr(tile_snapshots(obs))))
+    eff_timings = esprit_phases(lam_t, vec_t, k)
+    per_code, collisions = detect_codes(*map_cfo(eff_cfos, layout),
+                                        *map_timing(eff_timings, layout, cfg.max_delay))
+    return RangingReport(eff_cfos, eff_timings, per_code, collisions)
+
+
+def report_repr(report):
+    return repr((report.effective_cfos, report.effective_timings, report.per_code,
+                 report.collisions))
+
+
+class TestOneImplementation:
+    """``range_subchannel`` runs the public stages' own code, bit for bit, only unchecked."""
+
+    @pytest.mark.parametrize("known", [False, True], ids=["mdl", "known"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
+                             ids=["model", "waveform"])
+    def test_public_stages_give_the_receiver_report(self, synthesize, k, known):
+        layout = reference_layout()
+        for trial, noise_var in enumerate((0.0, 1e-2, 1.0, 10.0, 100.0)):
+            rng = np.random.default_rng([26, k, trial])
+            obs = synthesize(random_users(rng, layout, k), layout, noise_var, rng)
+            cfg = RangerConfig(max_delay=204, known_num_codes=k if known else None)
+            assert report_repr(range_subchannel(obs, cfg)) == report_repr(ranged_by_hand(obs, cfg))
+
+    @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
+                             ids=["model", "waveform"])
+    def test_grid_below_tiny_top_takes_the_re_ranging_branch_alike(self, synthesize):
+        layout = reference_layout()
+        rng = np.random.default_rng(2626)
+        grid = 1e-150 * synthesize(random_users(rng, layout, 3), layout, 0.01, rng).grid
+        obs = TileObservations(layout, grid)
+        assert hermitian_evd(forward_backward(sample_corr(freq_snapshots(obs))))[0][0] < _TINY_TOP
+        cfg = RangerConfig(max_delay=204)
+        report = range_subchannel(obs, cfg)
+        assert report.num_codes == 3
+        assert report_repr(report) == report_repr(ranged_by_hand(obs, cfg))
 
 
 class TestWrapConsistency:
