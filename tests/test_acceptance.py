@@ -9,6 +9,7 @@ they dominate the runtime (a few minutes), and the criteria that read them
 import multiprocessing
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -94,49 +95,55 @@ def test_wilson_interval_reference_values():
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+def timed_sweep(cfg):
+    """``run_sweep(cfg)`` and its own wall time in seconds."""
+    t0 = time.perf_counter()
+    rows = run_sweep(cfg)
+    return rows, time.perf_counter() - t0
+
+
 def sweep_side_by_side(configs):
-    """``run_sweep`` of each config, in config order, over ``min(4, CPUs)`` worker processes.
+    """``timed_sweep`` of each config, in config order, over ``min(4, CPUs)`` worker processes.
 
     The workers start by ``spawn`` with ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` set
-    to 1, so that each one's BLAS runs one thread.  With one CPU the sweeps run here, serially.
+    to 1, so that each one's BLAS runs one thread, and with RuntimeWarning made an error, as
+    pyproject.toml makes it in the test process.  With one CPU the sweeps run here, serially.
     """
     workers = min(4, len(os.sched_getaffinity(0)))
     if workers == 1:
-        return [run_sweep(cfg) for cfg in configs]
-    saved = {name: os.environ.get(name) for name in BLAS_THREADS}
-    os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
-    try:
+        return [timed_sweep(cfg) for cfg in configs]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in BLAS_THREADS:
+            mp.setenv(name, "1")
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            return list(pool.map(run_sweep, configs))
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        with ProcessPoolExecutor(workers, mp_context=spawn, initializer=warnings.simplefilter,
+                                 initargs=("error", RuntimeWarning)) as pool:
+            return list(pool.map(timed_sweep, configs))
 
 
 @pytest.fixture(scope="module")
 def trend_grids():
-    """The four waveform trend sweeps, K in {3, 2} by omega in {0.05, 0.1}, run side by side."""
+    """The four waveform trend sweeps, K in {3, 2} by omega in {0.05, 0.1}, run side by side.
+
+    Maps each key to its rows and the sweep's own wall time.
+    """
     keys = [(k, omega) for k in (3, 2) for omega in (0.05, 0.1)]
     configs = [SimConfig(num_users=k, max_cfo=omega, mode="waveform",
                          snr_list_db=(0.0, 10.0, 20.0), trials=10000, master_seed=2024)
                for k, omega in keys]
-    t0 = time.perf_counter()
-    rows = sweep_side_by_side(configs)
-    return dict(zip(keys, rows)), time.perf_counter() - t0
+    return dict(zip(keys, sweep_side_by_side(configs)))
 
 
 @pytest.fixture(scope="module")
 def k3_grid(trend_grids):
     """Waveform trend grid for K=3: the criterion-5 measurement, reused by 6 and 7.
 
-    Its ``elapsed`` is the wall time of all four trend sweeps, which run side by side.
+    Its ``elapsed`` is the sum of the two K=3 sweeps' own times, whether they ran
+    side by side or one after the other.
     """
-    grids, elapsed = trend_grids
-    return {0.05: grids[3, 0.05], 0.1: grids[3, 0.1], "elapsed": elapsed}
+    grid = {omega: trend_grids[3, omega][0] for omega in (0.05, 0.1)}
+    grid["elapsed"] = sum(trend_grids[3, omega][1] for omega in (0.05, 0.1))
+    return grid
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +156,7 @@ def k2_grid(trend_grids):
     high-SNR metrics live in the 1e-3..1e-4 range and deserve the extra
     resolution.
     """
-    grids, _ = trend_grids
-    return {0.05: grids[2, 0.05], 0.1: grids[2, 0.1]}
+    return {omega: trend_grids[2, omega][0] for omega in (0.05, 0.1)}
 
 
 def test_criterion_1_noiseless_exactness():
