@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import RangingError
 from .simlab import (
     GAP_TRIALS,
@@ -63,6 +65,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _tile_spread(layout, profile) -> float:
+    """Expected share of a tile's channel energy outside its mean over the tile's bins:
+    1 - (1/W^2) sum_{v,v'} sum_l s_l exp(-2j pi l (v - v') / N) for tap powers s_l, which is
+    1 - sum_l s_l |mean_v exp(-2j pi l v / N)|^2."""
+    taps_by_bins = np.outer(np.arange(profile.n_taps), np.arange(layout.tile_width))
+    means = np.exp(-2j * np.pi * taps_by_bins / layout.n_subcarriers).mean(axis=1)
+    return 1.0 - float(profile.tap_variances() @ np.abs(means) ** 2)
+
+
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     layout = cfg.layout()
@@ -73,6 +84,8 @@ def _cmd_validate(args) -> int:
     print(f"  timing margin alpha     = {alpha:.6g} (must be < 0.5)")
     print(f"  max simultaneous codes  = {layout.max_codes}")
     print(f"  acquisition bound       = max_cfo < {layout.acquisition_bound:.6g}")
+    print(f"  tile channel spread     = {_tile_spread(layout, cfg.channel_profile()):.3g} "
+          "(channel energy off each tile's mean)")
     return 0
 
 

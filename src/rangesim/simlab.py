@@ -5,8 +5,9 @@ user truths and noise from a stream keyed on (master seed, trial index)
 only, so the same trial index sees the same users at every SNR point and
 two runs with the same configuration produce byte-identical CSV files.
 The sweep is trial-major: all SNR points of one index run before the
-next index, so the synthesizers reuse that index's noise-free signal, and
-the rows come out after the last index.
+next index, so that index's users are drawn once (its later SNR points
+restore the stream to its state after that draw) and the synthesizers
+reuse its noise-free signal; the rows come out after the last index.
 Trial i's stream is PCG64 seeded by ``SeedSequence([seed, i])``, hashed
 for a block of 256 indices at once, and equal draw for draw to
 ``np.random.default_rng([seed, i])``.
@@ -185,7 +186,8 @@ def timing_error_event(delay_est: float, delay_true: float, cfg: SimConfig) -> b
 
 
 def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = None) -> list[UserTruth]:
-    """Sample one trial's ground truth: distinct codes, uniform delays and CFOs."""
+    """Sample one trial's ground truth: distinct codes, uniform delays and CFOs, and read-only
+    channels."""
     layout = cfg.layout()
     k = cfg.num_users if count is None else require_int("user count", count, 0, layout.max_codes)
     if k == 0:  # empty draws consume nothing from the stream, so skip them
@@ -195,6 +197,7 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
     omega = abs(cfg.max_cfo)  # -0.0 draws as zero offset, not as an empty interval
     cfos = rng.uniform(-omega, omega, size=k).tolist()
     cirs = draw_channel(cfg.channel_profile(), rng, size=k)  # one draw, as k calls in a row
+    cirs.flags.writeable = False  # its rows too: a drawn truth stays as drawn
     return [UserTruth(*fields) for fields in zip(codes, delays, cfos, cirs)]
 
 
@@ -283,11 +286,32 @@ def _trial_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(_block_seed_words(seed, block)[row])))
 
 
+_last_draw = None, (), None  # (key, users, stream state after the draw) of the latest users drawn
+
+
 def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: int | None = None):
     """``(users, obs)`` of one trial: ``count`` users (``cfg.num_users`` if None) drawn from the
-    stream ``(seed, index)``, then their grid synthesized in ``cfg.mode`` from the same stream."""
+    stream ``(seed, index)``, then their grid synthesized in ``cfg.mode`` from the same stream.
+
+    One-entry memo: while ``(cfg, seed, index, count)`` is the last non-empty draw's key, the
+    stream is set to its state after that draw and the drawn users are reused, as a sweep's SNR
+    points of one trial index do; an empty draw takes nothing from the stream and skips the
+    memo.  The users' channels are read-only and each call returns its own list; the entry is
+    replaced as one tuple, so concurrent trials at worst miss it.
+    """
+    global _last_draw
     rng = _trial_stream(seed, index)
-    users = draw_users(cfg, rng, count)
+    if (cfg.num_users if count is None else count) == 0:
+        users = draw_users(cfg, rng, count)
+    else:
+        key = (cfg, seed, index, count)
+        last_key, users, state = _last_draw
+        if key == last_key:
+            rng.bit_generator.state = state
+        else:
+            users = tuple(draw_users(cfg, rng, count))
+            _last_draw = key, users, rng.bit_generator.state
+        users = list(users)
     synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
     return users, synthesize(users, cfg.layout(), noise_var, rng)
 
@@ -296,7 +320,10 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """Draw one scenario, synthesize and range it.
 
     The random stream depends only on the master seed and the trial index,
-    so the same index reuses its scenario at every SNR point.
+    so the same index reuses its scenario at every SNR point.  Its users are
+    drawn once while calls for that index follow one another, as a sweep's
+    do: a later SNR point restores the stream to its state after that draw
+    and draws its noise from there.
     """
     var = noise_variance(snr_db, cfg.layout())
     truth, obs = _scenario(cfg, cfg.master_seed, require_int("trial index", trial_index, 0), var)

@@ -37,6 +37,17 @@ class TestValidate:
         assert "  acquisition margin beta = 0.1875 (must be < 0.5)" in lines
         assert "  timing margin alpha     = 0.298828 (must be < 0.5)" in lines
         assert "  acquisition bound       = max_cfo < 0.133333" in lines
+        assert "  tile channel spread     = 0.00149 (channel energy off each tile's mean)" in lines
+
+    def test_tile_channel_spread_of_a_wide_tile_layout(self, tmp_path, capsys):
+        # 8-tap channels across 8-bin tiles of a 64-bin grid: the tiles are far from flat
+        wide = tmp_path / "wide.cfg"
+        wide.write_text("n_subcarriers = 64\nn_blocks = 8\nn_tiles = 4\ntile_width = 8\n"
+                        "cp_ranging = 16\nchannel_taps = 8\nchannel_decay = 4\nmax_delay = 4\n"
+                        "cp_data = 9\nmax_cfo = 0.01\n")
+        assert main(["validate", "--config", str(wide)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  tile channel spread     = 0.292 (channel energy off each tile's mean)" in lines
 
     def test_invalid_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

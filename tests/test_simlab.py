@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import struct
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from rangesim import simlab
 from rangesim.errors import ConfigError, DimensionError, ValidationError
-from rangesim.ranger import RangingReport, range_subchannel
+from rangesim.ranger import RangerConfig, RangingReport, range_subchannel
 from rangesim.simlab import (
     CSV_HEADER,
     GAP_RESOLUTION,
@@ -41,7 +42,8 @@ from rangesim.simlab import (
     wilson_interval,
     write_gnuplot_script,
 )
-from rangesim.airmodel import ChannelProfile, TileLayout, UserTruth, _tile_tap_phasors
+from rangesim.airmodel import (ChannelProfile, TileLayout, UserTruth, _tile_tap_phasors,
+                               synthesize_model_mode, synthesize_waveform_mode)
 
 from helpers import COPIES
 
@@ -505,6 +507,82 @@ class TestTrialStream:
                     assert fields(users) == fields(run_trial(cfg, 10.0, i).truth), (mode, i)
                     run_trial(cfg, math.inf, i)
                     assert ranged["grid"].tobytes() == obs.grid.tobytes(), (mode, i)
+
+
+def _cold_trial(cfg, snr_db, index, seed=None, count=None):
+    """One trial built by hand, with no memo of an earlier draw: ``default_rng([seed, index])``,
+    ``draw_users``, the mode's synthesizer, then the receiver (given ``count`` if not None)."""
+    rng = np.random.default_rng([cfg.master_seed if seed is None else seed, index])
+    users = draw_users(cfg, rng, count)
+    synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
+    obs = synthesize(users, cfg.layout(), noise_variance(snr_db, cfg.layout()), rng)
+    ranger = RangerConfig(max_delay=cfg.max_delay, known_num_codes=count)
+    return TrialResult(users, range_subchannel(obs, ranger))
+
+
+def _fingerprint(truth, report):
+    # a user's repr leaves out its channel, so compare the channels' bytes as well
+    return repr((truth, report)), [u.cir.tobytes() for u in truth]
+
+
+class TestDrawMemo:
+    """A trial index's users are drawn once for consecutive calls; no call may see the change."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_interleaved_calls_equal_cold_trials(self, mode, k):
+        # each step changes one part of the memo's key (cfg, seed, index, count) at a time,
+        # so a key without that part would hand this step the previous step's users
+        cfg = SimConfig(num_users=k, mode=mode, max_cfo=0.1, master_seed=21)
+        other = replace(cfg, num_users=k % 3 + 1)  # another user count at the same seed
+        reseeded = replace(cfg, master_seed=22)
+        count = k % 3 + 1  # a given count other than cfg.num_users
+        steps = [
+            (cfg, 0.0, 0), (cfg, 20.0, 0),  # two SNR points of one index
+            (cfg, 0.0, 1),  # the next index
+            (other, 0.0, 1), (cfg, 20.0, 1),  # another config and back
+            (reseeded, 0.0, 1), (cfg, 10.0, 1),  # another seed and back
+            (cfg, 10.0, 0),
+        ]
+        for step, (config, snr_db, index) in enumerate(steps):
+            got, want = run_trial(config, snr_db, index), _cold_trial(config, snr_db, index)
+            assert _fingerprint(got.truth, got.report) == _fingerprint(want.truth, want.report), step
+        for seed in (21, 23):  # index 0 again: a given count, then another seed with it
+            (users, _, report), = simlab._noiseless_known_k_trials(cfg, seed, 1, (count,))
+            want = _cold_trial(cfg, math.inf, 0, seed, count)
+            assert _fingerprint(users, report) == _fingerprint(want.truth, want.report), seed
+        got, want = run_trial(cfg, math.inf, 0), _cold_trial(cfg, math.inf, 0)
+        assert _fingerprint(got.truth, got.report) == _fingerprint(want.truth, want.report)
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_a_returned_result_cannot_reach_the_memo(self, mode):
+        cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, master_seed=23)
+        first = run_trial(cfg, 0.0, 2)
+        first.truth.append(first.truth[0])
+        with pytest.raises(ValueError, match="read-only"):
+            first.truth[1].cir[0] = 0.0
+        with pytest.raises(ValueError):  # nor can the channel be made writeable again
+            first.truth[1].cir.flags.writeable = True
+        got, want = run_trial(cfg, 20.0, 2), _cold_trial(cfg, 20.0, 2)
+        assert got.truth is not first.truth and len(got.truth) == 3
+        assert _fingerprint(got.truth, got.report) == _fingerprint(want.truth, want.report)
+
+    def test_threads_sharing_the_memo_equal_cold_trials(self):
+        # more threads than cores, switching often: a memo entry read half-replaced would hand
+        # one index's users or stream state to another
+        cfg = SimConfig(num_users=3, mode="model", max_cfo=0.1, master_seed=24)
+        calls = [(snr, i % 5) for i in range(30) for snr in (0.0, math.inf)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_trial, cfg, snr, i) for snr, i in calls]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (snr, i), got in zip(calls, results):
+            want = _cold_trial(cfg, snr, i)
+            assert _fingerprint(got.truth, got.report) == _fingerprint(want.truth, want.report)
 
 
 class TestOraclePeriodogram:
