@@ -520,9 +520,9 @@ def _cold_trial(cfg, snr_db, index, seed=None, count=None):
     return TrialResult(users, range_subchannel(obs, ranger))
 
 
-def _fingerprint(truth, report):
+def _fingerprint(res):
     # a user's repr leaves out its channel, so compare the channels' bytes as well
-    return repr((truth, report)), [u.cir.tobytes() for u in truth]
+    return repr(res), [u.cir.tobytes() for u in res.truth]
 
 
 class TestDrawMemo:
@@ -545,14 +545,13 @@ class TestDrawMemo:
             (cfg, 10.0, 0),
         ]
         for step, (config, snr_db, index) in enumerate(steps):
-            got, want = run_trial(config, snr_db, index), _cold_trial(config, snr_db, index)
-            assert _fingerprint(got.truth, got.report) == _fingerprint(want.truth, want.report), step
+            want = _fingerprint(_cold_trial(config, snr_db, index))
+            assert _fingerprint(run_trial(config, snr_db, index)) == want, step
         for seed in (21, 23):  # index 0 again: a given count, then another seed with it
             (users, _, report), = simlab._noiseless_known_k_trials(cfg, seed, 1, (count,))
-            want = _cold_trial(cfg, math.inf, 0, seed, count)
-            assert _fingerprint(users, report) == _fingerprint(want.truth, want.report), seed
-        got, want = run_trial(cfg, math.inf, 0), _cold_trial(cfg, math.inf, 0)
-        assert _fingerprint(got.truth, got.report) == _fingerprint(want.truth, want.report)
+            want = _fingerprint(_cold_trial(cfg, math.inf, 0, seed, count))
+            assert _fingerprint(TrialResult(users, report)) == want, seed
+        assert _fingerprint(run_trial(cfg, math.inf, 0)) == _fingerprint(_cold_trial(cfg, math.inf, 0))
 
     @pytest.mark.parametrize("mode", ["model", "waveform"])
     def test_a_returned_result_cannot_reach_the_memo(self, mode):
@@ -563,9 +562,9 @@ class TestDrawMemo:
             first.truth[1].cir[0] = 0.0
         with pytest.raises(ValueError):  # nor can the channel be made writeable again
             first.truth[1].cir.flags.writeable = True
-        got, want = run_trial(cfg, 20.0, 2), _cold_trial(cfg, 20.0, 2)
+        got = run_trial(cfg, 20.0, 2)
         assert got.truth is not first.truth and len(got.truth) == 3
-        assert _fingerprint(got.truth, got.report) == _fingerprint(want.truth, want.report)
+        assert _fingerprint(got) == _fingerprint(_cold_trial(cfg, 20.0, 2))
 
     def test_threads_sharing_the_memo_equal_cold_trials(self):
         # more threads than cores, switching often: a memo entry read half-replaced would hand
@@ -581,8 +580,7 @@ class TestDrawMemo:
         finally:
             sys.setswitchinterval(interval)
         for (snr, i), got in zip(calls, results):
-            want = _cold_trial(cfg, snr, i)
-            assert _fingerprint(got.truth, got.report) == _fingerprint(want.truth, want.report)
+            assert _fingerprint(got) == _fingerprint(_cold_trial(cfg, snr, i))
 
 
 class TestOraclePeriodogram:
