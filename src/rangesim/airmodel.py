@@ -14,12 +14,7 @@ Both modes share that kernel, model mode on each user's own bins
 distances (:func:`_leakage_kernel`), and one noise model, i.i.d. circular
 Gaussian per tile bin.  They draw from an injected random generator, and
 check every user before the private, unchecked formula helpers (code
-matrix, effective offsets, that kernel) see it.  The one state they share
-is a one-entry memo of the last noise-free signal: a call whose checked
-users and layout equal the last call's adds that signal to its fresh
-noise, as a sweep's SNR points of one trial index do.  The memo is
-swapped as one tuple, so independent trials can run concurrently on
-independent streams and at worst miss it.
+matrix, effective offsets, that kernel) see it.  They keep no state.
 """
 
 from __future__ import annotations
@@ -174,13 +169,14 @@ class ChannelProfile:
         return self._variances
 
 
-@dataclass
+@dataclass(frozen=True)
 class TileObservations:
     """DFT outputs on the ranging tiles: grid[m, q, v] is block m, tile q, offset v.
 
     The grid must be a numpy array, not a list, of numbers (``require_numbers``: not bools) in
     the layout's shape, with a finite total power checked in one BLAS pass that NaN and inf
-    carry into: that bounds every correlation sum the receiver forms.
+    carry into: that bounds every correlation sum the receiver forms.  Frozen: neither the
+    layout nor the grid can be swapped after that check.
     """
 
     layout: TileLayout
@@ -257,13 +253,15 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator,
 
 
 def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
-    """``(codes, delays, cfos, cirs, ends)`` of the users, one entry or row per user.
+    """``(codes, delays, cfos, responses, ends)`` of the users, one entry, column or end per
+    user.
 
     Checks each user as it goes: the code must be an integer in [0, max_codes), the delay
     a non-negative integer, the CFO finite and the channel a 1-d array of numbers
     (``require_numbers``); then that no two users share a code and that the taps' total
     power, one BLAS pass, is finite.
-    ``cirs`` holds the channels zero-padded to the longest; ``ends`` delay + taps.
+    ``responses`` holds each channel's gain per flat tile bin, (n_tiles * tile_width, k), and
+    ``ends`` each user's delay + taps.
     """
     last_code = layout.max_codes - 1
     codes, delays, cfos, taps, ends = [], [], [], [], []
@@ -283,31 +281,7 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
     if not math.isfinite(np.vdot(cirs, cirs).real):  # one BLAS pass: NaN and inf carry into it
         raise ValidationError("channel taps must be finite, with a finite total power")
     return (np.array(codes, dtype=int), np.array(delays, dtype=float), np.array(cfos, dtype=float),
-            cirs, ends)
-
-
-_last_signal = None, None  # (key, read-only signal) of the latest synthesis with users
-
-
-def _noise_free(build, layout: TileLayout, codes, delays, cfos, cirs) -> np.ndarray:
-    """``build(layout, codes, delays, cfos, responses)`` for the checked users' arrays, with
-    ``responses`` the channel gains per flat tile bin and user, read-only.
-
-    One-entry memo: the last result is returned again while ``build``, ``layout`` and the
-    arrays' shapes and bytes are the last call's (the bytes tell 0.0 from -0.0 and see a
-    channel changed in place).  The arrays are what the arithmetic reads, so an equal key
-    gives an equal signal; the entry is replaced as one tuple only after ``build`` returns.
-    """
-    global _last_signal
-    arrays = (codes, delays, cfos, cirs)
-    key = (build, layout, *[(a.shape, a.tobytes()) for a in arrays])
-    last_key, signal = _last_signal
-    if key != last_key:
-        signal = build(layout, codes, delays, cfos,
-                       _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T)
-        signal.flags.writeable = False
-        _last_signal = key, signal
-    return signal
+            _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T, ends)
 
 
 def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
@@ -342,17 +316,17 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     timing, and a per-tile amplitude combining the CFO attenuation, the
     tile-averaged channel and the delay phase at the tile start.  Noise is
     i.i.d. circular Gaussian of the given variance per grid entry, drawn
-    first; the users are checked on every call, and the noise-free signal
-    of the last call is reused while they and the layout are unchanged.
+    first; the users are checked on every call (:func:`_model_signal`).
     """
     grid = _complex_noise(rng, (layout.n_blocks, layout.n_tiles, layout.tile_width), noise_var)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        grid += _noise_free(_model_signal, layout, *_stack_users(users, layout)[:4])
+        grid += _model_signal(users, layout)
     return TileObservations(layout, grid)
 
 
-def _model_signal(layout: TileLayout, codes, delays, cfos, responses) -> np.ndarray:
-    """The noise-free model-mode grid, (n_blocks, n_tiles, tile_width)."""
+def _model_signal(users, layout: TileLayout) -> np.ndarray:
+    """The checked users' noise-free model-mode grid, (n_blocks, n_tiles, tile_width)."""
+    codes, delays, cfos, responses, _ = _stack_users(users, layout)
     n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
     xi, eta = _effective_offsets(codes, delays, cfos, layout)
     tile_means = responses.reshape(layout.n_tiles, width, -1).sum(axis=1) / width  # (q, k)
@@ -380,21 +354,20 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     exp(2j pi cfo (m * block_len + cp_ranging) / N).  Users are summed and
     i.i.d. circular Gaussian noise of the given variance is added per tile
     bin, as in model mode: the unitary DFT of white time-domain noise.  As
-    there, the noise is drawn first, the users are checked on every call
-    and the last call's noise-free signal is reused while nothing changed.
+    there, the noise is drawn first and the users are checked on every call
+    (:func:`_waveform_signal`).
     """
-    bins = layout.tile_bins
-    grid = _complex_noise(rng, (layout.n_blocks, bins.size), noise_var)
+    grid = _complex_noise(rng, (layout.n_blocks, layout.n_tiles, layout.tile_width), noise_var)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        *arrays, ends = _stack_users(users, layout)
-        if max(ends) > layout.cp_ranging:
-            raise ValidationError("delay plus channel length must fit inside the ranging prefix")
-        grid += _noise_free(_waveform_signal, layout, *arrays)
-    return TileObservations(layout, grid.reshape(layout.n_blocks, *bins.shape))
+        grid += _waveform_signal(users, layout)
+    return TileObservations(layout, grid)
 
 
-def _waveform_signal(layout: TileLayout, codes, delays, cfos, responses) -> np.ndarray:
-    """The noise-free waveform-mode grid, (n_blocks, n_tiles * tile_width)."""
+def _waveform_signal(users, layout: TileLayout) -> np.ndarray:
+    """The checked users' noise-free waveform-mode grid, (n_blocks, n_tiles, tile_width)."""
+    codes, delays, cfos, responses, ends = _stack_users(users, layout)
+    if max(ends) > layout.cp_ranging:
+        raise ValidationError("delay plus channel length must fit inside the ranging prefix")
     n, bins = layout.n_subcarriers, layout.tile_bins
     gather, bin_phase, block_steps, block_codes, bin_codes = layout._leakage_tables[2:]
     kernel = _leakage_kernel(layout, cfos).take(gather, axis=1)  # (k, b', b)
@@ -406,4 +379,4 @@ def _waveform_signal(layout: TileLayout, codes, delays, cfos, responses) -> np.n
     ramp = np.exp(turns * (-1j * np.pi / n))  # (k, b)
     rows = ramp * bin_codes[codes] * responses.T
     leaked = (kernel @ rows.view(float).reshape(len(codes), -1, 2)).view(complex)[..., 0]
-    return (alpha.T @ leaked) * bin_phase
+    return ((alpha.T @ leaked) * bin_phase).reshape(layout.n_blocks, *bins.shape)

@@ -5,9 +5,10 @@ user truths and noise from a stream keyed on (master seed, trial index)
 only, so the same trial index sees the same users at every SNR point and
 two runs with the same configuration produce byte-identical CSV files.
 The sweep is trial-major: all SNR points of one index run before the
-next index, so that index's users are drawn once (its later SNR points
-restore the stream to its state after that draw) and the synthesizers
-reuse its noise-free signal; the rows come out after the last index.
+next index, so that index's users and their noise-free signal are built
+once (its later SNR points restore the stream to its state after that
+draw and add fresh noise to that signal); the rows come out after the
+last index.
 Trial i's stream is PCG64 seeded by ``SeedSequence([seed, i])``, hashed
 for a block of 256 indices at once, and equal draw for draw to
 ``np.random.default_rng([seed, i])``.
@@ -32,7 +33,10 @@ from numpy.random.bit_generator import ISeedSequence
 from .airmodel import (
     ChannelProfile,
     TileLayout,
+    TileObservations,
     UserTruth,
+    _model_signal,
+    _waveform_signal,
     draw_channel,
     synthesize_model_mode,
     synthesize_waveform_mode,
@@ -42,8 +46,10 @@ from .errors import (ConfigError, DimensionError, RangingError, ValidationError,
 from .ranger import RangerConfig, RangingReport, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
-_CONFIG_KEYS = {"spacing": "tile_spacing", "ranging prefix": "cp_ranging",
-                "n_taps": "channel_taps", "decay constant": "channel_decay", "SNR": "snr_list_db"}
+_TILE_KEYS = "n_tiles, tile_width, tile_spacing"  # the keys that place the tiles
+_CONFIG_KEYS = {"spacing": "tile_spacing", "tile start": _TILE_KEYS, "tiles overlap;": _TILE_KEYS,
+                "ranging prefix": "cp_ranging", "n_taps": "channel_taps",
+                "decay constant": "channel_decay", "SNR": "snr_list_db"}
 
 
 @dataclass(frozen=True)
@@ -286,44 +292,51 @@ def _trial_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(_block_seed_words(seed, block)[row])))
 
 
-_last_draw = None, (), None  # (key, users, stream state after the draw) of the latest users drawn
+_last_draw = None, (), None, None  # (key, users, stream state after the draw, read-only signal)
 
 
 def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: int | None = None):
     """``(users, obs)`` of one trial: ``count`` users (``cfg.num_users`` if None) drawn from the
-    stream ``(seed, index)``, then their grid synthesized in ``cfg.mode`` from the same stream.
+    stream ``(seed, index)``, then their grid in ``cfg.mode``: the mode's synthesizer draws the
+    noise from the same stream, and their noise-free signal is added to it.
 
-    One-entry memo: while ``(cfg, seed, index, count)`` is the last non-empty draw's key, the
-    stream is set to its state after that draw and the drawn users are reused, as a sweep's SNR
-    points of one trial index do; an empty draw takes nothing from the stream and skips the
-    memo.  The users' channels are read-only and each call returns its own list; the entry is
-    replaced as one tuple, so concurrent trials at worst miss it.
+    One-entry memo of the last non-empty draw: while ``(cfg, seed, index, count)`` is its key,
+    the stream is set to its state after that draw and the drawn users and their signal are
+    reused, as a sweep's SNR points of one trial index do; an empty draw takes nothing from the
+    stream and skips the memo.  The users' channels are read-only, and each call returns its
+    own list and a fresh grid; the entry is replaced as one tuple, so concurrent trials at
+    worst miss it.
     """
     global _last_draw
-    rng = _trial_stream(seed, index)
+    rng, layout = _trial_stream(seed, index), cfg.layout()
+    model = cfg.mode == "model"
+    synthesize = synthesize_model_mode if model else synthesize_waveform_mode
     if (cfg.num_users if count is None else count) == 0:
         users = draw_users(cfg, rng, count)
+        return users, synthesize(users, layout, noise_var, rng)
+    key = (cfg, seed, index, count)
+    last_key, users, state, signal = _last_draw
+    if key == last_key:
+        rng.bit_generator.state = state
     else:
-        key = (cfg, seed, index, count)
-        last_key, users, state = _last_draw
-        if key == last_key:
-            rng.bit_generator.state = state
-        else:
-            users = tuple(draw_users(cfg, rng, count))
-            _last_draw = key, users, rng.bit_generator.state
-        users = list(users)
-    synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
-    return users, synthesize(users, cfg.layout(), noise_var, rng)
+        users = tuple(draw_users(cfg, rng, count))
+        state = rng.bit_generator.state
+        signal = (_model_signal if model else _waveform_signal)(users, layout)
+        signal.flags.writeable = False
+        _last_draw = key, users, state, signal
+    grid = synthesize([], layout, noise_var, rng).grid  # the noise alone, drawn first
+    grid += signal
+    return list(users), TileObservations(layout, grid)
 
 
 def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """Draw one scenario, synthesize and range it.
 
     The random stream depends only on the master seed and the trial index,
-    so the same index reuses its scenario at every SNR point.  Its users are
-    drawn once while calls for that index follow one another, as a sweep's
-    do: a later SNR point restores the stream to its state after that draw
-    and draws its noise from there.
+    so the same index reuses its scenario at every SNR point.  Its users and
+    their noise-free signal are built once while calls for that index follow
+    one another, as a sweep's do: a later SNR point restores the stream to
+    its state after that draw and draws its noise from there.
     """
     var = noise_variance(snr_db, cfg.layout())
     truth, obs = _scenario(cfg, cfg.master_seed, require_int("trial index", trial_index, 0), var)
@@ -417,7 +430,7 @@ def run_sweep(cfg: SimConfig) -> list[MetricsRow]:
     """One metrics row per configured SNR point, in order, scored as the trials run.
 
     Trial-major: every SNR point of trial index i runs, in SNR order, before index i + 1, so
-    the synthesizers reuse each index's noise-free signal across its points.  Each point keeps
+    each index's users and noise-free signal are built once for all its points.  Each point keeps
     only its running scores, and the rows come out after the last index.
     """
     points = [(snr_db, _PointScores(cfg)) for snr_db in cfg.snr_list_db]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangesim import simlab
+from rangesim import airmodel, simlab
 from rangesim.errors import ConfigError, DimensionError, ValidationError
 from rangesim.ranger import RangerConfig, RangingReport, range_subchannel
 from rangesim.simlab import (
@@ -444,7 +444,7 @@ class TestRunSweep:
         assert peak < 2**20
 
     def test_threaded_trials_equal_serial_ones(self):
-        # the synthesizers' shared signal memo must not leak one trial's signal into another
+        # the draw memo, shared by the threads, must not leak one trial's signal into another
         cfg = replace(self.cfg(), mode="waveform", num_users=3, max_cfo=0.1)
         calls = [(snr, i) for i in range(cfg.trials) for snr in (*cfg.snr_list_db, math.inf)]
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -581,6 +581,49 @@ class TestDrawMemo:
             sys.setswitchinterval(interval)
         for (snr, i), got in zip(calls, results):
             assert _fingerprint(got) == _fingerprint(_cold_trial(cfg, snr, i))
+
+    @pytest.mark.parametrize("k, stacks", [(0, 0), (3, 4)], ids=["K=0", "K=3"])
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_users_are_stacked_once_per_index(self, monkeypatch, mode, k, stacks):
+        # four indices, three SNR points each: the signal is built on the index's first point
+        calls, stack_users = [], airmodel._stack_users
+        monkeypatch.setattr(airmodel, "_stack_users",
+                            lambda *args: calls.append(args) or stack_users(*args))
+        cfg = SimConfig(num_users=k, mode=mode, max_cfo=0.1, trials=4,
+                        snr_list_db=(0.0, 10.0, 20.0), master_seed=25)
+        run_sweep(cfg)
+        assert len(calls) == stacks
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_the_ranged_grid_is_fresh_and_writeable(self, monkeypatch, mode):
+        cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, master_seed=26)
+        grids, range_subchannel = [], simlab.range_subchannel
+
+        def spoil(obs, ranger):  # range the grid, then write into it
+            report = range_subchannel(obs, ranger)
+            signal = simlab._last_draw[3]
+            assert not signal.flags.writeable and not np.shares_memory(obs.grid, signal)
+            grids.append(obs.grid)
+            obs.grid[...] = np.inf
+            return report
+
+        monkeypatch.setattr(simlab, "range_subchannel", spoil)
+        for snr_db in (0.0, 20.0, math.inf):
+            got = run_trial(cfg, snr_db, 4)
+            assert _fingerprint(got) == _fingerprint(_cold_trial(cfg, snr_db, 4)), snr_db
+        assert all(grid.flags.writeable for grid in grids)
+
+    @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
+                             ids=["model", "waveform"])
+    def test_the_synthesizers_keep_no_state(self, synthesize):
+        cfg = SimConfig(num_users=3, max_cfo=0.1)
+        users = draw_users(cfg, np.random.default_rng(27))
+        before = dict(vars(airmodel))
+        grids = [synthesize(users, cfg.layout(), 0.5, np.random.default_rng(28)).grid
+                 for _ in range(2)]
+        assert grids[0].tobytes() == grids[1].tobytes()
+        assert vars(airmodel).keys() == before.keys()
+        assert all(vars(airmodel)[name] is value for name, value in before.items())
 
 
 class TestOraclePeriodogram:
@@ -837,6 +880,17 @@ class TestConfigParsing:
         # the layout and the channel profile name these arguments differently
         with pytest.raises(ConfigError, match=f"^{field}: {message}$"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(n_subcarriers=16, n_tiles=8, tile_width=4, cp_ranging=4, max_delay=1,
+              channel_taps=1, cp_data=2), r"tile start 14 outside \[0, 12\]"),
+        (dict(tile_spacing=100), r"tile start 1100 outside \[0, 1020\]"),
+        (dict(tile_spacing=2), "tiles overlap; they must be pairwise disjoint"),
+    ], ids=["uniform spacing", "wide spacing", "narrow spacing"])
+    def test_tile_placement_errors_name_the_placing_keys(self, settings, message):
+        # before, these two layout messages reached the user without a config key
+        with pytest.raises(ConfigError, match=f"^n_tiles, tile_width, tile_spacing: {message}$"):
+            SimConfig(**settings)
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="could not read"):
