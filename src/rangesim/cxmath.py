@@ -6,7 +6,8 @@ its input in one pass, before LAPACK sees it: bad input raises
 :class:`ValidationError` or :class:`DimensionError`, and every LAPACK
 failure surfaces as :class:`NumericalError`, never as ``LinAlgError``.
 Each public kernel but ``hermitian_evd`` then calls a private core that the receiver calls
-directly: ``_fb``, ``_ls_rotation`` (the rank test stays) and ``_eigvals``.  All are pure.
+directly: ``_fb``, ``_ls_rotation`` (the rank test stays) and ``_eigvals``, which also takes
+a stack of matrices.  All are pure.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ def general_eigenvalues(a) -> np.ndarray:
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
+    """:func:`general_eigenvalues` of a finite complex matrix, or of each matrix in a stack of
+    shape (..., n, n) in one call (the receiver stacks its two stages' rotations)."""
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

@@ -16,8 +16,12 @@ runs two subspace stages over the same observations:
    physical offset from the residual, and declare a code detected only
    when both stages agree on it.
 
-After the correlation, every stage takes and returns plain numpy arrays
-(eigenvalues, eigenvectors, or one entry per estimate, strongest first).
+From the correlation through ESPRIT, every stage takes and returns plain numpy arrays
+(eigenvalues, eigenvectors, or one entry per estimate, strongest first).  The
+receiver finds the roots of both stages' K-by-K rotations in one ``eigvals``
+call on their stack, then maps and detects codes on lists of Python floats,
+which at a few estimates cost less than array calls; the public mappers
+wrap the same float code and return arrays.
 
 Every public stage checks its input, then calls a private core that holds its arithmetic.
 :func:`range_subchannel` checks the grid (when its :class:`TileObservations` is built) and its
@@ -177,27 +181,35 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     require_int("source count", num_sources, 1, n - 1, DimensionError)
     eigenvectors = eigenvectors.astype(complex, copy=False)
     _check_orthonormal(eigenvectors[:, :num_sources])
-    return _esprit(eigenvalues, eigenvectors, num_sources)
-
-
-def _esprit(eigenvalues: np.ndarray, eigenvectors: np.ndarray, num_sources: int) -> np.ndarray:
-    """:func:`esprit_phases` of checked eigenvalues and complex eigenvectors."""
-    n = eigenvectors.shape[0]
     roots = _eigvals(_ls_rotation(eigenvectors[:, :num_sources]))
+    return _strongest_first(_root_phases(roots), eigenvalues, eigenvectors)
+
+
+def _root_phases(roots: np.ndarray) -> np.ndarray:
+    """Phases of rotation eigenvalues of any shape, in cycles, [-1/2, 1/2), one numpy pass."""
     phases = np.arctan2(roots.imag, roots.real) / (2.0 * np.pi)
     phases -= phases >= 0.5  # a phase of exactly pi wraps to -1/2
+    return phases
 
+
+def _strongest_first(phases: np.ndarray, eigenvalues: np.ndarray,
+                     eigenvectors: np.ndarray) -> np.ndarray:
+    """One stage's 1-d ``phases`` as a new array, in :func:`esprit_phases`' order: by
+    descending power the checked spectrum assigns to each phase's steering direction."""
+    n = eigenvectors.shape[0]
     steering = np.exp(2j * np.pi * (np.arange(n)[:, None] * phases)) / math.sqrt(n)
     weights = eigenvectors.conj().T @ steering  # (eigenvector, phase)
     strength = eigenvalues @ (np.abs(weights) ** 2)
     return phases[(-strength).argsort(kind="stable")]
 
 
-def _check_code_indices(name: str, values, raw) -> None:
-    """Raise :class:`ValidationError` naming ``name`` unless each rounded code index in ``raw``
-    fits int64; Python floats are compared, cheaper than array calls for a few estimates."""
-    if not all(-2.0**63 <= r < 2.0**63 for r in raw.ravel().tolist()):
-        raise ValidationError(f"{name} must give code indices within int64, got {values!r:.60}")
+def _mapped(name: str, values, core, *args) -> tuple[np.ndarray, np.ndarray]:
+    """A float mapping core's ``(codes, values)`` of finite ``values``, as int64 and float64
+    arrays of the input's shape."""
+    values = np.asarray(require_finite(name, values))
+    codes, mapped = core(values.ravel().tolist(), *args)
+    return (np.array(codes, dtype=np.int64).reshape(values.shape),
+            np.array(mapped, dtype=float).reshape(values.shape))
 
 
 def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -206,19 +218,37 @@ def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]
     Valid whenever the configured maximum offset keeps the per-code
     intervals disjoint (checked at configuration time, not here).  Periodic with period 1;
     NaN, ±inf and a value whose code index overflows int64 raise :class:`ValidationError`.
+    Returns int64 codes and float64 CFOs, arrays of the input's shape.
     """
-    effective_cfos = require_finite("effective CFOs", effective_cfos)
-    codes, cfos, raw = _map_cfo(effective_cfos, layout)
-    _check_code_indices("effective CFOs", effective_cfos, raw)
-    return codes, cfos
+    return _mapped("effective CFOs", effective_cfos, _map_cfo, layout)
 
 
-def _map_cfo(effective_cfos: np.ndarray, layout: TileLayout):
-    """:func:`map_cfo`'s ``(codes, cfos)`` of finite values, and the unreduced code indices."""
-    span = layout.n_blocks - 1
-    raw = np.floor(span * effective_cfos + 0.5)
-    cfos = (layout.n_subcarriers / layout.block_len) * (effective_cfos - raw / span)
-    return (raw % span).astype(int), cfos, raw
+def _code_indices(name: str, values: list, span: int, bias: float) -> tuple[list, list]:
+    """Each value's code ``floor(span * value + bias + 1/2) % span`` and its code point, that
+    index divided by ``span``, as lists.
+
+    The few estimates are mapped in plain float arithmetic, cheaper than array calls at this
+    size.  Each of ``*``, ``+``, ``-``, ``/``, ``floor`` and ``%`` gives the correctly rounded
+    or exact IEEE result in Python as in numpy, so every result matches numpy's whole-array
+    evaluation to the last bit.  The index is tested before rounding, so no overflow reaches
+    ``floor``: one outside int64 raises :class:`ValidationError` naming ``name``.
+    """
+    codes, points = [], []
+    for x in values:
+        unrounded = span * x + bias + 0.5
+        if not -2.0**63 <= unrounded < 2.0**63:  # also false for NaN and ±inf
+            raise ValidationError(f"{name} must give code indices within int64, got {x!r}")
+        index = math.floor(unrounded)
+        codes.append(index % span)
+        points.append(index / span)
+    return codes, points
+
+
+def _map_cfo(effective_cfos: list, layout: TileLayout) -> tuple[list, list]:
+    """:func:`map_cfo` of a list of finite floats, as lists."""
+    codes, points = _code_indices("effective CFOs", effective_cfos, layout.n_blocks - 1, 0.0)
+    scale = layout.n_subcarriers / layout.block_len
+    return codes, [scale * (x - point) for x, point in zip(effective_cfos, points)]
 
 
 def _check_max_delay(layout: TileLayout, max_delay: int) -> None:
@@ -227,22 +257,19 @@ def _check_max_delay(layout: TileLayout, max_delay: int) -> None:
 
 def map_timing(effective_timings, layout: TileLayout,
                max_delay: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split effective timings elementwise into ``(codes, delays)``, delays in samples; periodic
-    and checked as in :func:`map_cfo`."""
+    """Split effective timings elementwise into ``(codes, delays)``, delays in samples; periodic,
+    checked and shaped as in :func:`map_cfo`."""
     _check_max_delay(layout, max_delay)
-    effective_timings = require_finite("effective timings", effective_timings)
-    codes, delays, raw = _map_timing(effective_timings, layout, max_delay)
-    _check_code_indices("effective timings", effective_timings, raw)
-    return codes, delays
+    return _mapped("effective timings", effective_timings, _map_timing, layout, max_delay)
 
 
-def _map_timing(effective_timings: np.ndarray, layout: TileLayout, max_delay: int):
-    """:func:`map_timing` of finite values and a valid delay, as :func:`_map_cfo` returns."""
+def _map_timing(effective_timings: list, layout: TileLayout, max_delay: int) -> tuple[list, list]:
+    """:func:`map_timing` of a list of finite floats and a valid delay, as lists."""
     span = layout.tile_width - 1
     half_bias = max_delay * span / (2.0 * layout.n_subcarriers)
-    raw = np.floor(span * effective_timings + half_bias + 0.5)
-    delays = layout.n_subcarriers * (raw / span - effective_timings)
-    return (raw % span).astype(int), delays, raw
+    codes, points = _code_indices("effective timings", effective_timings, span, half_bias)
+    n = layout.n_subcarriers
+    return codes, [n * (point - x) for x, point in zip(effective_timings, points)]
 
 
 def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
@@ -264,13 +291,14 @@ def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
     for name, codes in (("CFO codes", cfo_codes), ("timing codes", timing_codes)):
         if codes.size and codes.dtype.kind not in "iu":
             raise ValidationError(f"{name} must be an array of integers, got {codes!r:.60}")
-    return _detect(cfo_codes, cfos, timing_codes, delays)
+    return _detect(cfo_codes.tolist(), cfos.tolist(), timing_codes.tolist(), delays.tolist())
 
 
-def _detect(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
+def _detect(cfo_codes: list, cfos: list, timing_codes: list, delays: list) -> tuple[dict, int]:
+    """:func:`detect_codes` of each stage's codes and values as equally long lists."""
     # built from the back, so the first estimate of each code is written last
-    cfo_by_code = dict(zip(cfo_codes[::-1].tolist(), cfos[::-1].tolist()))
-    timing_by_code = dict(zip(timing_codes[::-1].tolist(), delays[::-1].tolist()))
+    cfo_by_code = dict(zip(cfo_codes[::-1], cfos[::-1]))
+    timing_by_code = dict(zip(timing_codes[::-1], delays[::-1]))
     collisions = len(cfo_codes) - len(cfo_by_code) + len(timing_codes) - len(timing_by_code)
     detected = cfo_by_code.keys() & timing_by_code.keys()
     return {code: (cfo_by_code[code], timing_by_code[code]) for code in detected}, collisions
@@ -307,13 +335,19 @@ def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     if num_codes == 0:
         return RangingReport()
 
-    eff_cfos = _stage("frequency-stage rotation", _esprit, lam_f, vec_f, num_codes)
+    # the frequency rotation's rank test runs before the timing stage's correlation and EVD
+    rot_f = _stage("frequency-stage rotation", _ls_rotation, vec_f[:, :num_codes])
     corr_t = _fb(_corr(tile_snapshots(obs)))
     lam_t, vec_t = _stage("timing-stage eigendecomposition", hermitian_evd, corr_t)
-    eff_timings = _stage("timing-stage rotation", _esprit, lam_t, vec_t, num_codes)
+    rot_t = _stage("timing-stage rotation", _ls_rotation, vec_t[:, :num_codes])
+    # both rotations are K-by-K whatever the layout, so one eigvals call serves both stages
+    roots = _stage("frequency- and timing-stage rotations", _eigvals, np.stack((rot_f, rot_t)))
+    phases = _root_phases(roots)
+    eff_cfos = _strongest_first(phases[0], lam_f, vec_f)
+    eff_timings = _strongest_first(phases[1], lam_t, vec_t)
 
-    # the phases lie in [-1/2, 1/2), so their code indices cannot leave int64
-    cfo_codes, cfos, _ = _map_cfo(eff_cfos, layout)
-    timing_codes, delays, _ = _map_timing(eff_timings, layout, cfg.max_delay)
+    # the phases lie in [-1/2, 1/2), so the mapping's int64 test cannot fire here
+    cfo_codes, cfos = _map_cfo(eff_cfos.tolist(), layout)
+    timing_codes, delays = _map_timing(eff_timings.tolist(), layout, cfg.max_delay)
     per_code, collisions = _detect(cfo_codes, cfos, timing_codes, delays)
     return RangingReport(eff_cfos, eff_timings, per_code, collisions)

@@ -405,11 +405,13 @@ def compute_metrics(results: Iterable[TrialResult], snr_db: float, cfg: SimConfi
 
 
 WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
+# The largest trial count whose Wilson terms, up to 4 * trials**2, convert to floats.
+_MAX_WILSON_TRIALS = math.isqrt(int(np.finfo(float).max) // 4)
 
 
 def wilson_interval(count: int, trials: int):
     """Wilson score 95% interval for a binomial proportion ``count / trials``."""
-    require_int("count", count, 0, require_int("trial count", trials, 1))
+    require_int("count", count, 0, require_int("trial count", trials, 1, _MAX_WILSON_TRIALS))
     p = count / trials
     z2 = WILSON_Z * WILSON_Z
     centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)

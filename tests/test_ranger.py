@@ -1,6 +1,7 @@
 """Receiver pipeline checks: snapshot shaping, order selection, phase recovery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from rangesim.airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
+from rangesim import ranger
 from rangesim.airmodel import _effective_offsets
 from rangesim.cxmath import forward_backward, hermitian_evd
-from rangesim.errors import ConfigError, DimensionError, RankDeficiencyError, ValidationError
+from rangesim.errors import (ConfigError, DimensionError, NumericalError, RankDeficiencyError,
+                             ValidationError)
 from rangesim.ranger import (
     _TINY_TOP,
     EIGENVALUE_FLOOR,
@@ -380,6 +383,86 @@ class TestMapTiming:
             map_timing(np.array([0.1]), reference_layout(), 342)
 
 
+def map_reference(values, layout, max_delay=None):
+    """The whole-array mapping expressions that the float mapping replaced, kept verbatim:
+    ``(codes, cfos)``, or ``(codes, delays)`` when ``max_delay`` is given, as arrays."""
+    values = np.asarray(values, dtype=float)
+    if max_delay is None:
+        span = layout.n_blocks - 1
+        raw = np.floor(span * values + 0.5)
+        offsets = (layout.n_subcarriers / layout.block_len) * (values - raw / span)
+    else:
+        span = layout.tile_width - 1
+        half_bias = max_delay * span / (2.0 * layout.n_subcarriers)
+        raw = np.floor(span * values + half_bias + 0.5)
+        offsets = layout.n_subcarriers * (raw / span - values)
+    return np.asarray((raw % span).astype(int)), np.asarray(offsets)
+
+
+def exact(arrays):
+    """Each array's dtype, shape and values, the values by ``repr`` to the last bit and sign."""
+    return [(a.dtype, a.shape, repr(a.tolist())) for a in arrays]
+
+
+# the reference layout and two with n_blocks != tile_width
+MAPPING_LAYOUTS = {"4x4": reference_layout(), "5x4": TileLayout.uniform(1024, 5, 16, 4, 256),
+                   "3x6": TileLayout.uniform(1024, 3, 16, 6, 256)}
+
+
+def mapping_inputs(span, bias):
+    """Offsets that stress the float mapping: random ones, the rounding points and their
+    neighbours, signed zeros, the half-turn edges and code indices at the int64 edge."""
+    rng = np.random.default_rng(29)
+    ties = [(k - 0.5 - bias) / span for k in range(-span - 1, 2 * span + 2)]
+    ties += [k / span - 0.5 for k in range(2 * span + 1)]
+    neighbours = [np.nextafter(t, edge) for t in ties for edge in (-np.inf, np.inf)]
+    top = 2.0**63 / span
+    edges = [x for x in (-top, np.nextafter(-top, -np.inf), np.nextafter(top, 0), 1e15, -1e15)
+             if -2.0**63 <= span * x + bias + 0.5 < 2.0**63]  # the index fits int64
+    return np.array([*rng.uniform(-0.5, 0.5, 100), *rng.uniform(-50, 50, 20), *ties, *neighbours,
+                     0.0, -0.0, np.nextafter(0.5, 0), -0.5, 0.5, *edges])
+
+
+class TestMappingOracle:
+    """The float mapping reads the numpy expressions' bits, on any layout and shape."""
+
+    @pytest.mark.parametrize("max_delay", [None, 0, 204], ids=["cfo", "timing-0", "timing-204"])
+    @pytest.mark.parametrize("layout", MAPPING_LAYOUTS.values(), ids=MAPPING_LAYOUTS.keys())
+    def test_mappers_match_the_numpy_expressions(self, layout, max_delay):
+        if max_delay is None:
+            span, bias, mapper = layout.n_blocks - 1, 0.0, lambda x: map_cfo(x, layout)
+        else:
+            span = layout.tile_width - 1
+            bias = max_delay * span / (2.0 * layout.n_subcarriers)
+            mapper = lambda x: map_timing(x, layout, max_delay)  # noqa: E731
+        values = mapping_inputs(span, bias)
+        got = mapper(values)
+        assert exact(got) == exact(map_reference(values, layout, max_delay))
+        assert got[0].dtype == np.int64 and got[1].dtype == np.float64
+        for shape in [(), (0,), (3,), (2, 3)]:
+            part = values[: math.prod(shape)].reshape(shape)
+            assert exact(mapper(part)) == exact(map_reference(part, layout, max_delay))
+
+    @pytest.mark.parametrize("mapper", [lambda x: map_cfo(x, reference_layout()),
+                                        lambda x: map_timing(x, reference_layout(), 204)],
+                             ids=["cfo", "timing"])
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.nextafter(2.0**63 / 3, np.inf),
+                                       2.0**63 / 3],
+                             ids=["1e308", "-1e308", "first past 2**63 / span", "2**63 / span"])
+    def test_code_index_past_int64_raises_before_rounding(self, mapper, value):
+        # numpy's overflow in multiply, invalid remainder and invalid cast warnings came first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="must give code indices within int64"):
+                mapper(np.array([0.1, value]))
+
+    def test_scalars_and_lists_map_as_arrays(self):
+        layout = reference_layout()
+        for value in (0.2, np.float64(0.2), [0.2], [[0.2, -0.3]]):
+            want = map_reference(value, layout)
+            assert exact(map_cfo(value, layout)) == exact(want)
+
+
 class TestDetectCodes:
     def freq(self, codes, cfos=0.01):
         return map_cfo(np.asarray(codes) / 3 + np.asarray(cfos) * 1280 / 1024, reference_layout())
@@ -622,8 +705,23 @@ def ranged_by_hand(obs, cfg):
 
 
 def report_repr(report):
-    return repr((report.effective_cfos, report.effective_timings, report.per_code,
-                 report.collisions))
+    """The report's every value by ``repr``, the phase arrays as lists to the last bit."""
+    return repr((report.effective_cfos.tolist(), report.effective_timings.tolist(),
+                 report.per_code, report.collisions))
+
+
+def assert_receiver_runs_the_public_stages(synthesize, layout, k, known, max_cfo=0.1):
+    for trial, noise_var in enumerate((0.0, 1e-2, 1.0, 10.0, 100.0)):
+        rng = np.random.default_rng([26, k, trial])
+        obs = synthesize(random_users(rng, layout, k, max_cfo=max_cfo), layout, noise_var, rng)
+        cfg = RangerConfig(max_delay=204, known_num_codes=k if known else None)
+        report = range_subchannel(obs, cfg)
+        assert report_repr(report) == report_repr(ranged_by_hand(obs, cfg))
+        assert not np.shares_memory(report.effective_cfos, report.effective_timings)
+
+
+# layouts with n_blocks != tile_width: the two stages' eigenvectors differ in shape
+NON_SQUARE = {"5x4": MAPPING_LAYOUTS["5x4"], "3x6": MAPPING_LAYOUTS["3x6"]}
 
 
 class TestOneImplementation:
@@ -634,12 +732,45 @@ class TestOneImplementation:
     @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
                              ids=["model", "waveform"])
     def test_public_stages_give_the_receiver_report(self, synthesize, k, known):
+        assert_receiver_runs_the_public_stages(synthesize, reference_layout(), k, known)
+
+    @pytest.mark.parametrize("known", [False, True], ids=["mdl", "known"])
+    @pytest.mark.parametrize("shape, k", [(shape, k) for shape, layout in NON_SQUARE.items()
+                                          for k in range(layout.max_codes + 1)])
+    @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
+                             ids=["model", "waveform"])
+    def test_public_stages_give_the_receiver_report_on_non_square_layouts(self, synthesize, shape,
+                                                                          k, known):
+        # 5 blocks acquire CFOs below 0.1 subcarrier spacings only
+        assert_receiver_runs_the_public_stages(synthesize, NON_SQUARE[shape], k, known,
+                                               max_cfo=0.05)
+
+    def test_a_failed_eigenvalue_call_names_both_rotations(self, monkeypatch):
+        # one eigvals call finds the roots of both stages' rotations
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
         layout = reference_layout()
-        for trial, noise_var in enumerate((0.0, 1e-2, 1.0, 10.0, 100.0)):
-            rng = np.random.default_rng([26, k, trial])
-            obs = synthesize(random_users(rng, layout, k), layout, noise_var, rng)
-            cfg = RangerConfig(max_delay=204, known_num_codes=k if known else None)
-            assert report_repr(range_subchannel(obs, cfg)) == report_repr(ranged_by_hand(obs, cfg))
+        rng = np.random.default_rng(2929)
+        obs = synthesize_model_mode(random_users(rng, layout, 3), layout, 0.01, rng)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalError,
+                           match="^frequency- and timing-stage rotations: eigenvalue computation"):
+            range_subchannel(obs, RangerConfig(max_delay=204))
+
+    def test_a_frequency_rank_failure_raises_before_the_timing_stage(self, monkeypatch):
+        # the frequency rotation, rank test and all, is formed before the timing stage's EVD
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return hermitian_evd(a)
+
+        monkeypatch.setattr(ranger, "hermitian_evd", counted)
+        obs = TileObservations(reference_layout(), np.zeros((4, 16, 4), dtype=complex))
+        with pytest.raises(RankDeficiencyError, match="^frequency-stage rotation: "):
+            range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=1))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
                              ids=["model", "waveform"])

@@ -42,6 +42,7 @@ from rangesim.simlab import (
     wilson_interval,
     write_gnuplot_script,
 )
+from rangesim.simlab import _MAX_WILSON_TRIALS
 from rangesim.airmodel import (ChannelProfile, TileLayout, UserTruth, _tile_tap_phasors,
                                synthesize_model_mode, synthesize_waveform_mode)
 
@@ -214,6 +215,20 @@ class TestWilson:
             wilson_interval(count, trials)
         with pytest.raises(ValidationError, match="count"):
             format_count(count, trials)
+
+    @pytest.mark.parametrize("trials", [10**400, _MAX_WILSON_TRIALS + 1],
+                             ids=["10**400", "largest + 1"])
+    def test_trial_count_past_the_float_range_rejected(self, trials):
+        # the interval's float terms raised a bare OverflowError: int too large to convert
+        with pytest.raises(ValidationError, match="trial count"):
+            wilson_interval(0, trials)
+        with pytest.raises(ValidationError, match="trial count"):
+            format_count(0, trials)
+
+    def test_largest_trial_count_has_a_bound(self):
+        low, high = wilson_interval(0, _MAX_WILSON_TRIALS)
+        assert 0.0 <= low <= high < 1e-150
+        assert format_count(0, _MAX_WILSON_TRIALS).startswith(f"0/{_MAX_WILSON_TRIALS} (< ")
 
 
 class TestTimingErrorEvent:
