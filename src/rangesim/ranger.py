@@ -341,7 +341,7 @@ def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     lam_t, vec_t = _stage("timing-stage eigendecomposition", hermitian_evd, corr_t)
     rot_t = _stage("timing-stage rotation", _ls_rotation, vec_t[:, :num_codes])
     # both rotations are K-by-K whatever the layout, so one eigvals call serves both stages
-    roots = _stage("frequency- and timing-stage rotations", _eigvals, np.stack((rot_f, rot_t)))
+    roots = _stage("frequency- and timing-stage rotations", _eigvals, np.array((rot_f, rot_t)))
     phases = _root_phases(roots)
     eff_cfos = _strongest_first(phases[0], lam_f, vec_f)
     eff_timings = _strongest_first(phases[1], lam_t, vec_t)
