@@ -207,6 +207,8 @@ def _mapped(name: str, values, core, *args) -> tuple[np.ndarray, np.ndarray]:
     """A float mapping core's ``(codes, values)`` of finite ``values``, as int64 and float64
     arrays of the input's shape."""
     values = np.asarray(require_finite(name, values))
+    if values.dtype.kind == "c":  # a complex scalar is caught by require_finite
+        raise ValidationError(f"{name} must be real, got {values!r:.60}")
     codes, mapped = core(values.ravel().tolist(), *args)
     return (np.array(codes, dtype=np.int64).reshape(values.shape),
             np.array(mapped, dtype=float).reshape(values.shape))
@@ -217,7 +219,8 @@ def map_cfo(effective_cfos, layout: TileLayout) -> tuple[np.ndarray, np.ndarray]
 
     Valid whenever the configured maximum offset keeps the per-code
     intervals disjoint (checked at configuration time, not here).  Periodic with period 1;
-    NaN, ±inf and a value whose code index overflows int64 raise :class:`ValidationError`.
+    NaN, ±inf, complex values and a value whose code index overflows int64 raise
+    :class:`ValidationError`.
     Returns int64 codes and float64 CFOs, arrays of the input's shape.
     """
     return _mapped("effective CFOs", effective_cfos, _map_cfo, layout)

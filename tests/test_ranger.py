@@ -456,6 +456,17 @@ class TestMappingOracle:
             with pytest.raises(ValidationError, match="must give code indices within int64"):
                 mapper(np.array([0.1, value]))
 
+    @pytest.mark.parametrize("mapper", [lambda x: map_cfo(x, reference_layout()),
+                                        lambda x: map_timing(x, reference_layout(), 204)],
+                             ids=["cfo", "timing"])
+    @pytest.mark.parametrize("value", [np.array([0.1 + 0.5j]), np.array([0.1 + 0j]), 0.1 + 0j,
+                                       [0.2, 0.1j]], ids=["array", "zero-imaginary", "scalar",
+                                                          "list"])
+    def test_complex_values_raise(self, mapper, value):
+        # a complex array reached the rounding, which raised a bare TypeError
+        with pytest.raises(ValidationError, match="must be real"):
+            mapper(value)
+
     def test_scalars_and_lists_map_as_arrays(self):
         layout = reference_layout()
         for value in (0.2, np.float64(0.2), [0.2], [[0.2, -0.3]]):
