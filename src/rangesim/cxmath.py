@@ -39,9 +39,10 @@ def forward_backward(r) -> np.ndarray:
     Returns ``0.5 * (R + J R^T J)`` where J is the exchange matrix (ones on
     the anti-diagonal).  The result is persymmetric by construction and
     Hermitian whenever R is Hermitian; applying it twice changes nothing.
-    Raises :class:`ValidationError` for bools or text and :class:`DimensionError` unless square.
+    Raises :class:`ValidationError` for bools, text or non-finite entries and
+    :class:`DimensionError` unless square.
     """
-    return _fb(_as_square(r, "forward_backward"))
+    return _fb(require_finite("matrix", _as_square(r, "forward_backward")))
 
 
 def _fb(r: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The exception hierarchy of rangesim, and its one integer, number and finiteness checks."""
+"""The exception hierarchy of rangesim, and its one integer, number, finite and real checks."""
 
 import math
 from numbers import Integral
@@ -78,3 +78,13 @@ def require_finite(name, values):
     if np.isfinite(array).all():
         return array
     raise ValidationError(f"{name} must be finite, got {array[~np.isfinite(array)][0].item()!r}")
+
+
+def require_finite_real(name, values) -> np.ndarray:
+    """``values`` as an array if :func:`require_finite` passes it and it is not complex: the one
+    rule for offsets and spectra.  A complex array raises ``ValidationError`` ("must be real")
+    naming the argument, as a complex scalar does."""
+    array = np.asarray(require_finite(name, values))
+    if array.dtype.kind == "c":
+        raise ValidationError(f"{name} must be real, got {values!r:.60}")
+    return array

@@ -44,12 +44,15 @@ from .airmodel import TileLayout, TileObservations
 from .cxmath import (_check_orthonormal, _eigvals, _fb, _ls_rotation, forward_backward,
                      general_eigenvalues, hermitian_evd, ls_rotation)
 from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
-                     require_int, require_numbers)
+                     require_finite_real, require_int, require_numbers)
 
 EIGENVALUE_FLOOR = 1e-12  # MDL's one floor, relative to the largest eigenvalue
 # A largest frequency-stage eigenvalue below this, about 2.2e-296, puts MDL's floor under the
 # normal float range, where the floor loses precision: the grid is ranged at unit scale instead.
 _TINY_TOP = np.finfo(float).tiny / EIGENVALUE_FLOOR
+# The largest snapshot count times eigenvalue count that keeps every MDL score a float: a score's
+# data term is that product times a log ratio of floored eigenvalues, which stays under 32.
+_MAX_SNAPSHOT_WEIGHT = int(np.finfo(float).max) // 32
 
 
 @dataclass
@@ -96,11 +99,11 @@ def tile_snapshots(obs: TileObservations) -> np.ndarray:
 
 
 def sample_corr(snapshots) -> np.ndarray:
-    """Average outer product of the rows of a 2-d array of numbers (Hermitian, PSD)."""
+    """Average outer product of the rows of a 2-d array of finite numbers (Hermitian, PSD)."""
     snaps = require_numbers("snapshots", snapshots)
     if snaps.ndim != 2 or snaps.shape[0] < 1:
         raise ValidationError("sample_corr needs at least one snapshot vector")
-    return _corr(snaps)
+    return _corr(require_finite("snapshots", snaps))
 
 
 def _corr(snaps: np.ndarray) -> np.ndarray:
@@ -121,7 +124,8 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     runs.  The floor is relative, so the count does not depend on the
     spectrum's scale.  Raises :class:`ValidationError` unless the eigenvalues
     are numbers (``require_numbers``: not text, bools or a ragged list), real and
-    with a finite sum (one check for NaN, ±inf and overflow), and
+    with a finite sum (one check for NaN, ±inf and overflow) and the snapshot
+    count keeps every score within the float range, and
     :class:`DimensionError` unless they form a 1-d array.
 
     The few candidates are scored in plain float arithmetic, cheaper than
@@ -136,7 +140,7 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     if not math.isfinite(sum(lam)):  # NaN and inf carry into the sum, and overflow makes inf
         raise ValidationError(f"eigenvalues must be finite, with a finite sum, got {lam}")
     require_int("model-order cap", cap, 0, len(lam) - 1)
-    require_int("snapshot count", num_snapshots, 1)
+    require_int("snapshot count", num_snapshots, 1, _MAX_SNAPSHOT_WEIGHT // len(lam))
     return _mdl(lam, num_snapshots, cap)
 
 
@@ -169,10 +173,11 @@ def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
     result is ordered by descending strength (power the correlation assigns
     to each frequency's steering direction), so when the source count was
     overestimated the junk estimate sorts last; no ordering is otherwise
-    guaranteed or meaningful.  Raises :class:`ValidationError` for non-numeric input or non-finite
-    eigenvalues, and :class:`DimensionError` unless n eigenvalues pair with (n, n) eigenvectors.
+    guaranteed or meaningful.  Raises :class:`ValidationError` for non-numeric input or
+    eigenvalues that are not finite and real (:func:`errors.require_finite_real`), and
+    :class:`DimensionError` unless n eigenvalues pair with (n, n) eigenvectors.
     """
-    eigenvalues = require_finite("eigenvalues", eigenvalues)
+    eigenvalues = require_finite_real("eigenvalues", eigenvalues)
     eigenvectors = require_numbers("eigenvectors", eigenvectors)
     n = eigenvectors.shape[0]
     if eigenvectors.shape != (n, n) or eigenvalues.shape != (n,):
@@ -206,9 +211,7 @@ def _strongest_first(phases: np.ndarray, eigenvalues: np.ndarray,
 def _mapped(name: str, values, core, *args) -> tuple[np.ndarray, np.ndarray]:
     """A float mapping core's ``(codes, values)`` of finite ``values``, as int64 and float64
     arrays of the input's shape."""
-    values = np.asarray(require_finite(name, values))
-    if values.dtype.kind == "c":  # a complex scalar is caught by require_finite
-        raise ValidationError(f"{name} must be real, got {values!r:.60}")
+    values = require_finite_real(name, values)
     codes, mapped = core(values.ravel().tolist(), *args)
     return (np.array(codes, dtype=np.int64).reshape(values.shape),
             np.array(mapped, dtype=float).reshape(values.shape))
@@ -283,11 +286,14 @@ def detect_codes(cfo_codes, cfos, timing_codes, delays) -> tuple[dict, int]:
     ``per_code`` mapping each detected code to its ``(cfo, delay)``.  When
     two estimates of a stage reduce to the same code index, the first one
     keeps the attribution and the clash is counted.  Raises :class:`ValidationError` for
-    non-numeric input and for codes not of integer dtype (1.0 is no code; an empty array is
-    no estimates), and :class:`DimensionError` unless a stage's arrays are 1-d and equally long.
+    non-numeric input, for codes not of integer dtype (1.0 is no code; an empty array is no
+    estimates) and for CFOs and delays that are not finite and real
+    (:func:`errors.require_finite_real`), and :class:`DimensionError` unless a stage's arrays
+    are 1-d and equally long.
     """
-    cfo_codes, cfos, timing_codes, delays = map(require_numbers, (
-        "CFO codes", "CFOs", "timing codes", "delays"), (cfo_codes, cfos, timing_codes, delays))
+    cfo_codes, cfos = require_numbers("CFO codes", cfo_codes), require_finite_real("CFOs", cfos)
+    timing_codes = require_numbers("timing codes", timing_codes)
+    delays = require_finite_real("delays", delays)
     if cfos.ndim != 1 or delays.ndim != 1 or (
             cfo_codes.shape != cfos.shape or timing_codes.shape != delays.shape):
         raise DimensionError("each stage needs one value per code estimate, in 1-d arrays")

@@ -6,9 +6,9 @@ only, so the same trial index sees the same users at every SNR point and
 two runs with the same configuration produce byte-identical CSV files.
 The sweep is trial-major: all SNR points of one index run before the
 next index, so that index's users and their noise-free signal are built
-once (its later SNR points restore the stream to its state after that
-draw and add fresh noise to that signal); the rows come out after the
-last index.
+once, by one pure per-index draw cached for the last index (its later SNR
+points restore the stream to its state after that draw and add fresh noise
+to that signal); the rows come out after the last index.
 Trial i's stream is PCG64 seeded by ``SeedSequence([seed, i])``, hashed
 for a block of 256 indices at once, and equal draw for draw to
 ``np.random.default_rng([seed, i])``.
@@ -33,7 +33,6 @@ from numpy.random.bit_generator import ISeedSequence
 from .airmodel import (
     ChannelProfile,
     TileLayout,
-    TileObservations,
     UserTruth,
     _model_signal,
     _waveform_signal,
@@ -292,7 +291,17 @@ def _trial_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(_block_seed_words(seed, block)[row])))
 
 
-_last_draw = None, (), None, None  # (key, users, stream state after the draw, read-only signal)
+@functools.lru_cache(maxsize=1)
+def _index_draw(cfg: SimConfig, seed: int, index: int, count: int | None):
+    """``(users, state, signal)``: a tuple of ``count`` users (``cfg.num_users`` if None; not
+    zero) drawn from the stream ``(seed, index)``, the stream's state after that draw, and the
+    users' read-only noise-free grid in ``cfg.mode``.  Pure, and cached for the last index,
+    which a sweep's later SNR points of that index reuse; the channels are read-only too."""
+    rng = _trial_stream(seed, index)
+    users = tuple(draw_users(cfg, rng, count))
+    signal = (_model_signal if cfg.mode == "model" else _waveform_signal)(users, cfg.layout())
+    signal.flags.writeable = False
+    return users, rng.bit_generator.state, signal
 
 
 def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: int | None = None):
@@ -300,43 +309,31 @@ def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: in
     stream ``(seed, index)``, then their grid in ``cfg.mode``: the mode's synthesizer draws the
     noise from the same stream, and their noise-free signal is added to it.
 
-    One-entry memo of the last non-empty draw: while ``(cfg, seed, index, count)`` is its key,
-    the stream is set to its state after that draw and the drawn users and their signal are
-    reused, as a sweep's SNR points of one trial index do; an empty draw takes nothing from the
-    stream and skips the memo.  The users' channels are read-only, and each call returns its
-    own list and a fresh grid; the entry is replaced as one tuple, so concurrent trials at
-    worst miss it.
+    A non-empty draw comes from :func:`_index_draw`, with the stream set to its state after the
+    draw; the signal goes into the synthesizer's checked noise grid in place (checked parts
+    above the SNR floor: the sum is finite).  An empty draw takes nothing from the stream.
+    Each call returns its own list and a fresh grid.
     """
-    global _last_draw
     rng, layout = _trial_stream(seed, index), cfg.layout()
-    model = cfg.mode == "model"
-    synthesize = synthesize_model_mode if model else synthesize_waveform_mode
+    synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
     if (cfg.num_users if count is None else count) == 0:
         users = draw_users(cfg, rng, count)
         return users, synthesize(users, layout, noise_var, rng)
-    key = (cfg, seed, index, count)
-    last_key, users, state, signal = _last_draw
-    if key == last_key:
-        rng.bit_generator.state = state
-    else:
-        users = tuple(draw_users(cfg, rng, count))
-        state = rng.bit_generator.state
-        signal = (_model_signal if model else _waveform_signal)(users, layout)
-        signal.flags.writeable = False
-        _last_draw = key, users, state, signal
-    grid = synthesize([], layout, noise_var, rng).grid  # the noise alone, drawn first
-    grid += signal
-    return list(users), TileObservations(layout, grid)
+    users, state, signal = _index_draw(cfg, seed, index, count)
+    rng.bit_generator.state = state
+    obs = synthesize([], layout, noise_var, rng)  # the noise alone, drawn after the users
+    np.add(obs.grid, signal, out=obs.grid)
+    return list(users), obs
 
 
 def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """Draw one scenario, synthesize and range it.
 
     The random stream depends only on the master seed and the trial index,
-    so the same index reuses its scenario at every SNR point.  Its users and
-    their noise-free signal are built once while calls for that index follow
-    one another, as a sweep's do: a later SNR point restores the stream to
-    its state after that draw and draws its noise from there.
+    so the same index reuses its scenario at every SNR point: while calls for
+    that index follow one another, as a sweep's do, its cached draw serves
+    them, and each restores the stream to its state after that draw and draws
+    its noise from there.
     """
     var = noise_variance(snr_db, cfg.layout())
     truth, obs = _scenario(cfg, cfg.master_seed, require_int("trial index", trial_index, 0), var)

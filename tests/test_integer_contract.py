@@ -244,16 +244,18 @@ PAST_INT64 = (1e300, -1e300, 1e19)  # finite, but three times each is no int64 c
 # site id -> (call with the float under test, error class, name in the message, the values
 #             it must reject: NaN, +inf and -inf, where the check is a sum one that
 #             overflows it, where it is scalar an integer past the float range and a complex
-#             value, and where it rounds to code indices values past int64).  Each comment
+#             value, where it must be real (errors.require_finite_real) a complex value, and
+#             where it rounds to code indices values past int64).  Each comment
 #             says what such a value did before the check.
 FINITE_SITES = {
     # a NaN eigenvalue read as "no users", a -inf one as three users, and four of 1e308 as 3
     "estimate_num_codes.eigenvalues": (lambda v: estimate_num_codes([v] * 4, 64, 3),
                                        ValidationError, "eigenvalues", (*NON_FINITE, 1e308)),
-    # a NaN eigenvalue weighed the phases into a plausible order
+    # a NaN eigenvalue weighed the phases into a plausible order, and a complex one ordered
+    # them by a complex "strength"
     "esprit_phases.eigenvalues": (
         lambda v: esprit_phases([v, 1.0, 1.0, 1.0], np.eye(4, dtype=complex), 1),
-        ValidationError, "eigenvalues", NON_FINITE),
+        ValidationError, "eigenvalues", (*NON_FINITE, 2.0 + 1j)),
     # a value whose rounded code index does not fit int64 warned "invalid value encountered in
     # cast" and mapped to code 1 with an offset of 0.0
     "map_cfo.effective_cfos": (lambda v: map_cfo(np.array([0.1, v]), REFERENCE),
@@ -261,6 +263,17 @@ FINITE_SITES = {
     "map_timing.effective_timings": (lambda v: map_timing(np.array([v, 0.1]), REFERENCE, 204),
                                      ValidationError, "effective timings",
                                      (*NON_FINITE, *PAST_INT64)),
+    # each was attributed to the code as its offset: detect_codes([0], [nan], [0], [5.0])
+    # returned ({0: (nan, 5.0)}, 0)
+    "detect_codes.cfos": (lambda v: detect_codes([0], [v], [0], [5.0]),
+                          ValidationError, "CFOs", (*NON_FINITE, 0.1 + 1j)),
+    "detect_codes.delays": (lambda v: detect_codes([0], [0.1], [0], [v]),
+                            ValidationError, "delays", (*NON_FINITE, 5.0 + 1j)),
+    # NaN made a NaN matrix, and inf raised numpy's RuntimeWarning in the product
+    "sample_corr.snapshots": (lambda v: sample_corr(_eye_with(v, 4)),
+                              ValidationError, "snapshots", NON_FINITE),
+    "forward_backward.r": (lambda v: forward_backward(_eye_with(v)),
+                           ValidationError, "matrix", NON_FINITE),
     # LAPACK saw the value: OpenBLAS printed DLASCL/ZLASCL complaints to stderr, and numpy
     # raised its own error
     "hermitian_evd.a": (lambda v: hermitian_evd(_eye_with(v)),

@@ -172,6 +172,20 @@ class TestEstimateNumCodes:
         with pytest.raises(ValidationError):
             estimate_num_codes(np.array([1.0, 1.0]), 16, 2)
 
+    @pytest.mark.parametrize("extra", [1, 10**400], ids=["largest + 1", "10**400"])
+    def test_snapshot_count_past_the_float_range_rejected(self, extra):
+        # the scores' float terms raised a bare OverflowError: int too large to convert
+        largest = ranger._MAX_SNAPSHOT_WEIGHT // 4
+        with pytest.raises(ValidationError, match="snapshot count"):
+            estimate_num_codes([2.0, 1.0, 1.0, 1.0], largest + extra, 3)
+
+    def test_largest_snapshot_count_keeps_the_scores_finite(self):
+        # the two candidates' data terms are about 52.5 and 52 times the count: with a bound
+        # 32 times looser both would overflow to inf, and the tie would read as K = 0
+        largest = ranger._MAX_SNAPSHOT_WEIGHT // 4
+        spectrum = [1.0, 1.0, 1e-12, 1e-12]
+        assert estimate_num_codes(spectrum, largest, 1) == estimate_num_codes(spectrum, 64, 1) == 1
+
     # noiseless spectra, relative to the largest eigenvalue: signal eigenvalues down to 1e-8
     # (a user 80 dB below the strongest), then round-off of mixed size and sign
     NOISELESS_SPECTRA = [

@@ -1,6 +1,8 @@
 """Harness checks: trial scoring, metrics arithmetic, config parsing, CSV wire format."""
 
+import ast
 import csv
+import importlib
 import math
 import pickle
 import re
@@ -10,6 +12,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,7 +619,7 @@ class TestDrawMemo:
 
         def spoil(obs, ranger):  # range the grid, then write into it
             report = range_subchannel(obs, ranger)
-            signal = simlab._last_draw[3]
+            signal = simlab._index_draw(cfg, cfg.master_seed, 4, None)[2]
             assert not signal.flags.writeable and not np.shares_memory(obs.grid, signal)
             grids.append(obs.grid)
             obs.grid[...] = np.inf
@@ -627,6 +630,40 @@ class TestDrawMemo:
             got = run_trial(cfg, snr_db, 4)
             assert _fingerprint(got) == _fingerprint(_cold_trial(cfg, snr_db, 4)), snr_db
         assert all(grid.flags.writeable for grid in grids)
+
+    @pytest.mark.parametrize("snr_db", [0.0, math.inf])
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_a_ranged_trial_builds_one_observation(self, monkeypatch, mode, snr_db):
+        # the noise grid's TileObservations is the one ranged: the signal is added into its
+        # checked grid, not wrapped and checked a second time
+        built, post_init = [], airmodel.TileObservations.__post_init__
+        monkeypatch.setattr(airmodel.TileObservations, "__post_init__",
+                            lambda obs: built.append(obs) or post_init(obs))
+        cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, master_seed=29)
+        for index in (0, 0, 1):  # a cold draw, its cached reuse, then the next index
+            got = run_trial(cfg, snr_db, index)
+            assert _fingerprint(got) == _fingerprint(_cold_trial(cfg, snr_db, index)), index
+        assert len(built) == 3 + 3  # three trials, and the three hand-built ones
+
+    def test_no_module_declares_a_global(self):
+        # module state written from inside a function is what the cached pure draw replaced
+        package = Path(simlab.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
+
+    def test_a_sweep_leaves_every_module_namespace_unchanged(self):
+        package = Path(simlab.__file__).parent
+        modules = [importlib.import_module(f"rangesim.{path.stem}")
+                   for path in sorted(package.glob("*.py")) if path.stem != "__main__"]
+        before = {module: dict(vars(module)) for module in modules}
+        for mode in ("model", "waveform"):
+            run_sweep(SimConfig(num_users=3, mode=mode, max_cfo=0.1, trials=3,
+                                snr_list_db=(0.0, 20.0), master_seed=30))
+        for module, names in before.items():
+            assert vars(module).keys() == names.keys(), module.__name__
+            changed = [name for name, value in names.items() if vars(module)[name] is not value]
+            assert not changed, (module.__name__, changed)
 
     @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
                              ids=["model", "waveform"])
