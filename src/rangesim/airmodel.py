@@ -26,7 +26,8 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, require_finite, require_int, require_numbers
+from .errors import (ValidationError, require_finite, require_finite_power, require_int,
+                     require_numbers)
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,7 @@ class TileObservations:
         expected = (self.layout.n_blocks, self.layout.n_tiles, self.layout.tile_width)
         if self.grid.shape != expected:
             raise ValidationError(f"grid shape {self.grid.shape} does not match layout {expected}")
-        if not math.isfinite(np.vdot(self.grid, self.grid).real):
-            raise ValidationError("grid must be finite, with a finite total power")
+        require_finite_power("grid", self.grid)
 
 
 def _code_matrix(code, tile_width: int, n_blocks: int) -> np.ndarray:
@@ -253,15 +253,13 @@ def draw_channel(profile: ChannelProfile, rng: np.random.Generator,
 
 
 def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
-    """``(codes, delays, cfos, responses, ends)`` of the users, one entry, column or end per
-    user.
+    """``(codes, delays, cfos, cirs, ends)`` of the users: the signal cores' arrays of one draw
+    (T = 1), and each user's delay + taps.
 
     Checks each user as it goes: the code must be an integer in [0, max_codes), the delay
     a non-negative integer, the CFO finite and the channel a 1-d array of numbers
     (``require_numbers``); then that no two users share a code and that the taps' total
-    power, one BLAS pass, is finite.
-    ``responses`` holds each channel's gain per flat tile bin, (n_tiles * tile_width, k), and
-    ``ends`` each user's delay + taps.
+    power, one BLAS pass, is finite.  Ragged channels are zero-padded to the longest.
     """
     last_code = layout.max_codes - 1
     codes, delays, cfos, taps, ends = [], [], [], [], []
@@ -275,20 +273,27 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
         ends.append(u.delay + taps[-1].size)
     if len(set(codes)) != len(codes):
         raise ValidationError("active users must carry distinct ranging codes")
-    cirs = np.zeros((len(taps), max((h.size for h in taps), default=1)), dtype=complex)
-    for row, h in zip(cirs, taps):  # ragged channels are zero-padded to the longest
+    cirs = np.zeros((1, len(taps), max((h.size for h in taps), default=1)), dtype=complex)
+    for row, h in zip(cirs[0], taps):
         row[: h.size] = h
-    if not math.isfinite(np.vdot(cirs, cirs).real):  # one BLAS pass: NaN and inf carry into it
-        raise ValidationError("channel taps must be finite, with a finite total power")
-    return (np.array(codes, dtype=int), np.array(delays, dtype=float), np.array(cfos, dtype=float),
-            _tile_tap_phasors(layout, cirs.shape[1]) @ cirs.T, ends)
+    require_finite_power("channel taps", cirs)
+    return (np.array([codes], dtype=int), np.array([delays], dtype=float),
+            np.array([cfos], dtype=float), cirs, ends)
+
+
+def _responses(cirs, layout: TileLayout) -> np.ndarray:
+    """Each channel's gain per flat tile bin, (T, n_tiles * tile_width, K), from (T, K, taps)
+    channels: matmul runs one product per draw, so a draw's gains do not depend on the draws
+    beside it (one product over all T * K columns would round them differently)."""
+    return _tile_tap_phasors(layout, cirs.shape[-1]) @ cirs.swapaxes(1, 2)
 
 
 def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
-    """Real factor K of D(d + cfo) = K exp(j pi (cfo (N - 1) - d) / N), shape (k, d) over the
-    distinct bin distances d; divided last, as a subnormal denominator's reciprocal overflows."""
+    """Real factor K of D(d + cfo) = K exp(j pi (cfo (N - 1) - d) / N), shape (..., d) over the
+    distinct bin distances d for CFOs of any shape; divided last, as a subnormal denominator's
+    reciprocal overflows."""
     n_sin_d, n_cos_d = layout._leakage_tables[:2]
-    n, t = layout.n_subcarriers, np.pi * cfos[:, None]
+    n, t = layout.n_subcarriers, np.pi * cfos[..., None]
     den = n_sin_d * np.cos(t / n) + n_cos_d * np.sin(t / n)  # N sin(pi (d + cfo) / N)
     return np.divide(np.sin(t), den, out=np.ones_like(den), where=den != 0)  # D(0) = 1
 
@@ -316,27 +321,28 @@ def synthesize_model_mode(users, layout: TileLayout, noise_var: float,
     timing, and a per-tile amplitude combining the CFO attenuation, the
     tile-averaged channel and the delay phase at the tile start.  Noise is
     i.i.d. circular Gaussian of the given variance per grid entry, drawn
-    first; the users are checked on every call (:func:`_model_signal`).
+    first; the users are checked on every call (:func:`_stack_users`).
     """
     grid = _complex_noise(rng, (layout.n_blocks, layout.n_tiles, layout.tile_width), noise_var)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        grid += _model_signal(users, layout)
+        grid += _model_signal(*_stack_users(users, layout)[:4], layout)[0]
     return TileObservations(layout, grid)
 
 
-def _model_signal(users, layout: TileLayout) -> np.ndarray:
-    """The checked users' noise-free model-mode grid, (n_blocks, n_tiles, tile_width)."""
-    codes, delays, cfos, responses, _ = _stack_users(users, layout)
+def _model_signal(codes, delays, cfos, cirs, layout: TileLayout) -> np.ndarray:
+    """Noise-free model-mode grids, (T, n_blocks, n_tiles, tile_width), of T draws of K valid
+    users each: (T, K) codes, delays and CFOs and (T, K, taps) channels, unchecked."""
     n, n_blocks, width = layout.n_subcarriers, layout.n_blocks, layout.tile_width
     xi, eta = _effective_offsets(codes, delays, cfos, layout)
-    tile_means = responses.reshape(layout.n_tiles, width, -1).sum(axis=1) / width  # (q, k)
+    tile_means = _responses(cirs, layout).reshape(len(cirs), layout.n_tiles, width, -1)
+    tile_means = tile_means.sum(axis=2) / width  # (T, q, k)
     # b delay is an exact integer in float64: reduced mod N, the phase's argument stays
     # below 2 pi instead of reaching about 1200 rad
-    delay_phase = np.exp(np.mod(layout.tile_bins[:, :1] * delays, n) * (-2j * np.pi / n))
-    amps = _cfo_attenuation(cfos, n) * tile_means * delay_phase
-    block_phase = np.exp(2j * np.pi * xi * np.arange(n_blocks)[:, None])  # (m, k)
-    tile_phase = np.exp(2j * np.pi * eta * np.arange(width)[:, None])  # (v, k)
-    return (block_phase[:, None, :] * amps) @ tile_phase.T
+    delay_phase = np.exp(np.mod(layout.tile_bins[:, :1] * delays[:, None], n) * (-2j * np.pi / n))
+    amps = _cfo_attenuation(cfos, n)[:, None] * tile_means * delay_phase  # (T, q, k)
+    block_phase = np.exp(2j * np.pi * xi[:, None] * np.arange(n_blocks)[:, None])  # (T, m, k)
+    tile_phase = np.exp(2j * np.pi * eta[:, None] * np.arange(width)[:, None])  # (T, v, k)
+    return (block_phase[:, :, None] * amps[:, None]) @ tile_phase.swapaxes(1, 2)[:, None]
 
 
 def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
@@ -355,28 +361,38 @@ def synthesize_waveform_mode(users, layout: TileLayout, noise_var: float,
     i.i.d. circular Gaussian noise of the given variance is added per tile
     bin, as in model mode: the unitary DFT of white time-domain noise.  As
     there, the noise is drawn first and the users are checked on every call
-    (:func:`_waveform_signal`).
+    (:func:`_stack_users`).
     """
     grid = _complex_noise(rng, (layout.n_blocks, layout.n_tiles, layout.tile_width), noise_var)
     if users:  # an idle slot is noise alone: skip building empty signal arrays
-        grid += _waveform_signal(users, layout)
+        *arrays, ends = _stack_users(users, layout)
+        if max(ends) > layout.cp_ranging:
+            raise ValidationError("delay plus channel length must fit inside the ranging prefix")
+        grid += _waveform_signal(*arrays, layout)[0]
     return TileObservations(layout, grid)
 
 
-def _waveform_signal(users, layout: TileLayout) -> np.ndarray:
-    """The checked users' noise-free waveform-mode grid, (n_blocks, n_tiles, tile_width)."""
-    codes, delays, cfos, responses, ends = _stack_users(users, layout)
-    if max(ends) > layout.cp_ranging:
-        raise ValidationError("delay plus channel length must fit inside the ranging prefix")
+# draws whose leakage kernels, (K, b', b) floats each, are built and applied at once: two keep
+# a 16-tile layout's kernels under 200 KiB at K = 3
+_KERNEL_DRAWS = 2
+
+
+def _waveform_signal(codes, delays, cfos, cirs, layout: TileLayout) -> np.ndarray:
+    """Noise-free waveform-mode grids, (T, n_blocks, n_tiles, tile_width), of T draws of K valid
+    users each, whose delay plus taps fit the ranging prefix: arrays as :func:`_model_signal`'s."""
     n, bins = layout.n_subcarriers, layout.tile_bins
     gather, bin_phase, block_steps, block_codes, bin_codes = layout._leakage_tables[2:]
-    kernel = _leakage_kernel(layout, cfos).take(gather, axis=1)  # (k, b', b)
     # rank-one tiles, with the phases of D split between each user's blocks and bins
-    alpha = np.exp(1j * np.pi * cfos[:, None] * block_steps / n) * block_codes[codes]  # (k, m)
+    alpha = np.exp(1j * np.pi * cfos[..., None] * block_steps / n) * block_codes[codes]  # (T,k,m)
     # b (2 delay + 1) is an exact integer in float64: reduced mod 2N, the ramp's
     # argument stays below 2 pi instead of reaching about 1400 rad
-    turns = np.mod(bins.ravel() * (2 * delays[:, None] + 1), 2 * n)
-    ramp = np.exp(turns * (-1j * np.pi / n))  # (k, b)
-    rows = ramp * bin_codes[codes] * responses.T
-    leaked = (kernel @ rows.view(float).reshape(len(codes), -1, 2)).view(complex)[..., 0]
-    return ((alpha.T @ leaked) * bin_phase).reshape(layout.n_blocks, *bins.shape)
+    turns = np.mod(bins.ravel() * (2 * delays[..., None] + 1), 2 * n)
+    ramp = np.exp(turns * (-1j * np.pi / n))  # (T, k, b)
+    rows = ramp * bin_codes[codes] * _responses(cirs, layout).swapaxes(1, 2)
+    rows = rows.view(float).reshape(*codes.shape, -1, 2)  # (T, k, b, re/im)
+    kernel = _leakage_kernel(layout, cfos)  # (T, k, d)
+    chunks = [slice(t, t + _KERNEL_DRAWS) for t in range(0, len(codes), _KERNEL_DRAWS)]
+    leaked = np.concatenate([kernel[c].take(gather, axis=-1) @ rows[c] for c in chunks])
+    leaked = leaked.view(complex)[..., 0]  # (T, k, b')
+    grids = (alpha.swapaxes(1, 2) @ leaked) * bin_phase  # (T, m, b')
+    return grids.reshape(len(codes), layout.n_blocks, *bins.shape)

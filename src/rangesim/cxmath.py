@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DimensionError, NumericalError, RankDeficiencyError, ValidationError,
-                     require_finite, require_numbers)
+                     require_finite, require_finite_power, require_numbers)
 
 _HERMITIAN_REL_TOL = 1e-12
 # Largest entry of U^H U - I that ls_rotation accepts as orthonormal columns;
@@ -39,10 +39,11 @@ def forward_backward(r) -> np.ndarray:
     Returns ``0.5 * (R + J R^T J)`` where J is the exchange matrix (ones on
     the anti-diagonal).  The result is persymmetric by construction and
     Hermitian whenever R is Hermitian; applying it twice changes nothing.
-    Raises :class:`ValidationError` for bools, text or non-finite entries and
+    Raises :class:`ValidationError` for bools, text, non-finite entries or entries whose total
+    power overflows (:func:`errors.require_finite_power`, which also bounds the sum) and
     :class:`DimensionError` unless square.
     """
-    return _fb(require_finite("matrix", _as_square(r, "forward_backward")))
+    return _fb(require_finite_power("matrix", _as_square(r, "forward_backward")))
 
 
 def _fb(r: np.ndarray) -> np.ndarray:

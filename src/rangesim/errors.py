@@ -1,4 +1,5 @@
-"""The exception hierarchy of rangesim, and its one integer, number, finite and real checks."""
+"""The exception hierarchy of rangesim, and its one integer, number, finite, real and power
+checks."""
 
 import math
 from numbers import Integral
@@ -87,4 +88,14 @@ def require_finite_real(name, values) -> np.ndarray:
     array = np.asarray(require_finite(name, values))
     if array.dtype.kind == "c":
         raise ValidationError(f"{name} must be real, got {values!r:.60}")
+    return array
+
+
+def require_finite_power(name, array: np.ndarray) -> np.ndarray:
+    """``array`` unchanged if its total power, one BLAS pass that NaN and ±inf carry into, is
+    finite; else ``ValidationError`` naming the argument.  The one bound for arrays whose
+    products are summed: a finite total power bounds every such sum, a correlation's entries and
+    a matrix's sum with its mirror included, so none of them can overflow."""
+    if not math.isfinite(np.vdot(array, array).real):
+        raise ValidationError(f"{name} must be finite, with a finite total power")
     return array

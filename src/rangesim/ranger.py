@@ -43,8 +43,8 @@ from .airmodel import TileLayout, TileObservations
 # the public kernels stay importable here, where the benchmark's tracer wraps them
 from .cxmath import (_check_orthonormal, _eigvals, _fb, _ls_rotation, forward_backward,
                      general_eigenvalues, hermitian_evd, ls_rotation)
-from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
-                     require_finite_real, require_int, require_numbers)
+from .errors import (ConfigError, DimensionError, RangingError, ValidationError,
+                     require_finite_power, require_finite_real, require_int, require_numbers)
 
 EIGENVALUE_FLOOR = 1e-12  # MDL's one floor, relative to the largest eigenvalue
 # A largest frequency-stage eigenvalue below this, about 2.2e-296, puts MDL's floor under the
@@ -99,11 +99,13 @@ def tile_snapshots(obs: TileObservations) -> np.ndarray:
 
 
 def sample_corr(snapshots) -> np.ndarray:
-    """Average outer product of the rows of a 2-d array of finite numbers (Hermitian, PSD)."""
+    """Average outer product of the rows of a 2-d array of numbers (Hermitian, PSD), whose total
+    power must be finite (:func:`errors.require_finite_power`: no NaN or ±inf, and no sum that
+    overflows)."""
     snaps = require_numbers("snapshots", snapshots)
     if snaps.ndim != 2 or snaps.shape[0] < 1:
         raise ValidationError("sample_corr needs at least one snapshot vector")
-    return _corr(require_finite("snapshots", snaps))
+    return _corr(require_finite_power("snapshots", snaps.astype(complex, copy=False)))
 
 
 def _corr(snaps: np.ndarray) -> np.ndarray:
@@ -123,22 +125,21 @@ def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
     numerical noise and would otherwise bias the score in exactly-noiseless
     runs.  The floor is relative, so the count does not depend on the
     spectrum's scale.  Raises :class:`ValidationError` unless the eigenvalues
-    are numbers (``require_numbers``: not text, bools or a ragged list), real and
-    with a finite sum (one check for NaN, ±inf and overflow) and the snapshot
-    count keeps every score within the float range, and
-    :class:`DimensionError` unless they form a 1-d array.
+    are finite and real (:func:`errors.require_finite_real`, checked first: not text, bools, a
+    ragged list, NaN, ±inf or complex values, whatever their shape), with a finite sum and the
+    snapshot count keeps every score within the float range, and :class:`DimensionError`
+    unless they form a 1-d array.
 
     The few candidates are scored in plain float arithmetic, cheaper than
     array calls at this size; the logarithms come from one ``np.log`` call,
     so every score matches numpy's whole-array evaluation to the last bit.
     """
-    lam = require_numbers("eigenvalues", eigenvalues)
-    if lam.ndim != 1 or lam.dtype.kind == "c":
-        error = DimensionError if lam.ndim != 1 else ValidationError
-        raise error(f"eigenvalues must be a 1-d array of real numbers, got {lam.dtype} {lam.shape}")
+    lam = require_finite_real("eigenvalues", eigenvalues)
+    if lam.ndim != 1:
+        raise DimensionError(f"eigenvalues must be a 1-d array, got shape {lam.shape}")
     lam = lam.astype(float, copy=False).tolist()
-    if not math.isfinite(sum(lam)):  # NaN and inf carry into the sum, and overflow makes inf
-        raise ValidationError(f"eigenvalues must be finite, with a finite sum, got {lam}")
+    if not math.isfinite(sum(lam)):  # finite values whose sum overflows
+        raise ValidationError(f"eigenvalues must have a finite sum, got {lam}")
     require_int("model-order cap", cap, 0, len(lam) - 1)
     require_int("snapshot count", num_snapshots, 1, _MAX_SNAPSHOT_WEIGHT // len(lam))
     return _mdl(lam, num_snapshots, cap)
@@ -332,15 +333,18 @@ def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
         require_int("known code count", num_codes, 0, layout.max_codes, ConfigError)
     _check_max_delay(layout, cfg.max_delay)
 
-    snaps_f = freq_snapshots(obs)
+    # the frequency snapshots are the columns of the (block, tile bin) view: their correlation
+    # needs no transposed copy
+    g = obs.grid.astype(complex, copy=False).reshape(layout.n_blocks, -1)
     # hermitian_evd runs by its public name, checks and all: the benchmark counts its calls
-    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, _fb(_corr(snaps_f)))
+    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd,
+                          _fb((g @ g.conj().T) / g.shape[1]))
     if lam_f[0] < _TINY_TOP and obs.grid.any():
         parts = np.ascontiguousarray(obs.grid, dtype=complex).view(float)  # ldexp takes no complex
         parts = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
         return range_subchannel(TileObservations(layout, parts.view(complex)), cfg)
     if num_codes is None:
-        num_codes = _mdl(lam_f.tolist(), snaps_f.shape[0], layout.max_codes)
+        num_codes = _mdl(lam_f.tolist(), g.shape[1], layout.max_codes)
     if num_codes == 0:
         return RangingReport()
 

@@ -5,10 +5,12 @@ user truths and noise from a stream keyed on (master seed, trial index)
 only, so the same trial index sees the same users at every SNR point and
 two runs with the same configuration produce byte-identical CSV files.
 The sweep is trial-major: all SNR points of one index run before the
-next index, so that index's users and their noise-free signal are built
-once, by one pure per-index draw cached for the last index (its later SNR
-points restore the stream to its state after that draw and add fresh noise
-to that signal); the rows come out after the last index.
+next index, and each index's users and their noise-free signal are built
+once, by one pure draw of a block of consecutive indices that synthesizes
+the block's signals in one stacked pass and is cached for the last block
+(each point of an index restores the stream to its state after that index's
+draw and adds fresh noise to its signal); the rows come out after the last
+index.
 Trial i's stream is PCG64 seeded by ``SeedSequence([seed, i])``, hashed
 for a block of 256 indices at once, and equal draw for draw to
 ``np.random.default_rng([seed, i])``.
@@ -197,13 +199,20 @@ def draw_users(cfg: SimConfig, rng: np.random.Generator, count: int | None = Non
     k = cfg.num_users if count is None else require_int("user count", count, 0, layout.max_codes)
     if k == 0:  # empty draws consume nothing from the stream, so skip them
         return []
-    codes = rng.choice(layout.max_codes, size=k, replace=False).tolist()
-    delays = rng.integers(0, cfg.max_delay + 1, size=k).tolist()
+    codes, delays, cfos, cirs = _draw_arrays(cfg, rng, k)
+    return [UserTruth(*user) for user in zip(codes.tolist(), delays.tolist(), cfos.tolist(), cirs)]
+
+
+def _draw_arrays(cfg: SimConfig, rng: np.random.Generator, k: int) -> tuple[np.ndarray, ...]:
+    """``(codes, delays, cfos, cirs)`` of ``k >= 1`` users drawn from ``rng``: (k,) arrays and
+    read-only (k, taps) channels, whose rows a drawn truth keeps as drawn."""
+    codes = rng.choice(cfg.layout().max_codes, size=k, replace=False)
+    delays = rng.integers(0, cfg.max_delay + 1, size=k)
     omega = abs(cfg.max_cfo)  # -0.0 draws as zero offset, not as an empty interval
-    cfos = rng.uniform(-omega, omega, size=k).tolist()
+    cfos = rng.uniform(-omega, omega, size=k)
     cirs = draw_channel(cfg.channel_profile(), rng, size=k)  # one draw, as k calls in a row
-    cirs.flags.writeable = False  # its rows too: a drawn truth stays as drawn
-    return [UserTruth(*fields) for fields in zip(codes, delays, cfos, cirs)]
+    cirs.flags.writeable = False
+    return codes, delays, cfos, cirs
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): pool mixing, then output
@@ -291,17 +300,46 @@ def _trial_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(_block_seed_words(seed, block)[row])))
 
 
+# consecutive trial indices of a sweep whose users are drawn and synthesized together
+_DRAW_BLOCK = 16
+
+
 @functools.lru_cache(maxsize=1)
-def _index_draw(cfg: SimConfig, seed: int, index: int, count: int | None):
-    """``(users, state, signal)``: a tuple of ``count`` users (``cfg.num_users`` if None; not
-    zero) drawn from the stream ``(seed, index)``, the stream's state after that draw, and the
-    users' read-only noise-free grid in ``cfg.mode``.  Pure, and cached for the last index,
-    which a sweep's later SNR points of that index reuse; the channels are read-only too."""
-    rng = _trial_stream(seed, index)
-    users = tuple(draw_users(cfg, rng, count))
-    signal = (_model_signal if cfg.mode == "model" else _waveform_signal)(users, cfg.layout())
+def _block_draw(cfg: SimConfig, seed: int, start: int, stop: int, k: int):
+    """``(users, states, signals)`` of the trial indices ``start <= i < stop``: per index a tuple
+    of ``k >= 1`` users drawn from the stream ``(seed, i)`` and the stream's state after that
+    draw, and the users' read-only noise-free grids in ``cfg.mode``, stacked over the indices.
+
+    Pure, and cached for the last block: a sweep's calls for its indices reuse it.  The users
+    come from ``cfg``'s own draw, so the signal cores take them unchecked; the channels are
+    read-only too."""
+    draws, states = [], []
+    for index in range(start, stop):
+        rng = _trial_stream(seed, index)
+        draws.append(_draw_arrays(cfg, rng, k))
+        states.append(rng.bit_generator.state)
+    codes, delays, cfos, cirs = (np.stack(column) for column in zip(*draws))
+    signal = (_model_signal if cfg.mode == "model" else _waveform_signal)(
+        codes, delays.astype(float), cfos, cirs, cfg.layout())
     signal.flags.writeable = False
-    return users, rng.bit_generator.state, signal
+    users = tuple(tuple(map(UserTruth, c.tolist(), d.tolist(), f.tolist(), h))
+                  for c, d, f, h in draws)
+    return users, tuple(states), signal
+
+
+def _index_draw(cfg: SimConfig, seed: int, index: int, count: int | None):
+    """``(users, state, signal)`` of trial ``index``: its row of :func:`_block_draw`, with
+    ``count`` users (``cfg.num_users`` if None; not zero).  An index of the sweep shares the
+    block of ``_DRAW_BLOCK`` indices it lies in, cut at ``cfg.trials``; an index past the sweep
+    or one with a given count is drawn alone."""
+    layout = cfg.layout()
+    k = cfg.num_users if count is None else require_int("user count", count, 1, layout.max_codes)
+    start, stop = index, index + 1
+    if count is None and index < cfg.trials:
+        start = index - index % _DRAW_BLOCK
+        stop = min(start + _DRAW_BLOCK, cfg.trials)
+    users, states, signal = _block_draw(cfg, seed, start, stop, k)
+    return users[index - start], states[index - start], signal[index - start]
 
 
 def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: int | None = None):
@@ -331,9 +369,9 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
 
     The random stream depends only on the master seed and the trial index,
     so the same index reuses its scenario at every SNR point: while calls for
-    that index follow one another, as a sweep's do, its cached draw serves
-    them, and each restores the stream to its state after that draw and draws
-    its noise from there.
+    the indices of one block follow one another, as a sweep's do, the block's
+    cached draw serves them, and each restores the stream to its index's state
+    after that draw and draws its noise from there.
     """
     var = noise_variance(snr_db, cfg.layout())
     truth, obs = _scenario(cfg, cfg.master_seed, require_int("trial index", trial_index, 0), var)
@@ -429,9 +467,12 @@ def run_sweep(cfg: SimConfig) -> list[MetricsRow]:
     """One metrics row per configured SNR point, in order, scored as the trials run.
 
     Trial-major: every SNR point of trial index i runs, in SNR order, before index i + 1, so
-    each index's users and noise-free signal are built once for all its points.  Each point keeps
-    only its running scores, and the rows come out after the last index.
+    each index's users and noise-free signal are built once for all its points, in one stacked
+    pass per block of indices.  The sweep starts with no cached block, so it draws every block
+    it uses.  Each point keeps only its running scores, and the rows come out after the last
+    index.
     """
+    _block_draw.cache_clear()
     points = [(snr_db, _PointScores(cfg)) for snr_db in cfg.snr_list_db]
     for i in range(cfg.trials):
         for snr_db, scores in points:

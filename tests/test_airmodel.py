@@ -18,7 +18,7 @@ from rangesim.airmodel import (
     synthesize_waveform_mode,
 )
 from rangesim.airmodel import (_cfo_attenuation, _code_matrix, _complex_noise, _effective_offsets,
-                               _leakage_kernel, _tile_tap_phasors)
+                               _leakage_kernel, _model_signal, _tile_tap_phasors, _waveform_signal)
 from rangesim.errors import ValidationError
 
 from helpers import AS_BUILT_AND_COPIES, reference_layout
@@ -674,6 +674,38 @@ def test_synthesizers_match_per_user_loops(scenario):
         want = loop(users, layout)
         got = synthesize(users, layout, 0.0, np.random.default_rng(0)).grid
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@st.composite
+def stacked_draws(draw):
+    """A valid layout (small, or the reference one) and T = 1 to 5 draws of the same number K of
+    users, 1 to max_codes, as the signal cores take them: (T, K) codes, delays and CFOs and
+    (T, K, L) channels of one length L, each delay plus L fitting the ranging prefix."""
+    layout = draw(st.one_of(small_layouts(), st.just(reference_layout())))
+    t, k = draw(st.integers(1, 5)), draw(st.integers(1, layout.max_codes))
+    taps = draw(st.integers(1, min(layout.cp_ranging, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    codes = np.array([rng.permutation(layout.max_codes)[:k] for _ in range(t)])
+    delays = rng.integers(0, layout.cp_ranging - taps + 1, size=(t, k)).astype(float)
+    cfos = rng.uniform(-0.5, 0.5, size=(t, k))
+    cirs = rng.standard_normal((t, k, taps)) + 1j * rng.standard_normal((t, k, taps))
+    return layout, codes, delays, cfos, cirs
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(stacked_draws())
+def test_each_stacked_row_is_the_synthesizers_signal(scenario):
+    # a row of a stacked core does not depend on the draws stacked beside it: it equals the
+    # T = 1 public synthesizer's noiseless grid of that draw's users bit for bit
+    layout, codes, delays, cfos, cirs = scenario
+    for core, synthesize in ((_model_signal, synthesize_model_mode),
+                             (_waveform_signal, synthesize_waveform_mode)):
+        stacked = core(codes, delays, cfos, cirs, layout)
+        assert stacked.shape == (len(codes), layout.n_blocks, layout.n_tiles, layout.tile_width)
+        for row, draw_arrays in zip(stacked, zip(codes, delays, cfos, cirs)):
+            users = [UserTruth(int(c), int(d), float(f), h) for c, d, f, h in zip(*draw_arrays)]
+            grid = synthesize(users, layout, 0.0, np.random.default_rng(0)).grid
+            assert np.array_equal(row, grid), core.__name__
 
 
 @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],

@@ -248,9 +248,15 @@ PAST_INT64 = (1e300, -1e300, 1e19)  # finite, but three times each is no int64 c
 #             where it rounds to code indices values past int64).  Each comment
 #             says what such a value did before the check.
 FINITE_SITES = {
-    # a NaN eigenvalue read as "no users", a -inf one as three users, and four of 1e308 as 3
+    # a NaN eigenvalue read as "no users", a -inf one as three users, and four of 1e308 as 3;
+    # complex ones returned a count after a ComplexWarning: the imaginary parts were dropped
     "estimate_num_codes.eigenvalues": (lambda v: estimate_num_codes([v] * 4, 64, 3),
-                                       ValidationError, "eigenvalues", (*NON_FINITE, 1e308)),
+                                       ValidationError, "eigenvalues",
+                                       (*NON_FINITE, 1e308, 2.0 + 1j)),
+    # the shape was checked first: a spectrum of another shape holding such a value raised
+    # DimensionError, where esprit_phases raises ValidationError
+    "estimate_num_codes.eigenvalues_2d": (lambda v: estimate_num_codes(np.full((2, 4), v), 64, 3),
+                                          ValidationError, "eigenvalues", (*NON_FINITE, 2.0 + 1j)),
     # a NaN eigenvalue weighed the phases into a plausible order, and a complex one ordered
     # them by a complex "strength"
     "esprit_phases.eigenvalues": (
@@ -269,11 +275,12 @@ FINITE_SITES = {
                           ValidationError, "CFOs", (*NON_FINITE, 0.1 + 1j)),
     "detect_codes.delays": (lambda v: detect_codes([0], [0.1], [0], [v]),
                             ValidationError, "delays", (*NON_FINITE, 5.0 + 1j)),
-    # NaN made a NaN matrix, and inf raised numpy's RuntimeWarning in the product
+    # NaN made a NaN matrix, and inf raised numpy's RuntimeWarning in the product; so did the
+    # finite 1e200 in the correlation's sums and 1e308 in the sum with the mirrored matrix
     "sample_corr.snapshots": (lambda v: sample_corr(_eye_with(v, 4)),
-                              ValidationError, "snapshots", NON_FINITE),
+                              ValidationError, "snapshots", (*NON_FINITE, 1e200)),
     "forward_backward.r": (lambda v: forward_backward(_eye_with(v)),
-                           ValidationError, "matrix", NON_FINITE),
+                           ValidationError, "matrix", (*NON_FINITE, 1e308)),
     # LAPACK saw the value: OpenBLAS printed DLASCL/ZLASCL complaints to stderr, and numpy
     # raised its own error
     "hermitian_evd.a": (lambda v: hermitian_evd(_eye_with(v)),
@@ -364,10 +371,6 @@ NON_ARRAY_SITES = {
     # returned a count: text converted to floats silently
     "estimate_num_codes.eigenvalues=text": (lambda: estimate_num_codes(["10"] * 4, 64, 3),
                                             ValidationError, "eigenvalues"),
-    # returned a count after a ComplexWarning: the imaginary parts were dropped
-    "estimate_num_codes.eigenvalues=complex": (
-        lambda: estimate_num_codes(np.array([2.0, 1.0, 1.0, 1.0j]), 64, 3),
-        ValidationError, "eigenvalues"),
     # bool arrays read as 0 and 1: a grid of True ranged, the phases were weighed by
     # eigenvalues of True and False, and effective offsets of True mapped to codes
     "TileObservations.grid=bool": (

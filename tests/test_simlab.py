@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import functools
 import importlib
 import math
 import pickle
@@ -602,17 +603,21 @@ class TestDrawMemo:
         for (snr, i), got in zip(calls, results):
             assert _fingerprint(got) == _fingerprint(_cold_trial(cfg, snr, i))
 
-    @pytest.mark.parametrize("k, stacks", [(0, 0), (3, 4)], ids=["K=0", "K=3"])
     @pytest.mark.parametrize("mode", ["model", "waveform"])
-    def test_users_are_stacked_once_per_index(self, monkeypatch, mode, k, stacks):
-        # four indices, three SNR points each: the signal is built on the index's first point
+    def test_the_sweep_stacks_no_user_and_a_synthesizer_call_checks_once(self, monkeypatch, mode):
+        # the sweep's block draw synthesizes the users it drew itself, unchecked; a library call
+        # to a synthesizer checks and stacks its users once
         calls, stack_users = [], airmodel._stack_users
         monkeypatch.setattr(airmodel, "_stack_users",
                             lambda *args: calls.append(args) or stack_users(*args))
-        cfg = SimConfig(num_users=k, mode=mode, max_cfo=0.1, trials=4,
+        cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, trials=4,
                         snr_list_db=(0.0, 10.0, 20.0), master_seed=25)
         run_sweep(cfg)
-        assert len(calls) == stacks
+        assert calls == []
+        rng = np.random.default_rng(25)
+        synthesize = synthesize_model_mode if mode == "model" else synthesize_waveform_mode
+        synthesize(draw_users(cfg, rng), cfg.layout(), 1.0, rng)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["model", "waveform"])
     def test_the_ranged_grid_is_fresh_and_writeable(self, monkeypatch, mode):
@@ -678,6 +683,70 @@ class TestDrawMemo:
         assert grids[0].tobytes() == grids[1].tobytes()
         assert vars(airmodel).keys() == before.keys()
         assert all(vars(airmodel)[name] is value for name, value in before.items())
+
+
+def _counting_block_draw(monkeypatch):
+    """Install a fresh one-entry block cache that records the (start, stop) of every block it
+    draws, and count the index draws; return both records."""
+    blocks, draws = [], []
+    block_draw, draw_arrays = simlab._block_draw.__wrapped__, simlab._draw_arrays
+    monkeypatch.setattr(simlab, "_block_draw", functools.lru_cache(maxsize=1)(
+        lambda *args: blocks.append(args[2:4]) or block_draw(*args)))
+    monkeypatch.setattr(simlab, "_draw_arrays", lambda *args: draws.append(1) or draw_arrays(*args))
+    return blocks, draws
+
+
+class TestBlockDraw:
+    """A sweep draws its trial indices' users a block at a time, and pays for every block."""
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_each_sweep_draws_every_block_it_uses(self, monkeypatch, mode):
+        # a block left cached by a warm-up trial or an earlier sweep must not serve the next
+        # sweep, and the last block stops at cfg.trials
+        cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, trials=40,
+                        snr_list_db=(0.0, 10.0, 20.0), master_seed=27)
+        blocks, draws = _counting_block_draw(monkeypatch)
+        run_trial(cfg, 0.0, 0)
+        assert blocks == [(0, 16)]
+        rows = run_sweep(cfg)
+        assert blocks[1:] == [(0, 16), (16, 32), (32, 40)] and len(draws) == 16 + 40
+        assert run_sweep(cfg) == rows
+        assert blocks[4:] == blocks[1:4] and len(draws) == 16 + 80
+        assert simlab._block_draw.cache_info().misses == 3
+        one_block = replace(cfg, trials=10)  # one block, left cached by each sweep
+        assert run_sweep(one_block) == run_sweep(one_block)
+        assert blocks[7:] == [(0, 10), (0, 10)]
+
+    def test_an_idle_sweep_draws_nothing(self, monkeypatch):
+        blocks, draws = _counting_block_draw(monkeypatch)
+        run_sweep(SimConfig(num_users=0, mode="model", trials=20, master_seed=27))
+        assert blocks == [] and draws == []
+
+    def test_known_count_trials_draw_each_index_once(self, monkeypatch):
+        # the count cycles 1, 2, 3: a block keyed on one count would redraw on every index
+        cfg = SimConfig(num_users=3, mode="model", max_cfo=0.1, trials=16, master_seed=28)
+        blocks, draws = _counting_block_draw(monkeypatch)
+        trials = list(simlab._noiseless_known_k_trials(cfg, 28, 30, (1, 2, 3)))
+        assert blocks == [(i, i + 1) for i in range(30)] and len(draws) == 30
+        assert [len(users) for users, _, _ in trials] == [1, 2, 3] * 10
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_block_rows_equal_each_index_drawn_alone(self, mode, k):
+        # each row: the users, the stream state after them and the noiseless grid of a trial
+        # drawn on its own through draw_users and the mode's synthesizer
+        cfg = SimConfig(num_users=k, mode=mode, max_cfo=0.1, trials=40, master_seed=29)
+        synthesize = synthesize_model_mode if mode == "model" else synthesize_waveform_mode
+        users, states, signal = simlab._block_draw(cfg, 29, 16, 32, k)
+        assert len(users) == len(states) == len(signal) == 16 and not signal.flags.writeable
+        for row, index in enumerate(range(16, 32)):
+            rng = np.random.default_rng([29, index])
+            alone = draw_users(cfg, rng)
+            assert states[row] == rng.bit_generator.state, index
+            assert [(u.code, u.delay, u.cfo, u.cir.tobytes()) for u in users[row]] == [
+                (u.code, u.delay, u.cfo, u.cir.tobytes()) for u in alone], index
+            grid = synthesize(alone, cfg.layout(), 0.0, rng).grid
+            assert np.array_equal(signal[row], grid), index
 
 
 class TestOraclePeriodogram:
