@@ -175,9 +175,9 @@ class TileObservations:
     """DFT outputs on the ranging tiles: grid[m, q, v] is block m, tile q, offset v.
 
     The grid must be a numpy array, not a list, of numbers (``require_numbers``: not bools) in
-    the layout's shape, with a finite total power checked in one BLAS pass that NaN and inf
-    carry into: that bounds every correlation sum the receiver forms.  Frozen: neither the
-    layout nor the grid can be swapped after that check.
+    the layout's shape: the checks a frozen type can hold, as neither the layout nor the grid
+    can be swapped after them.  The grid's values can still be written in place, so their
+    check, a finite total power, runs where the grid is ranged (:func:`ranger.range_subchannel`).
     """
 
     layout: TileLayout
@@ -189,7 +189,6 @@ class TileObservations:
         expected = (self.layout.n_blocks, self.layout.n_tiles, self.layout.tile_width)
         if self.grid.shape != expected:
             raise ValidationError(f"grid shape {self.grid.shape} does not match layout {expected}")
-        require_finite_power("grid", self.grid)
 
 
 def _code_matrix(code, tile_width: int, n_blocks: int) -> np.ndarray:
@@ -305,9 +304,9 @@ def _complex_noise(rng: np.random.Generator, shape, variance, stacked: int = 0) 
     if not isinstance(variance, np.ndarray) and not 0 <= require_finite("noise variance", variance):
         raise ValidationError(f"noise variance must be non-negative, got {variance!r}")
     noise = np.empty(shape, dtype=complex)
-    lead, size = noise.shape[:stacked], math.prod(noise.shape[stacked:])
-    noise.view(float).reshape(*lead, size, 2).swapaxes(-1, -2)[:] = rng.standard_normal(
-        (*lead, 2, size))
+    lead = (slice(None),) * stacked
+    normals = rng.standard_normal((*noise.shape[:stacked], 2, *noise.shape[stacked:]))
+    noise.real, noise.imag = normals[(*lead, 0)], normals[(*lead, 1)]
     noise *= np.sqrt(variance / 2.0)
     return noise
 

@@ -24,8 +24,10 @@ which at a few estimates cost less than array calls; the public mappers
 wrap the same float code and return arrays.
 
 Every public stage checks its input, then calls a private core that holds its arithmetic.
-:func:`range_subchannel` checks the grid (when its :class:`TileObservations` is built) and its
-knobs once and runs the cores unchecked, except ``hermitian_evd``.
+:func:`range_subchannel` checks its grid's values (a finite total power) and its knobs once,
+where the grid is ranged, and runs the cores unchecked, except ``hermitian_evd``; the grid's
+type and shape were checked when its :class:`TileObservations` was built.  A sweep ranges its
+own grids, finite by construction, through the receiver's core, :func:`_range`.
 
 Everything here is a deterministic pure function of its inputs: the same
 observations produce bit-identical reports.
@@ -33,7 +35,6 @@ observations produce bit-identical reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -151,17 +152,24 @@ def _mdl(lam: list, num_snapshots: int, cap: int) -> int:
     top = max(0.0, *lam)
     floor = EIGENVALUE_FLOOR * top or EIGENVALUE_FLOOR  # an all-zero spectrum: equal floors, K = 0
     lam = [max(x, floor) for x in lam]
-    # sums over the trailing eigenvalues lam[k:], accumulated from the last one
-    tail_sums = list(itertools.accumulate(reversed(lam)))[::-1]
-    logs = np.log(lam + [tail_sums[k] / (n - k) for k in range(cap + 1)]).tolist()
-    tail_log_sums = list(itertools.accumulate(reversed(logs[:n])))[::-1]
+    # running sums over the trailing eigenvalues lam[k:], accumulated from the last one
+    tail, tail_means = 0.0, [0.0] * (cap + 1)
+    for k in range(n - 1, -1, -1):
+        tail += lam[k]
+        if k <= cap:
+            tail_means[k] = tail / (n - k)
+    logs = np.log(lam + tail_means).tolist()
     penalty = math.log(num_snapshots)
-    scores = [
-        0.5 * k * (2 * n - k) * penalty
-        - num_snapshots * (n - k) * (tail_log_sums[k] / (n - k) - logs[n + k])
-        for k in range(cap + 1)
-    ]
-    return scores.index(min(scores))
+    # one pass from the last candidate down; <= keeps the first minimiser
+    tail_log, best = 0.0, math.inf
+    for k in range(n - 1, -1, -1):
+        tail_log += logs[k]
+        if k <= cap:
+            score = (0.5 * k * (2 * n - k) * penalty
+                     - num_snapshots * (n - k) * (tail_log / (n - k) - logs[n + k]))
+            if score <= best:
+                best, order = score, k
+    return order
 
 
 def esprit_phases(eigenvalues, eigenvectors, num_sources: int) -> np.ndarray:
@@ -324,15 +332,25 @@ def _stage(name: str, fn, *args):
 def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     """Run the full three-step receiver over one subchannel's observations.
 
-    Checks the known code count and ``max_delay`` once (the grid was checked when ``obs`` was
-    built), then runs each stage's private core.  A grid so small that its correlation
-    underflows is ranged as its copy scaled by the exact power of two that brings its largest
-    part into [1/2, 1); an all-zero grid is an idle slot."""
+    Checks the grid's values once, here where it is ranged: its total power must be finite
+    (:func:`errors.require_finite_power`, :class:`ValidationError` naming ``grid``), which
+    rejects NaN and ±inf and bounds every correlation sum, even after the grid was written in
+    place; its type and shape were checked when ``obs`` was built.  Then checks the known code
+    count and ``max_delay`` once, and runs :func:`_range`."""
     layout, num_codes = obs.layout, cfg.known_num_codes
+    require_finite_power("grid", obs.grid)
     if num_codes is not None:
         require_int("known code count", num_codes, 0, layout.max_codes, ConfigError)
     _check_max_delay(layout, cfg.max_delay)
+    return _range(obs, cfg.max_delay, num_codes)
 
+
+def _range(obs: TileObservations, max_delay: int, num_codes: int | None) -> RangingReport:
+    """:func:`range_subchannel` of a grid of finite total power, a valid ``max_delay`` and a code
+    count in [0, max_codes] (None: MDL's estimate), running each stage's private core.  A grid
+    so small that its correlation underflows is ranged as its copy scaled by the exact power of
+    two that brings its largest part into [1/2, 1); an all-zero grid is an idle slot."""
+    layout = obs.layout
     # the frequency snapshots are the columns of the (block, tile bin) view: their correlation
     # needs no transposed copy
     g = obs.grid.astype(complex, copy=False).reshape(layout.n_blocks, -1)
@@ -342,7 +360,7 @@ def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
     if lam_f[0] < _TINY_TOP and obs.grid.any():
         parts = np.ascontiguousarray(obs.grid, dtype=complex).view(float)  # ldexp takes no complex
         parts = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
-        return range_subchannel(TileObservations(layout, parts.view(complex)), cfg)
+        return _range(TileObservations(layout, parts.view(complex)), max_delay, num_codes)
     if num_codes is None:
         num_codes = _mdl(lam_f.tolist(), g.shape[1], layout.max_codes)
     if num_codes == 0:
@@ -361,6 +379,6 @@ def range_subchannel(obs: TileObservations, cfg: RangerConfig) -> RangingReport:
 
     # the phases lie in [-1/2, 1/2), so the mapping's int64 test cannot fire here
     cfo_codes, cfos = _map_cfo(eff_cfos.tolist(), layout)
-    timing_codes, delays = _map_timing(eff_timings.tolist(), layout, cfg.max_delay)
+    timing_codes, delays = _map_timing(eff_timings.tolist(), layout, max_delay)
     per_code, collisions = _detect(cfo_codes, cfos, timing_codes, delays)
     return RangingReport(eff_cfos, eff_timings, per_code, collisions)

@@ -269,6 +269,23 @@ def test_complex_noise_is_two_sequential_draws(seed, shape, kind, scale):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@settings(deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1),
+       lead=st.lists(st.integers(0, 3), min_size=1, max_size=2).map(tuple),
+       tail=st.lists(st.integers(0, 5), min_size=1, max_size=2).map(tuple),
+       per_entry=st.booleans())
+def test_stacked_complex_noise_is_calls_in_a_row(seed, lead, tail, per_entry):
+    # the leading axes index arrays drawn one after another, each as its own call would draw it
+    variance = np.random.default_rng(seed).uniform(0.0, 2.0, tail) if per_entry else 0.75
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _complex_noise(rng, (*lead, *tail), variance, len(lead))
+    want = np.empty((*lead, *tail), dtype=complex)
+    for index in np.ndindex(*lead):
+        want[index] = _complex_noise(ref, tail, variance)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("layout", [reference_layout(), non_uniform_layout()],
                          ids=["reference", "non-uniform"])
 def test_factored_kernel_matches_cfo_attenuation(layout):

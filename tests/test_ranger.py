@@ -1,5 +1,6 @@
 """Receiver pipeline checks: snapshot shaping, order selection, phase recovery."""
 
+import itertools
 import math
 import warnings
 
@@ -592,6 +593,23 @@ class TestRangeSubchannel:
         report = range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=k))
         assert report.num_codes == len(report.effective_timings) == k
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+    @pytest.mark.parametrize("synthesize", [synthesize_model_mode, synthesize_waveform_mode],
+                             ids=["model", "waveform"])
+    def test_a_grid_written_in_place_is_checked_where_it_is_ranged(self, synthesize, value):
+        # the grid's values were checked only when its TileObservations was built, so a value
+        # written in afterwards reached the stages: numpy warned "invalid value encountered in
+        # matmul", then the frequency-stage eigendecomposition failed on a non-finite matrix
+        layout = reference_layout()
+        rng = np.random.default_rng(75)
+        obs = synthesize(random_users(rng, layout, 3), layout, 0.01, rng)
+        obs.grid[0, 0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for known in (None, 3):
+                with pytest.raises(ValidationError, match="^grid must be finite"):
+                    range_subchannel(obs, RangerConfig(max_delay=204, known_num_codes=known))
+
     def test_zero_grid_reports_nothing(self):
         layout = reference_layout()
         obs = TileObservations(layout, np.zeros((4, 16, 4), dtype=complex))
@@ -927,3 +945,33 @@ def mdl_spectra(draw):
 def test_mdl_matches_whole_array_expression(lam, num_snapshots):
     for cap in range(len(lam)):
         assert estimate_num_codes(lam, num_snapshots, cap) == mdl_reference(lam, num_snapshots, cap)
+
+
+def mdl_previous(eigenvalues, num_snapshots, cap):
+    """The list scoring that the running-sum scorer replaced, kept verbatim: tail sums by
+    ``itertools.accumulate`` over reversed copies, one ``np.log`` call, and
+    ``scores.index(min(scores))``."""
+    lam = [float(x) for x in eigenvalues]
+    n = len(lam)
+    top = max(0.0, *lam)
+    floor = EIGENVALUE_FLOOR * top or EIGENVALUE_FLOOR
+    lam = [max(x, floor) for x in lam]
+    tail_sums = list(itertools.accumulate(reversed(lam)))[::-1]
+    logs = np.log(lam + [tail_sums[k] / (n - k) for k in range(cap + 1)]).tolist()
+    tail_log_sums = list(itertools.accumulate(reversed(logs[:n])))[::-1]
+    penalty = math.log(num_snapshots)
+    scores = [
+        0.5 * k * (2 * n - k) * penalty
+        - num_snapshots * (n - k) * (tail_log_sums[k] / (n - k) - logs[n + k])
+        for k in range(cap + 1)
+    ]
+    return scores.index(min(scores))
+
+
+@settings(deadline=None, derandomize=True, max_examples=1000)
+@given(mdl_spectra(), st.integers(1, 10**6))
+@example([0.972166261806722] * 3, 1)  # every score is round-off: ties decide the pick
+@example([1.0] * 4, 1)
+def test_mdl_equals_the_list_scoring_it_replaced(lam, num_snapshots):
+    for cap in range(len(lam)):
+        assert estimate_num_codes(lam, num_snapshots, cap) == mdl_previous(lam, num_snapshots, cap)

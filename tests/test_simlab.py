@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rangesim
-from rangesim import airmodel, simlab
+from rangesim import airmodel, cxmath, errors, ranger, simlab
 from rangesim.errors import ConfigError, DimensionError, ValidationError
 from rangesim.ranger import RangerConfig, RangingReport, range_subchannel
 from rangesim.simlab import (
@@ -125,8 +125,9 @@ class TestSnrFloor:
 
     @pytest.mark.parametrize("mode", ["model", "waveform"])
     def test_grid_check_admits_a_wide_layout_just_above_the_floor(self, mode):
-        # the floor bounds the grid's total power, which TileObservations checks; a floor
-        # from the terms of one correlation sum let this grid's total power overflow
+        # the floor bounds the grid's total power, which range_subchannel checks where a grid is
+        # ranged and which keeps every grid a trial ranges unchecked finite in every correlation
+        # sum; a floor from the terms of one correlation sum let this grid's total power overflow
         cfg = SimConfig(n_blocks=128, n_tiles=8, tile_width=128, max_delay=8, max_cfo=0.001,
                         mode=mode)
         with warnings.catch_warnings():
@@ -513,13 +514,13 @@ class TestTrialStream:
         def fields(users):
             return [(u.code, u.delay, u.cfo, u.cir.tolist()) for u in users]
 
-        ranged, range_subchannel = {}, simlab.range_subchannel
+        ranged, core = {}, simlab._range
 
-        def record(obs, ranger):
+        def record(obs, *knobs):
             ranged["grid"] = obs.grid
-            return range_subchannel(obs, ranger)
+            return core(obs, *knobs)
 
-        monkeypatch.setattr(simlab, "range_subchannel", record)
+        monkeypatch.setattr(simlab, "_range", record)
         for mode in ("model", "waveform"):
             cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, master_seed=12)
             noiseless = simlab._noiseless_known_k_trials(cfg, 12, 300, (3,))
@@ -620,23 +621,49 @@ class TestDrawMemo:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["model", "waveform"])
+    def test_the_sweep_checks_no_grid_power_and_the_receiver_entry_checks_once(self, monkeypatch,
+                                                                                mode):
+        # a sweep's grids are finite by construction and go to the receiver's core; the public
+        # receiver runs the finite-power pass on its grid once, where it is ranged
+        checked, check = [], errors.require_finite_power
+
+        def counted(name, array):
+            checked.append(name)
+            return check(name, array)
+
+        for module in (errors, airmodel, ranger, cxmath, simlab):
+            if hasattr(module, "require_finite_power"):
+                monkeypatch.setattr(module, "require_finite_power", counted)
+        cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, trials=4,
+                        snr_list_db=(0.0, 10.0, 20.0), master_seed=32)
+        run_sweep(cfg)
+        # each of the 12 grids was checked when its observation was built
+        assert "grid" not in checked
+        rng = np.random.default_rng(32)
+        synthesize = synthesize_model_mode if mode == "model" else synthesize_waveform_mode
+        obs = synthesize(draw_users(cfg, rng), cfg.layout(), 1.0, rng)
+        checked.clear()
+        range_subchannel(obs, RangerConfig(max_delay=cfg.max_delay))
+        assert checked == ["grid"]
+
+    @pytest.mark.parametrize("mode", ["model", "waveform"])
     def test_the_ranged_grid_is_fresh_and_writeable(self, monkeypatch, mode):
         cfg = SimConfig(num_users=3, mode=mode, max_cfo=0.1, master_seed=26)
-        grids, range_subchannel = [], simlab.range_subchannel
+        grids, core = [], simlab._range
 
-        def spoil(obs, ranger):  # range the grid, then write into it
-            report = range_subchannel(obs, ranger)
+        def spoil(obs, *knobs):  # range the grid, then write into it
+            report = core(obs, *knobs)
             signal = simlab._index_draw(cfg, cfg.master_seed, 4, None)[2]
             assert not signal.flags.writeable and not np.shares_memory(obs.grid, signal)
             grids.append(obs.grid)
             obs.grid[...] = np.inf
             return report
 
-        monkeypatch.setattr(simlab, "range_subchannel", spoil)
+        monkeypatch.setattr(simlab, "_range", spoil)
         for snr_db in (0.0, 20.0, math.inf):
             got = run_trial(cfg, snr_db, 4)
             assert _fingerprint(got) == _fingerprint(_cold_trial(cfg, snr_db, 4)), snr_db
-        assert all(grid.flags.writeable for grid in grids)
+        assert len(grids) == 3 and all(grid.flags.writeable for grid in grids)
 
     @pytest.mark.parametrize("snr_db", [0.0, math.inf])
     @pytest.mark.parametrize("mode", ["model", "waveform"])
@@ -797,11 +824,13 @@ class TestOraclePeriodogram:
         # neither as exact nor towards the worst errors
         reports = []
 
-        def every_second_idle(obs, cfg):
-            reports.append(RangingReport() if len(reports) % 2 else range_subchannel(obs, cfg))
+        core = simlab._range
+
+        def every_second_idle(obs, *knobs):
+            reports.append(RangingReport() if len(reports) % 2 else core(obs, *knobs))
             return reports[-1]
 
-        monkeypatch.setattr(simlab, "range_subchannel", every_second_idle)
+        monkeypatch.setattr(simlab, "_range", every_second_idle)
         exact, worst_cfo, worst_delay = noiseless_exactness(seed=99, trials=4, max_cfo=0.05)
         assert (exact, len(reports)) == (2, 4)
         assert worst_cfo <= 1e-5 and worst_delay <= 1e-2
