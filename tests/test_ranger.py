@@ -919,6 +919,27 @@ def mdl_reference(eigenvalues, num_snapshots, cap):
     return int(np.argmin(scores))
 
 
+def mdl_previous(eigenvalues, num_snapshots, cap):
+    """The list scoring that the running-sum scorer replaced, kept verbatim: tail sums by
+    ``itertools.accumulate`` over reversed copies, one ``np.log`` call, and
+    ``scores.index(min(scores))``."""
+    lam = [float(x) for x in eigenvalues]
+    n = len(lam)
+    top = max(0.0, *lam)
+    floor = EIGENVALUE_FLOOR * top or EIGENVALUE_FLOOR
+    lam = [max(x, floor) for x in lam]
+    tail_sums = list(itertools.accumulate(reversed(lam)))[::-1]
+    logs = np.log(lam + [tail_sums[k] / (n - k) for k in range(cap + 1)]).tolist()
+    tail_log_sums = list(itertools.accumulate(reversed(logs[:n])))[::-1]
+    penalty = math.log(num_snapshots)
+    scores = [
+        0.5 * k * (2 * n - k) * penalty
+        - num_snapshots * (n - k) * (tail_log_sums[k] / (n - k) - logs[n + k])
+        for k in range(cap + 1)
+    ]
+    return scores.index(min(scores))
+
+
 @st.composite
 def mdl_spectra(draw):
     """Non-increasing spectra mixing exact zeros, values under the 1e-12 round-off
@@ -942,36 +963,9 @@ def mdl_spectra(draw):
 # so the pick depends on the last bit of each logarithm: here math.log and an
 # AVX-512 np.log disagree by an ulp and pick different counts.
 @example([0.972166261806722] * 3, 1)
+@example([1.0] * 4, 1)
 def test_mdl_matches_whole_array_expression(lam, num_snapshots):
     for cap in range(len(lam)):
-        assert estimate_num_codes(lam, num_snapshots, cap) == mdl_reference(lam, num_snapshots, cap)
-
-
-def mdl_previous(eigenvalues, num_snapshots, cap):
-    """The list scoring that the running-sum scorer replaced, kept verbatim: tail sums by
-    ``itertools.accumulate`` over reversed copies, one ``np.log`` call, and
-    ``scores.index(min(scores))``."""
-    lam = [float(x) for x in eigenvalues]
-    n = len(lam)
-    top = max(0.0, *lam)
-    floor = EIGENVALUE_FLOOR * top or EIGENVALUE_FLOOR
-    lam = [max(x, floor) for x in lam]
-    tail_sums = list(itertools.accumulate(reversed(lam)))[::-1]
-    logs = np.log(lam + [tail_sums[k] / (n - k) for k in range(cap + 1)]).tolist()
-    tail_log_sums = list(itertools.accumulate(reversed(logs[:n])))[::-1]
-    penalty = math.log(num_snapshots)
-    scores = [
-        0.5 * k * (2 * n - k) * penalty
-        - num_snapshots * (n - k) * (tail_log_sums[k] / (n - k) - logs[n + k])
-        for k in range(cap + 1)
-    ]
-    return scores.index(min(scores))
-
-
-@settings(deadline=None, derandomize=True, max_examples=1000)
-@given(mdl_spectra(), st.integers(1, 10**6))
-@example([0.972166261806722] * 3, 1)  # every score is round-off: ties decide the pick
-@example([1.0] * 4, 1)
-def test_mdl_equals_the_list_scoring_it_replaced(lam, num_snapshots):
-    for cap in range(len(lam)):
-        assert estimate_num_codes(lam, num_snapshots, cap) == mdl_previous(lam, num_snapshots, cap)
+        k = estimate_num_codes(lam, num_snapshots, cap)
+        assert k == mdl_reference(lam, num_snapshots, cap)
+        assert k == mdl_previous(lam, num_snapshots, cap)  # ties too: the first minimiser
