@@ -30,6 +30,20 @@ from .errors import (ValidationError, require_finite, require_finite_power, requ
                      require_numbers)
 
 
+# The largest subcarrier count: every bin index and every bin distance, b - b' + N - 1 in the
+# leakage tables, fits int64.
+_MAX_SUBCARRIERS = 2**62
+_OVERLAP = "tiles overlap; they must be pairwise disjoint"
+
+
+def _check_geometry(n_subcarriers: int, n_blocks: int, tile_width: int, cp_ranging: int) -> None:
+    """A layout's checks before its tiles: the sizes, and a ranging prefix within the block."""
+    n = require_int("n_subcarriers", n_subcarriers, 1, _MAX_SUBCARRIERS)
+    require_int("n_blocks", n_blocks, 2)
+    require_int("tile_width", tile_width, 2)
+    require_int("ranging prefix", cp_ranging, 0, n)  # at most the block it extends
+
+
 @dataclass(frozen=True)
 class TileLayout:
     """Ranging geometry of one subchannel, and the limits it sets.
@@ -47,16 +61,16 @@ class TileLayout:
     cp_ranging: int
 
     def __post_init__(self):
-        n = require_int("n_subcarriers", self.n_subcarriers, 1)
-        require_int("n_blocks", self.n_blocks, 2)
-        width = require_int("tile_width", self.tile_width, 2)
-        require_int("ranging prefix", self.cp_ranging, 0, n)  # at most the block it extends
+        _check_geometry(self.n_subcarriers, self.n_blocks, self.tile_width, self.cp_ranging)
         if not self.tile_starts:
             raise ValidationError("a layout needs at least one tile")
+        width = self.tile_width
         for start in self.tile_starts:
-            require_int("tile start", start, 0, n - width)
-        if np.bincount(self.tile_bins.ravel()).max() > 1:
-            raise ValidationError("tiles overlap; they must be pairwise disjoint")
+            require_int("tile start", start, 0, self.n_subcarriers - width)
+        # disjoint tiles, sorted by start, start at least one tile width apart
+        starts = sorted(self.tile_starts)
+        if any(b - a < width for a, b in zip(starts, starts[1:])):
+            raise ValidationError(_OVERLAP)
 
     def __reduce__(self):  # copies and pickles rebuild through __post_init__: checked, read-only
         return type(self), astuple(self)
@@ -64,9 +78,20 @@ class TileLayout:
     @classmethod
     def uniform(cls, n_subcarriers, n_blocks, n_tiles, tile_width, cp_ranging,
                 spacing=None) -> "TileLayout":
-        """Layout with ``n_tiles`` tiles spaced evenly across the spectrum."""
+        """Layout with ``n_tiles`` tiles spaced evenly across the spectrum.
+
+        More tiles than fit disjointly (``n_tiles * tile_width > n_subcarriers``) raise the
+        error the layout of all of them would raise, before their starts are listed."""
         require_int("n_tiles", n_tiles, 1)
         spacing = n_subcarriers // n_tiles if spacing is None else require_int("spacing", spacing, 1)
+        _check_geometry(n_subcarriers, n_blocks, tile_width, cp_ranging)
+        if n_tiles > n_subcarriers // tile_width:
+            last = n_subcarriers - tile_width  # the last start at which a tile fits
+            # the index of the first start past it, if any: the first start the layout rejects
+            first_out = 0 if last < 0 else last // spacing + 1 if spacing else n_tiles
+            if first_out < n_tiles:
+                require_int("tile start", first_out * spacing, 0, last)
+            raise ValidationError(_OVERLAP)  # in range, too many to fit: two of them overlap
         starts = tuple(q * spacing for q in range(n_tiles))
         return cls(n_subcarriers, n_blocks, tile_width, starts, cp_ranging)
 
@@ -298,7 +323,9 @@ def _leakage_kernel(layout: TileLayout, cfos) -> np.ndarray:
 
 
 def _complex_noise(rng: np.random.Generator, shape, variance, stacked: int = 0) -> np.ndarray:
-    """Circular Gaussian of the given variance: one draw, all real parts then all imaginary.
+    """Circular Gaussian of the given variance: one draw, all real parts then all imaginary,
+    written into the complex array before it is scaled by the deviation per part (of a float
+    variance by ``math.sqrt``, as correctly rounded as ``np.sqrt`` and cheaper on a scalar).
     The first ``stacked`` axes index such arrays, drawn one after another as calls in a row.
     A scalar variance must be real, finite (:func:`require_finite`) and non-negative."""
     if not isinstance(variance, np.ndarray) and not 0 <= require_finite("noise variance", variance):
@@ -307,7 +334,8 @@ def _complex_noise(rng: np.random.Generator, shape, variance, stacked: int = 0) 
     lead = (slice(None),) * stacked
     normals = rng.standard_normal((*noise.shape[:stacked], 2, *noise.shape[stacked:]))
     noise.real, noise.imag = normals[(*lead, 0)], normals[(*lead, 1)]
-    noise *= np.sqrt(variance / 2.0)
+    # np.float64 is a float too; float32 and integer scalars keep numpy's own arithmetic
+    noise *= math.sqrt(variance / 2.0) if isinstance(variance, float) else np.sqrt(variance / 2.0)
     return noise
 
 

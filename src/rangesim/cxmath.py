@@ -7,7 +7,8 @@ its input in one pass, before LAPACK sees it: bad input raises
 failure surfaces as :class:`NumericalError`, never as ``LinAlgError``.
 Each public kernel but ``hermitian_evd`` then calls a private core that the receiver calls
 directly: ``_fb``, ``_ls_rotation`` (the rank test stays) and ``_eigvals``, which also takes
-a stack of matrices.  All are pure.
+a stack of matrices.  ``_unit_scaled`` rescales an array by an exact power of two, for the
+receiver's tiny grids and the periodogram oracle.  All are pure.
 """
 
 from __future__ import annotations
@@ -47,7 +48,20 @@ def forward_backward(r) -> np.ndarray:
 
 
 def _fb(r: np.ndarray) -> np.ndarray:
-    return 0.5 * (r + r[::-1, ::-1].T)
+    """:func:`forward_backward` of a square complex matrix: the sum built once and halved in
+    place, the same bytes as ``0.5 * (r + r[::-1, ::-1].T)``.  The half stays the first
+    operand: numpy's complex product is not symmetric in the sign of a zero, and an imaginary
+    part that halves to zero (-5e-324) comes out -0.0 from ``0.5 * x`` but +0.0 from
+    ``x * 0.5``, so ``out *= 0.5`` would differ."""
+    out = r + r[::-1, ::-1].T
+    return np.multiply(0.5, out, out=out)
+
+
+def _unit_scaled(a) -> np.ndarray:
+    """A complex copy of a non-empty array of finite numbers, scaled by the exact power of two
+    that brings its largest real or imaginary part into [1/2, 1); all zeros stay zeros."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)  # ldexp takes no complex
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
 
 
 def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +84,7 @@ def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigendecomposition failed: {exc}") from exc
-    return eigenvalues[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1])
+    return eigenvalues[::-1].copy(), vectors[:, ::-1].copy()
 
 
 def ls_rotation(basis) -> np.ndarray:

@@ -42,27 +42,33 @@ import numpy as np
 
 from .airmodel import TileLayout, TileObservations
 # the public kernels stay importable here, where the benchmark's tracer wraps them
-from .cxmath import (_check_orthonormal, _eigvals, _fb, _ls_rotation, forward_backward,
-                     general_eigenvalues, hermitian_evd, ls_rotation)
+from .cxmath import (_check_orthonormal, _eigvals, _fb, _ls_rotation, _unit_scaled,
+                     forward_backward, general_eigenvalues, hermitian_evd, ls_rotation)
 from .errors import (ConfigError, DimensionError, RangingError, ValidationError,
                      require_finite_power, require_finite_real, require_int, require_numbers)
 
 EIGENVALUE_FLOOR = 1e-12  # MDL's one floor, relative to the largest eigenvalue
 # A largest frequency-stage eigenvalue below this, about 2.2e-296, puts MDL's floor under the
 # normal float range, where the floor loses precision: the grid is ranged at unit scale instead.
-_TINY_TOP = np.finfo(float).tiny / EIGENVALUE_FLOOR
+_TINY_TOP = float(np.finfo(float).tiny) / EIGENVALUE_FLOOR
 # The largest snapshot count times eigenvalue count that keeps every MDL score a float: a score's
 # data term is that product times a log ratio of floored eigenvalues, which stays under 32.
 _MAX_SNAPSHOT_WEIGHT = int(np.finfo(float).max) // 32
 
 
+# an idle report's phase arrays: one empty float64 array, read-only, so that it can be shared
+_NO_PHASES = np.zeros(0)
+_NO_PHASES.flags.writeable = False
+
+
 @dataclass
 class RangingReport:
-    """Detector output for one subchannel; ``RangingReport()`` is an idle slot."""
+    """Detector output for one subchannel; ``RangingReport()`` is an idle slot, whose phase
+    arrays are empty, float64 and read-only."""
 
     # raw phase estimates in cycles, one per code, strongest first
-    effective_cfos: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    effective_timings: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    effective_cfos: np.ndarray = field(default_factory=lambda: _NO_PHASES)
+    effective_timings: np.ndarray = field(default_factory=lambda: _NO_PHASES)
     per_code: dict[int, tuple[float, float]] = field(default_factory=dict)  # code -> (cfo, timing)
     collisions: int = 0
 
@@ -354,15 +360,15 @@ def _range(obs: TileObservations, max_delay: int, num_codes: int | None) -> Rang
     # the frequency snapshots are the columns of the (block, tile bin) view: their correlation
     # needs no transposed copy
     g = obs.grid.astype(complex, copy=False).reshape(layout.n_blocks, -1)
+    corr_f = g @ g.conj().T
+    corr_f /= g.shape[1]
     # hermitian_evd runs by its public name, checks and all: the benchmark counts its calls
-    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd,
-                          _fb((g @ g.conj().T) / g.shape[1]))
-    if lam_f[0] < _TINY_TOP and obs.grid.any():
-        parts = np.ascontiguousarray(obs.grid, dtype=complex).view(float)  # ldexp takes no complex
-        parts = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
-        return _range(TileObservations(layout, parts.view(complex)), max_delay, num_codes)
+    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, _fb(corr_f))
+    spectrum = lam_f.tolist()
+    if spectrum[0] < _TINY_TOP and obs.grid.any():
+        return _range(TileObservations(layout, _unit_scaled(obs.grid)), max_delay, num_codes)
     if num_codes is None:
-        num_codes = _mdl(lam_f.tolist(), g.shape[1], layout.max_codes)
+        num_codes = _mdl(spectrum, g.shape[1], layout.max_codes)
     if num_codes == 0:
         return RangingReport()
 

@@ -42,6 +42,7 @@ from .airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
+from .cxmath import _unit_scaled
 from .errors import (ConfigError, DimensionError, RangingError, ValidationError, require_finite,
                      require_int, require_numbers)
 # range_subchannel stays importable here, where the benchmark's tracer wraps it; the trials
@@ -53,6 +54,7 @@ _TILE_KEYS = "n_tiles, tile_width, tile_spacing"  # the keys that place the tile
 _CONFIG_KEYS = {"spacing": "tile_spacing", "tile start": _TILE_KEYS, "tiles overlap;": _TILE_KEYS,
                 "ranging prefix": "cp_ranging", "n_taps": "channel_taps",
                 "decay constant": "channel_decay", "SNR": "snr_list_db"}
+_PREFIX_RULE = "max_delay plus channel_taps must fit inside cp_ranging"
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,10 @@ class SimConfig:
                 raise ConfigError(f"{name} must be {SimConfig.__annotations__[name]}, got {value!r}")
         if not self.snr_list_db:
             raise ConfigError("snr_list_db must hold one or more SNR points")
+        # the taps the channel profile allocates are bounded before it is built; the whole rule
+        # is checked below, after max_delay's own bound
+        if self.channel_taps > self.cp_ranging:
+            raise ConfigError(_PREFIX_RULE)
         try:
             layout = TileLayout.uniform(self.n_subcarriers, self.n_blocks, self.n_tiles,
                                         self.tile_width, self.cp_ranging, spacing=self.tile_spacing)
@@ -125,7 +131,7 @@ class SimConfig:
         require_int("max_delay", self.max_delay, 0, math.ceil(layout.delay_bound) - 1, ConfigError)
         require_int("num_users", self.num_users, 0, layout.max_codes, ConfigError)
         if self.max_delay + self.channel_taps > self.cp_ranging:
-            raise ConfigError("max_delay plus channel_taps must fit inside cp_ranging")
+            raise ConfigError(_PREFIX_RULE)
         # cp_data must exceed channel_taps or no delay is tolerable
         require_int("cp_data", self.cp_data, self.channel_taps + 1, error=ConfigError)
         require_int("trials", self.trials, 1, error=ConfigError)
@@ -360,7 +366,9 @@ def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: in
     """
     rng, layout = _trial_stream(seed, index), cfg.layout()
     synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
-    if (cfg.num_users if count is None else count) == 0:
+    if count is None and cfg.num_users == 0:  # an empty draw takes nothing from the stream
+        return [], synthesize([], layout, noise_var, rng)
+    if count == 0:  # draw_users checks a given count
         users = draw_users(cfg, rng, count)
         return users, synthesize(users, layout, noise_var, rng)
     users, state, signal = _index_draw(cfg, seed, index, count)
@@ -501,12 +509,15 @@ def oracle_periodogram(snapshots) -> float:
 
     Maximises the summed matched-filter power over frequencies in
     [-1/2, 1/2), ``GAP_RESOLUTION`` apart; deliberately independent of the
-    subspace pipeline so the two can cross-validate.
+    subspace pipeline so the two can cross-validate.  The finite snapshots are searched at unit
+    scale (:func:`cxmath._unit_scaled`, an exact power of two, which moves no maximum), so no
+    power overflows.
     """
     snaps = require_numbers("snapshots", snapshots).astype(complex, copy=False)
     if snaps.ndim != 2 or snaps.size == 0:
         raise DimensionError(f"need a non-empty (snapshots, n) array, got shape {snaps.shape}")
-    n = require_finite("snapshots", snaps).shape[1]
+    snaps = _unit_scaled(require_finite("snapshots", snaps))
+    n = snaps.shape[1]
     grid = -0.5 + GAP_RESOLUTION * np.arange(round(1.0 / GAP_RESOLUTION))
     probes = np.exp(-2j * np.pi * np.outer(grid, np.arange(n)))
     power = np.sum(np.abs(probes @ snaps.T) ** 2, axis=1)

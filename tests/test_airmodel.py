@@ -121,6 +121,41 @@ class TestTileLayout:
         with pytest.raises(ValidationError):
             TileLayout.uniform(64, 4, 4, 4, cp_ranging=100)
 
+    def test_uniform_raises_what_the_layout_of_all_its_tiles_raises(self):
+        # more tiles than fit are rejected before their starts are listed, with the error
+        # (first start out of range, else an overlap) that the full layout raises
+        def outcome(build):
+            try:
+                return build().tile_starts
+            except ValidationError as exc:
+                return str(exc)
+
+        for n in range(1, 21):
+            for width in range(2, 7):
+                for n_tiles in range(1, 13):
+                    for spacing in (None, *range(1, 9)):
+                        step = n // n_tiles if spacing is None else spacing
+                        starts = tuple(q * step for q in range(n_tiles))
+                        got = outcome(lambda: TileLayout.uniform(n, 4, n_tiles, width, 0,
+                                                                 spacing=spacing))
+                        want = outcome(lambda: TileLayout(n, 4, width, starts, 0))
+                        assert got == want, (n, width, n_tiles, spacing)
+
+    def test_overlap_is_read_from_the_sorted_starts(self):
+        # a check whose memory grew with n_subcarriers raised numpy's "array is too big" here
+        huge = TileLayout.uniform(2**62, 4, 16, 4, 256)
+        assert huge.tile_starts[:2] == (0, 2**58) and huge.n_tiles == 16
+        assert TileLayout(16, 4, 4, (8, 0, 4), 4).tile_starts == (8, 0, 4)  # any order
+        for starts in ((2**61 + 2, 2**61), (2**61, 0, 2**61 + 3)):
+            with pytest.raises(ValidationError, match="tiles overlap"):
+                TileLayout(2**62, 4, 4, starts, 256)
+
+    @pytest.mark.parametrize("n", [2**62 + 1, 2**64])
+    def test_subcarriers_whose_bins_leave_int64_rejected(self, n):
+        # 2**64 raised a bare TypeError from numpy's casting rules before
+        with pytest.raises(ValidationError, match=rf"^n_subcarriers {n} outside \[1, {2**62}\]$"):
+            TileLayout.uniform(n, 4, 16, 4, 256)
+
 
 class TestCodeEntry:
     """Entries of the ranging code matrix against their closed form."""
@@ -267,6 +302,19 @@ def test_complex_noise_is_two_sequential_draws(seed, shape, kind, scale):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("variance", [np.float32(0.3), np.float16(2.5), 3, np.int64(7)],
+                         ids=["float32", "float16", "int", "int64"])
+def test_non_float_scalar_variances_keep_numpys_square_root(variance):
+    # a float (np.float64 too) takes math.sqrt, the same correctly rounded root; the others
+    # keep np.sqrt of numpy's own quotient, at its own precision
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    got = _complex_noise(rng, (3, 5), variance)
+    want = np.empty((3, 5), dtype=complex)
+    want.real, want.imag = ref.standard_normal((3, 5)), ref.standard_normal((3, 5))
+    want *= np.sqrt(variance / 2.0)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(deadline=None, derandomize=True)

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rangesim.cxmath import (
+    _fb,
+    _unit_scaled,
     forward_backward,
     general_eigenvalues,
     hermitian_evd,
@@ -50,6 +55,24 @@ class TestForwardBackward:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             forward_backward(np.zeros((2, 3)))
+
+
+# real and imaginary parts for the byte tests: signed zeros, subnormals, ordinary and large
+# values, none so large that a sum of two leaves the float range
+EDGE_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.5, 1e300, -1e300])
+PARTS = EDGE_PARTS | st.floats(-1e300, 1e300)
+
+
+@settings(deadline=None, derandomize=True)
+@given(parts=arrays(float, st.integers(1, 6).map(lambda n: (n, n, 2)), elements=PARTS))
+def test_fb_core_is_the_halved_sum_byte_for_byte(parts):
+    # the sum built once and halved in place: the bytes of 0.5 * (r + J r^T J), signs of zero
+    # and subnormals included, in a new array
+    r = parts.view(complex)[..., 0]
+    want, got = 0.5 * (r + r[::-1, ::-1].T), _fb(r)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, r)
 
 
 class TestHermitianEvd:
@@ -133,6 +156,35 @@ class TestHermitianEvd:
     def test_zero_matrix(self):
         lam, _ = hermitian_evd(np.zeros((3, 3)))
         np.testing.assert_array_equal(lam, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_outputs_are_eighs_reversed_byte_for_byte(self, n):
+        # eigh's eigenvalues and eigenvector columns, reversed into contiguous copies, to the
+        # last bit, on random Hermitian matrices of several scales
+        rng = np.random.default_rng(n)
+        for scale in (1e-200, 1e-3, 1.0, 1e150):
+            for _ in range(20):
+                a = scale * random_hermitian(rng, n)
+                w, v = np.linalg.eigh(a)
+                lam, vecs = hermitian_evd(a)
+                assert lam.tobytes() == np.ascontiguousarray(w[::-1]).tobytes()
+                assert vecs.tobytes() == np.ascontiguousarray(v[:, ::-1]).tobytes()
+
+
+class TestUnitScaled:
+    @pytest.mark.parametrize("scale", [2.0**-1000, 2.0**-60, 1.0, 3.0, 2.0**600])
+    def test_largest_part_lands_in_half_to_one_by_an_exact_power_of_two(self, scale):
+        a = scale * random_complex(np.random.default_rng(5), (3, 5))
+        out = _unit_scaled(a)
+        assert out.dtype == complex and out.shape == a.shape and not np.shares_memory(out, a)
+        assert 0.5 <= np.abs(out.view(float)).max() < 1.0
+        factor = out.view(float).ravel()[0] / a.view(float).ravel()[0]
+        assert np.frexp(factor)[0] == 0.5  # a power of two
+        assert out.tobytes() == (a * factor).tobytes()
+
+    def test_zeros_stay_zeros(self):
+        a = np.array([[0.0, -0.0]]).view(complex)
+        assert _unit_scaled(a).tobytes() == a.tobytes()
 
 
 def orthonormal_basis(rng, n, k):

@@ -584,6 +584,19 @@ class TestRangeSubchannel:
         assert report.num_codes == 0
         assert report.detected == set()
 
+    def test_idle_report_phase_arrays_are_empty_float64_and_read_only(self):
+        # every idle report shares one empty array, so none of them may write it
+        reports = [RangingReport(), RangingReport(), range_subchannel(
+            TileObservations(reference_layout(), np.zeros((4, 16, 4), dtype=complex)),
+            RangerConfig(max_delay=204))]
+        for report in reports:
+            for phases in (report.effective_cfos, report.effective_timings):
+                assert phases.shape == (0,) and phases.dtype == np.float64
+                assert not phases.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    phases[...] = 1.0
+        assert reports[0].per_code is not reports[1].per_code  # the dict stays per report
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_known_count_is_the_reported_count(self, k):
         layout = reference_layout()

@@ -749,6 +749,20 @@ class TestBlockDraw:
         run_sweep(SimConfig(num_users=0, mode="model", trials=20, master_seed=27))
         assert blocks == [] and draws == []
 
+    def test_an_idle_slot_passes_no_users_without_a_draw(self, monkeypatch):
+        # an empty draw takes nothing from the stream, so the sweep skips draw_users; a given
+        # count of zero still goes through it, and its check
+        calls = []
+        monkeypatch.setattr(simlab, "draw_users",
+                            lambda *args: calls.append(args[2]) or draw_users(*args))
+        cfg = SimConfig(num_users=0, mode="model", trials=4, master_seed=27)
+        run_sweep(cfg)
+        assert calls == []
+        users, obs, report = next(simlab._noiseless_known_k_trials(cfg, 27, 1, (0,)))
+        assert calls == [0] and users == [] and report.num_codes == 0
+        with pytest.raises(ValidationError, match="user count must be an integer, got False"):
+            next(simlab._noiseless_known_k_trials(cfg, 27, 1, (False,)))
+
     def test_known_count_trials_draw_each_index_once(self, monkeypatch):
         # the count cycles 1, 2, 3: a block keyed on one count would redraw on every index
         cfg = SimConfig(num_users=3, mode="model", max_cfo=0.1, trials=16, master_seed=28)
@@ -790,6 +804,22 @@ class TestOraclePeriodogram:
     def test_quick_cross_validation(self):
         # noiseless single tones: the grid's nearest point, at most half a step from ESPRIT's
         assert esprit_periodogram_gap() <= GAP_RESOLUTION / 2 + 1e-9
+
+    @pytest.mark.parametrize("scale", [2.0**532, 2.0**664, 2.0**1000, 2.0**-1000],
+                             ids=["2**532", "2**664", "2**1000", "2**-1000"])
+    def test_snapshots_of_any_finite_scale_read_the_frequency_of_their_unit_scale(self, scale):
+        # before, a matched-filter power past the float range overflowed (a RuntimeWarning, an
+        # error in this suite, and without it an argmax read from a row of infs), and tiny
+        # snapshots read their argmax from powers that had underflowed
+        rng = np.random.default_rng(0)
+        amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        snaps = amps[:, None] * np.exp(2j * np.pi * 0.2 * np.arange(4))[None, :]
+        assert oracle_periodogram(scale * snaps) == oracle_periodogram(snaps)
+
+    def test_large_finite_snapshots_do_not_overflow(self):
+        # the 1.0 lies below the large entry's last bit, so every power ties at unit scale
+        assert -0.5 <= oracle_periodogram([[1e200, 1.0]]) < 0.5
+        assert oracle_periodogram(np.full((2, 4), 1e160)) == 0.0
 
     @pytest.mark.parametrize("snaps", [np.zeros((0, 4)), np.zeros(4)], ids=["empty", "1-d"])
     def test_snapshots_without_rows_rejected(self, snaps):
@@ -1043,6 +1073,37 @@ class TestConfigParsing:
         # before, these two layout messages reached the user without a config key
         with pytest.raises(ConfigError, match=f"^n_tiles, tile_width, tile_spacing: {message}$"):
             SimConfig(**settings)
+
+    TAPS = "max_delay plus channel_taps must fit inside cp_ranging"
+    OVERLAP = "n_tiles, tile_width, tile_spacing: tiles overlap; they must be pairwise disjoint"
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(channel_taps=2**40), TAPS),
+        (dict(channel_taps=2**64), TAPS),
+        (dict(n_subcarriers=2**64), rf"n_subcarriers {2**64} outside \[1, {2**62}\]"),
+        (dict(n_tiles=2**12), OVERLAP),
+        (dict(n_tiles=10**11), OVERLAP),
+        (dict(n_tiles=10**11, tile_spacing=1),
+         r"n_tiles, tile_width, tile_spacing: tile start 1021 outside \[0, 1020\]"),
+    ], ids=["taps 2**40", "taps 2**64", "carriers 2**64", "tiles 2**12", "tiles 1e11",
+            "tiles 1e11 spaced"])
+    def test_sizes_are_checked_before_anything_is_built(self, settings, message, monkeypatch):
+        # before, these built or tried to build their layout or channel profile: 2**40 taps
+        # raised a bare MemoryError (8 TiB), 2**64 taps a bare ValueError, 2**64 carriers a
+        # TypeError, and 1e11 tiles exhausted memory listing their starts
+        def reached(*args):
+            raise AssertionError("a layout or channel profile was built")
+
+        monkeypatch.setattr(simlab, "ChannelProfile", reached)
+        monkeypatch.setattr(TileLayout, "__post_init__", reached)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                SimConfig(**settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="could not read"):
