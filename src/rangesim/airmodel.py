@@ -10,11 +10,12 @@ Two generators produce the tile observations the receiver consumes:
   the DFT window's Dirichlet kernel, as intercarrier leakage does on air.
 
 Both modes share that kernel, model mode on each user's own bins
-(:func:`_cfo_attenuation`) and waveform mode factored over the layout's bin
-distances (:func:`_leakage_kernel`), and one noise model, i.i.d. circular
-Gaussian per tile bin.  They draw from an injected random generator, and
-check every user before the private, unchecked formula helpers (code
-matrix, effective offsets, that kernel) see it.  They keep no state.
+(:func:`_cfo_attenuation`) and waveform mode factored over the distinct
+distances b - b' between the layout's tile bins (:func:`_leakage_kernel`),
+whose tables grow with the tiles, not with the spectrum, and one noise
+model, i.i.d. circular Gaussian per tile bin.  They draw from an injected
+random generator, and check every user before the private, unchecked
+formula helpers (effective offsets, that kernel) see it.  They keep no state.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .errors import (ValidationError, require_finite, require_finite_power, requ
                      require_numbers)
 
 
-# The largest subcarrier count: every bin index and every bin distance, b - b' + N - 1 in the
-# leakage tables, fits int64.
+# The largest subcarrier count: every bin index and every bin distance b - b' of the leakage
+# tables fits int64.
 _MAX_SUBCARRIERS = 2**62
 _OVERLAP = "tiles overlap; they must be pairwise disjoint"
 
@@ -139,16 +140,19 @@ class TileLayout:
         """Per-layout factors of waveform-mode leakage, read-only: N sin and N cos of pi d / N
         over the distinct bin distances d, the index gathering them into the (b', b)
         matrix of d = b - b' over flat tile bins, exp(j pi b / N) per bin, 2 * window
-        start + N - 1 per block, and each code's block phases and per-bin tile phases."""
+        start + N - 1 per block, and each code's block phases and per-bin tile phases.  They
+        take memory with the tiles, not with the spectrum."""
         n, bins = self.n_subcarriers, self.tile_bins.ravel()
-        shifted = bins[None, :] - bins[:, None] + n - 1  # >= 0
-        present = np.bincount(shifted.ravel()) > 0
-        angles = np.pi * (np.flatnonzero(present) - (n - 1)) / n
+        distances = bins[None, :] - bins[:, None]
+        distinct, gather = np.unique(distances, return_inverse=True)
+        angles = np.pi * distinct / n
         steps = 2 * (np.arange(self.n_blocks) * self.block_len + self.cp_ranging) + n - 1
-        codes = _code_matrix(np.arange(self.max_codes), self.tile_width, self.n_blocks)
-        tables = (n * np.sin(angles), n * np.cos(angles), (np.cumsum(present) - 1)[shifted],
-                  np.exp(1j * np.pi * bins / n), steps, codes[:, 0, :],
-                  np.tile(codes[:, :, 0], self.n_tiles))
+        # code c's symbol at offset v of block m is exp(2j pi c (v / (V - 1) + m / (M - 1)))
+        turns, m, v = 2j * np.pi * np.arange(self.max_codes), self.n_blocks, self.tile_width
+        block_codes = np.exp(np.multiply.outer(turns, np.arange(m) / (m - 1)))
+        bin_codes = np.tile(np.exp(np.multiply.outer(turns, np.arange(v) / (v - 1))), self.n_tiles)
+        tables = (n * np.sin(angles), n * np.cos(angles), gather.reshape(distances.shape),
+                  np.exp(1j * np.pi * bins / n), steps, block_codes, bin_codes)
         for table in tables:
             table.flags.writeable = False
         return tables
@@ -214,18 +218,6 @@ class TileObservations:
         expected = (self.layout.n_blocks, self.layout.n_tiles, self.layout.tile_width)
         if self.grid.shape != expected:
             raise ValidationError(f"grid shape {self.grid.shape} does not match layout {expected}")
-
-
-def _code_matrix(code, tile_width: int, n_blocks: int) -> np.ndarray:
-    """Full (tile_width, n_blocks) ranging code matrix.
-
-    ``code`` may also be an array of codes; their matrices then stack
-    along the leading axes.  Unchecked: its one caller, the layout's leakage
-    tables, passes the codes 0 .. max_codes - 1 of a validated layout.
-    """
-    v = np.arange(tile_width)[:, None] / (tile_width - 1)
-    m = np.arange(n_blocks)[None, :] / (n_blocks - 1)
-    return np.exp(np.multiply.outer(2j * np.pi * np.asarray(code), v + m))
 
 
 def _cfo_attenuation(offset, n_subcarriers: int):

@@ -116,8 +116,11 @@ def sample_corr(snapshots) -> np.ndarray:
 
 
 def _corr(snaps: np.ndarray) -> np.ndarray:
+    """:func:`sample_corr` of rows of finite total power, unchecked: the product scaled in place."""
     snaps = snaps.astype(complex, copy=False)
-    return (snaps.T @ snaps.conj()) / snaps.shape[0]
+    corr = snaps.T @ snaps.conj()
+    corr /= snaps.shape[0]
+    return corr
 
 
 def estimate_num_codes(eigenvalues, num_snapshots: int, cap: int) -> int:
@@ -273,7 +276,8 @@ def _map_cfo(effective_cfos: list, layout: TileLayout) -> tuple[list, list]:
 
 
 def _check_max_delay(layout: TileLayout, max_delay: int) -> None:
-    require_int("max delay", max_delay, 0, math.ceil(layout.delay_bound) - 1, ConfigError)
+    """The one ``max_delay`` rule, of the receiver and of the config alike."""
+    require_int("max_delay", max_delay, 0, math.ceil(layout.delay_bound) - 1, ConfigError)
 
 
 def map_timing(effective_timings, layout: TileLayout,
@@ -360,10 +364,8 @@ def _range(obs: TileObservations, max_delay: int, num_codes: int | None) -> Rang
     # the frequency snapshots are the columns of the (block, tile bin) view: their correlation
     # needs no transposed copy
     g = obs.grid.astype(complex, copy=False).reshape(layout.n_blocks, -1)
-    corr_f = g @ g.conj().T
-    corr_f /= g.shape[1]
     # hermitian_evd runs by its public name, checks and all: the benchmark counts its calls
-    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, _fb(corr_f))
+    lam_f, vec_f = _stage("frequency-stage eigendecomposition", hermitian_evd, _fb(_corr(g.T)))
     spectrum = lam_f.tolist()
     if spectrum[0] < _TINY_TOP and obs.grid.any():
         return _range(TileObservations(layout, _unit_scaled(obs.grid)), max_delay, num_codes)

@@ -47,7 +47,7 @@ from .errors import (ConfigError, DimensionError, RangingError, ValidationError,
                      require_int, require_numbers)
 # range_subchannel stays importable here, where the benchmark's tracer wraps it; the trials
 # range their own grids through its core, _range
-from .ranger import RangingReport, _range, freq_snapshots, range_subchannel
+from .ranger import RangingReport, _check_max_delay, _range, freq_snapshots, range_subchannel
 
 CSV_HEADER = "snr_db,p_f,rmse_eps,p_err_timing,trials,k,omega,mode"
 _TILE_KEYS = "n_tiles, tile_width, tile_spacing"  # the keys that place the tiles
@@ -128,7 +128,7 @@ class SimConfig:
         if not 0 <= self.max_cfo < layout.acquisition_bound:  # also rejects NaN
             raise ConfigError(f"max_cfo must lie in [0, {layout.acquisition_bound:.6g}), "
                               f"the acquisition bound, got {self.max_cfo}")
-        require_int("max_delay", self.max_delay, 0, math.ceil(layout.delay_bound) - 1, ConfigError)
+        _check_max_delay(layout, self.max_delay)
         require_int("num_users", self.num_users, 0, layout.max_codes, ConfigError)
         if self.max_delay + self.channel_taps > self.cp_ranging:
             raise ConfigError(_PREFIX_RULE)
@@ -337,41 +337,30 @@ def _block_draw(cfg: SimConfig, seed: int, start: int, stop: int, k: int):
     return users, tuple(states), signal
 
 
-def _index_draw(cfg: SimConfig, seed: int, index: int, count: int | None):
-    """``(users, state, signal)`` of trial ``index``: its row of :func:`_block_draw`, with
-    ``count`` users (``cfg.num_users`` if None; not zero).  An index of the sweep shares the
-    block of ``_DRAW_BLOCK`` indices it lies in, cut at ``cfg.trials``; an index past the sweep
-    or one with a given count is drawn alone."""
-    layout = cfg.layout()
-    k = cfg.num_users if count is None else require_int("user count", count, 1, layout.max_codes)
+def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: int | None = None):
+    """``(users, obs)`` of one trial: ``count`` users (``cfg.num_users`` if None; a given count is
+    checked as :func:`draw_users` checks it) drawn from the stream ``(seed, index)``, then their
+    grid in ``cfg.mode``: the mode's synthesizer draws the noise from the same stream, and their
+    noise-free signal is added to it in place.
+
+    An empty draw takes nothing from the stream.  A non-empty one is the index's row of
+    :func:`_block_draw`, and the stream is set to that row's state: an index of the sweep shares
+    the block of ``_DRAW_BLOCK`` indices it lies in, cut at ``cfg.trials``; an index past the
+    sweep, or a given count, is drawn alone.  Every entry of the grid is finite by construction:
+    noise at a variance :func:`noise_variance` admitted above the layout's SNR floor, plus the
+    signal of users drawn from the validated ``cfg``; the grid's :class:`TileObservations` holds
+    its type and shape checks only.  Each call returns its own list and a fresh grid.
+    """
+    rng, layout = _trial_stream(seed, index), cfg.layout()
+    synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
+    k = cfg.num_users if count is None else require_int("user count", count, 0, layout.max_codes)
+    if k == 0:
+        return [], synthesize([], layout, noise_var, rng)
     start, stop = index, index + 1
     if count is None and index < cfg.trials:
         start = index - index % _DRAW_BLOCK
         stop = min(start + _DRAW_BLOCK, cfg.trials)
-    users, states, signal = _block_draw(cfg, seed, start, stop, k)
-    return users[index - start], states[index - start], signal[index - start]
-
-
-def _scenario(cfg: SimConfig, seed: int, index: int, noise_var: float, count: int | None = None):
-    """``(users, obs)`` of one trial: ``count`` users (``cfg.num_users`` if None) drawn from the
-    stream ``(seed, index)``, then their grid in ``cfg.mode``: the mode's synthesizer draws the
-    noise from the same stream, and their noise-free signal is added to it.
-
-    A non-empty draw comes from :func:`_index_draw`, with the stream set to its state after the
-    draw; the signal goes into the synthesizer's noise grid in place.  Every entry of the grid
-    is finite by construction: noise at a variance :func:`noise_variance` admitted above the
-    layout's SNR floor, plus the signal of users drawn from the validated ``cfg``; the grid's
-    :class:`TileObservations` holds its type and shape checks only.  An empty draw takes
-    nothing from the stream.  Each call returns its own list and a fresh grid.
-    """
-    rng, layout = _trial_stream(seed, index), cfg.layout()
-    synthesize = synthesize_model_mode if cfg.mode == "model" else synthesize_waveform_mode
-    if count is None and cfg.num_users == 0:  # an empty draw takes nothing from the stream
-        return [], synthesize([], layout, noise_var, rng)
-    if count == 0:  # draw_users checks a given count
-        users = draw_users(cfg, rng, count)
-        return users, synthesize(users, layout, noise_var, rng)
-    users, state, signal = _index_draw(cfg, seed, index, count)
+    users, state, signal = (part[index - start] for part in _block_draw(cfg, seed, start, stop, k))
     rng.bit_generator.state = state
     obs = synthesize([], layout, noise_var, rng)  # the noise alone, drawn after the users
     np.add(obs.grid, signal, out=obs.grid)

@@ -17,8 +17,8 @@ from rangesim.airmodel import (
     synthesize_model_mode,
     synthesize_waveform_mode,
 )
-from rangesim.airmodel import (_cfo_attenuation, _code_matrix, _complex_noise, _effective_offsets,
-                               _leakage_kernel, _model_signal, _tile_tap_phasors, _waveform_signal)
+from rangesim.airmodel import (_cfo_attenuation, _complex_noise, _effective_offsets, _leakage_kernel,
+                               _model_signal, _tile_tap_phasors, _waveform_signal)
 from rangesim.errors import ValidationError
 
 from helpers import AS_BUILT_AND_COPIES, reference_layout
@@ -35,6 +35,12 @@ def non_uniform_layout():
 def closed_form_symbol(code, v, m, tile_width, n_blocks):
     """Ranging code symbol at tile position v, block m, straight from its definition."""
     return np.exp(2j * np.pi * code * (v / (tile_width - 1) + m / (n_blocks - 1)))
+
+
+def code_symbols(code, tile_width, n_blocks):
+    """A code's (tile_width, n_blocks) symbol matrix: rows are tile positions, columns blocks."""
+    v, m = np.ogrid[:tile_width, :n_blocks]
+    return closed_form_symbol(code, v, m, tile_width, n_blocks)
 
 
 def tap_sum(cir, bins, n_subcarriers):
@@ -158,36 +164,42 @@ class TestTileLayout:
 
 
 class TestCodeEntry:
-    """Entries of the ranging code matrix against their closed form."""
+    """The layout's code tables, each code's block phases and per-bin tile phases, against the
+    closed form: their product at (v, m) is the code's symbol."""
+
+    @staticmethod
+    def tables(tile_width, n_blocks, n_tiles=2):
+        layout = TileLayout.uniform(16 * tile_width, n_blocks, n_tiles, tile_width, 4)
+        return layout._leakage_tables[5:]
 
     def test_code_zero_is_all_ones(self):
-        np.testing.assert_array_equal(_code_matrix(0, 4, 4), np.ones((4, 4)))
+        for table in self.tables(4, 4):
+            np.testing.assert_array_equal(table[0], np.ones(table.shape[1]))
 
     def test_origin_entry(self):
-        assert _code_matrix(1, 4, 4)[0, 0] == pytest.approx(1.0)
+        block_codes, bin_codes = self.tables(4, 4)
+        assert block_codes[1, 0] * bin_codes[1, 0] == pytest.approx(1.0)
 
     def test_phase_wraps_to_one(self):
         # code 2 at (v=1, m=2): exponent 2*(1/3 + 2/3) = 2, a full turn twice
-        assert _code_matrix(2, 4, 4)[1, 2] == pytest.approx(1.0)
+        block_codes, bin_codes = self.tables(4, 4)
+        assert block_codes[2, 2] * bin_codes[2, 1] == pytest.approx(1.0)
 
     def test_unit_modulus(self):
-        for code in range(3):
-            np.testing.assert_allclose(np.abs(_code_matrix(code, 4, 4)), 1.0, atol=1e-15)
+        for table in self.tables(4, 4):
+            np.testing.assert_allclose(np.abs(table), 1.0, atol=1e-15)
 
     def test_matrix_agrees_with_entries(self):
-        # unequal sides pin the axis order: rows are tile positions, columns blocks
-        cm = _code_matrix(2, 5, 3)
-        assert cm.shape == (5, 3)
-        for v in range(5):
-            for m in range(3):
-                assert cm[v, m] == pytest.approx(closed_form_symbol(2, v, m, 5, 3))
-
-    def test_code_array_stacks_the_matrices(self):
-        # the layout's leakage tables build every code's matrix in one call
-        stack = _code_matrix(np.arange(3), 5, 4)
-        assert stack.shape == (3, 5, 4)
-        for code in range(3):
-            np.testing.assert_array_equal(stack[code], _code_matrix(code, 5, 4))
+        # unequal sides pin the axis order; the bin phases repeat over the tiles
+        block_codes, bin_codes = self.tables(5, 3, n_tiles=3)
+        assert block_codes.shape == (2, 3) and bin_codes.shape == (2, 3 * 5)
+        for code in range(2):
+            tile = bin_codes[code].reshape(3, 5)
+            assert (tile == tile[0]).all()
+            symbols = tile[0][:, None] * block_codes[code]
+            for v in range(5):
+                for m in range(3):
+                    assert symbols[v, m] == pytest.approx(closed_form_symbol(code, v, m, 5, 3))
 
 
 class TestCfoAttenuation:
@@ -426,7 +438,7 @@ class TestModelMode:
         layout = small_layout()
         user = UserTruth(2, 0, 0.0, np.array([1.0 + 0j]))
         obs = synthesize_model_mode([user], layout, 0.0, np.random.default_rng(0))
-        cm = _code_matrix(2, layout.tile_width, layout.n_blocks)
+        cm = code_symbols(2, layout.tile_width, layout.n_blocks)
         for q in range(layout.n_tiles):
             np.testing.assert_allclose(obs.grid[:, q, :], cm.T, atol=1e-12)
 
@@ -488,7 +500,7 @@ class TestWaveformMode:
         layout = small_layout()
         user = UserTruth(1, 0, 0.0, np.array([1.0 + 0j]))
         obs = synthesize_waveform_mode([user], layout, 0.0, np.random.default_rng(0))
-        cm = _code_matrix(1, layout.tile_width, layout.n_blocks)
+        cm = code_symbols(1, layout.tile_width, layout.n_blocks)
         for q in range(layout.n_tiles):
             np.testing.assert_allclose(obs.grid[:, q, :], cm.T, atol=1e-10)
 
@@ -703,6 +715,32 @@ def bin_distances(layout):
     return distances, (np.cumsum(present) - 1)[shifted]
 
 
+@st.composite
+def placed_layouts(draw):
+    """A small valid layout whose disjoint tiles start at drawn gaps, listed in any order."""
+    width = draw(st.integers(2, 5))
+    starts, end = [], 0
+    for gap in draw(st.lists(st.integers(0, 9), min_size=1, max_size=5)):
+        starts.append(end + gap)
+        end = starts[-1] + width
+    n_subcarriers = end + draw(st.integers(0, 9))
+    return TileLayout(n_subcarriers, draw(st.integers(2, 5)), width,
+                      tuple(draw(st.permutations(starts))), draw(st.integers(0, n_subcarriers)))
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.one_of(small_layouts(), placed_layouts()))
+def test_leakage_tables_hold_the_distinct_bin_distances(layout):
+    # the tables' N sin and N cos of pi d / N, and their (b', b) gather index, byte for byte
+    # those of the distances the bin-count helper lists
+    n, (n_sin, n_cos, gather) = layout.n_subcarriers, layout._leakage_tables[:3]
+    distances, by_bins = bin_distances(layout)
+    angles = np.pi * distances / n
+    assert n_sin.tobytes() == (n * np.sin(angles)).tobytes()
+    assert n_cos.tobytes() == (n * np.cos(angles)).tobytes()
+    assert gather.dtype == by_bins.dtype and np.array_equal(gather, by_bins.T)
+
+
 def waveform_mode_loop(users, layout):
     """Noiseless waveform-mode grid by the per-user loop the synthesizer replaced."""
     n = layout.n_subcarriers
@@ -712,7 +750,7 @@ def waveform_mode_loop(users, layout):
     grid = np.zeros((layout.n_blocks, bins.size), dtype=complex)
     for user in users:
         gains = tap_sum(user.cir, bins, n) * np.exp(-2j * np.pi * bins * user.delay / n)
-        symbols = _code_matrix(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
+        symbols = code_symbols(user.code, layout.tile_width, layout.n_blocks).T  # (m, v)
         tiles = (symbols[:, None, :] * gains).reshape(layout.n_blocks, -1)
         leakage = _cfo_attenuation(distances + user.cfo, n)[gather]
         grid += (tiles @ leakage) * np.exp(2j * np.pi * user.cfo * window_start / n)[:, None]

@@ -130,9 +130,9 @@ SITES = {
         lambda v: range_subchannel(IDLE, RangerConfig(max_delay=204, known_num_codes=v)),
         ConfigError, "known code count", 4, np.int64(0)),
     "RangerConfig.max_delay": (lambda v: range_subchannel(IDLE, RangerConfig(max_delay=v)),
-                               ConfigError, "max delay", 342, np.int16(341)),
+                               ConfigError, "max_delay", 342, np.int16(341)),
     "map_timing.max_delay": (lambda v: map_timing(np.zeros(1), REFERENCE, v),
-                             ConfigError, "max delay", -1, np.int64(204)),
+                             ConfigError, "max_delay", -1, np.int64(204)),
     "draw_users.count": (lambda v: draw_users(SimConfig(), np.random.default_rng(0), count=v),
                          ValidationError, "user count", 4, np.int64(2)),
     "run_trial.trial_index": (lambda v: run_trial(SimConfig(mode="model"), 10.0, v),

@@ -732,7 +732,7 @@ class TestRangeSubchannel:
         # checked on entry, not only once the grid yields codes to map
         layout = reference_layout()
         obs = TileObservations(layout, np.zeros((4, 16, 4), dtype=complex))
-        with pytest.raises(ConfigError, match="max delay"):
+        with pytest.raises(ConfigError, match="max_delay"):
             range_subchannel(obs, RangerConfig(max_delay=max_delay))
 
 

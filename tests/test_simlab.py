@@ -52,7 +52,7 @@ from rangesim.simlab import _MAX_WILSON_TRIALS
 from rangesim.airmodel import (ChannelProfile, TileLayout, UserTruth, _tile_tap_phasors,
                                synthesize_model_mode, synthesize_waveform_mode)
 
-from helpers import COPIES
+from helpers import COPIES, run_python
 
 
 REFERENCE = SimConfig().layout()
@@ -133,6 +133,23 @@ class TestSnrFloor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_trial(cfg, cfg.layout().snr_floor_db + 0.1, 0)
+
+
+# one 20 dB waveform trial of a valid 2**40-carrier config, under a 4 GiB address-space cap
+_CAPPED_WIDE_TRIAL = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from rangesim.simlab import SimConfig, run_trial
+result = run_trial(SimConfig(n_subcarriers=2**40, mode="waveform"), 20.0, 0)
+assert result.report.detected == {user.code for user in result.truth}, result
+"""
+
+
+def test_a_wide_spectrum_ranges_with_tables_that_grow_with_the_tiles():
+    # tables over all 2N - 1 possible bin distances would ask for 15.5 TiB here; the child is
+    # capped, so such a regression fails fast with MemoryError instead of exhausting the host
+    proc = run_python("-c", _CAPPED_WIDE_TRIAL, timeout=120, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigKeepsWhatItValidated:
@@ -653,7 +670,7 @@ class TestDrawMemo:
 
         def spoil(obs, *knobs):  # range the grid, then write into it
             report = core(obs, *knobs)
-            signal = simlab._index_draw(cfg, cfg.master_seed, 4, None)[2]
+            signal = simlab._block_draw(cfg, cfg.master_seed, 0, simlab._DRAW_BLOCK, 3)[2][4]
             assert not signal.flags.writeable and not np.shares_memory(obs.grid, signal)
             grids.append(obs.grid)
             obs.grid[...] = np.inf
@@ -750,16 +767,17 @@ class TestBlockDraw:
         assert blocks == [] and draws == []
 
     def test_an_idle_slot_passes_no_users_without_a_draw(self, monkeypatch):
-        # an empty draw takes nothing from the stream, so the sweep skips draw_users; a given
-        # count of zero still goes through it, and its check
+        # an empty draw takes nothing from the stream, so neither the sweep nor a given count of
+        # zero calls draw_users or draws a block; a given count is still checked as it checks one
         calls = []
         monkeypatch.setattr(simlab, "draw_users",
                             lambda *args: calls.append(args[2]) or draw_users(*args))
+        blocks, draws = _counting_block_draw(monkeypatch)
         cfg = SimConfig(num_users=0, mode="model", trials=4, master_seed=27)
         run_sweep(cfg)
-        assert calls == []
         users, obs, report = next(simlab._noiseless_known_k_trials(cfg, 27, 1, (0,)))
-        assert calls == [0] and users == [] and report.num_codes == 0
+        assert users == [] and report.num_codes == 0
+        assert calls == [] and blocks == [] and draws == []
         with pytest.raises(ValidationError, match="user count must be an integer, got False"):
             next(simlab._noiseless_known_k_trials(cfg, 27, 1, (False,)))
 
