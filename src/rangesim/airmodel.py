@@ -146,7 +146,9 @@ class TileLayout:
         distances = bins[None, :] - bins[:, None]
         distinct, gather = np.unique(distances, return_inverse=True)
         angles = np.pi * distinct / n
-        steps = 2 * (np.arange(self.n_blocks) * self.block_len + self.cp_ranging) + n - 1
+        # exact Python ints, rounded once: in int64 they wrap once N passes about 2**60
+        steps = np.array([float(2 * (m * self.block_len + self.cp_ranging) + n - 1)
+                          for m in range(self.n_blocks)])
         # code c's symbol at offset v of block m is exp(2j pi c (v / (V - 1) + m / (M - 1)))
         turns, m, v = 2j * np.pi * np.arange(self.max_codes), self.n_blocks, self.tile_width
         block_codes = np.exp(np.multiply.outer(turns, np.arange(m) / (m - 1)))
@@ -172,8 +174,8 @@ class UserTruth:
 class ChannelProfile:
     """Exponentially decaying multipath power profile with unit total power, computed once
     at construction: a decay that is not a positive number (a bool is not) or that overflows
-    float arithmetic (an integer past the float range, or below about n_taps / 1.8e308) fails
-    there."""
+    float arithmetic (an integer past the float range, or below about n_taps / 1.8e308), and
+    more taps than memory holds, fail there."""
 
     n_taps: int
     decay: float
@@ -185,9 +187,11 @@ class ChannelProfile:
             raise ValidationError(f"decay constant must be a positive number, got {self.decay}")
         try:
             raw = np.exp(-np.arange(self.n_taps) / self.decay)
+            variances = raw / raw.sum()
         except (OverflowError, FloatingPointError):
             raise ValidationError(f"decay constant {self.decay!r} gives no finite tap powers")
-        variances = raw / raw.sum()
+        except MemoryError:
+            raise ValidationError(f"n_taps {self.n_taps} gives more tap powers than memory holds")
         variances.flags.writeable = False
         object.__setattr__(self, "_variances", variances)
 
@@ -253,8 +257,9 @@ def _effective_offsets(codes, delays, cfos, layout: TileLayout):
 def _tile_tap_phasors(layout: TileLayout, n_taps: int) -> np.ndarray:
     """exp(-2j pi b t / N) for every flat tile bin b and tap t < n_taps, so that
     ``_tile_tap_phasors(layout, L) @ cir`` is the channel's frequency response on
-    the tiles; shape (n_tiles * tile_width, n_taps), read-only."""
-    taps = np.multiply.outer(layout.tile_bins.ravel(), np.arange(n_taps))
+    the tiles; shape (n_tiles * tile_width, n_taps), read-only.  b t is formed in float64, as
+    int64 wraps once it passes 2**63; below 2**53 both hold it exactly."""
+    taps = np.multiply.outer(layout.tile_bins.ravel().astype(float), np.arange(float(n_taps)))
     phasors = np.exp(-2j * np.pi * taps / layout.n_subcarriers)
     phasors.flags.writeable = False
     return phasors

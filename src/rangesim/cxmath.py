@@ -1,10 +1,12 @@
 """Dense complex linear algebra for the ranging receiver.
 
-The eigenvalue kernels are thin :mod:`numpy.linalg` calls; the ESPRIT
-rotation is a closed form of a few matrix products.  Each public kernel checks
-its input in one pass, before LAPACK sees it: bad input raises
-:class:`ValidationError` or :class:`DimensionError`, and every LAPACK
-failure surfaces as :class:`NumericalError`, never as ``LinAlgError``.
+The eigenvalue kernels call the LAPACK gufuncs behind :mod:`numpy.linalg` directly
+(``_umath_linalg.eigh_lo`` and ``eigvals``, the same bytes as ``np.linalg.eigh`` and
+``eigvals`` without their per-call wrappers), under numpy.linalg's one error rule
+(:func:`_lapack`); the ESPRIT rotation is a closed form of a few matrix products.  Each
+public kernel checks its input in one pass, before LAPACK sees it: bad input raises
+:class:`ValidationError` or :class:`DimensionError`, and every LAPACK failure surfaces as
+:class:`NumericalError`, never as ``LinAlgError``.
 Each public kernel but ``hermitian_evd`` then calls a private core that the receiver calls
 directly: ``_fb``, ``_ls_rotation`` (the rank test stays) and ``_eigvals``, which also takes
 a stack of matrices.  ``_unit_scaled`` rescales an array by an exact power of two, for the
@@ -14,6 +16,7 @@ receiver's tiny grids and the periodogram oracle.  All are pure.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (DimensionError, NumericalError, RankDeficiencyError, ValidationError,
                      require_finite, require_finite_power, require_numbers)
@@ -64,8 +67,19 @@ def _unit_scaled(a) -> np.ndarray:
     return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
 
 
+def _lapack(gufunc, signature: str, a: np.ndarray, failure: str):
+    """``gufunc(a)`` under the error rule numpy.linalg's wrappers set: a LAPACK failure raises
+    the floating-point invalid flag inside the call, and the flag raises
+    ``NumericalError("<failure>: did not converge")``; overflow, division and underflow pass."""
+    def fail(err, flag):
+        raise NumericalError(f"{failure}: did not converge")
+
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(a, signature=signature)
+
+
 def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``).
+    """Full eigendecomposition of a Hermitian matrix by LAPACK (``np.linalg.eigh``'s gufunc).
 
     Returns ``(eigenvalues, eigenvectors)`` as contiguous copies: real
     eigenvalues in non-increasing order, and orthonormal eigenvectors whose
@@ -80,10 +94,8 @@ def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
     scale = require_finite("matrix's largest entry", float(np.abs(a).max(initial=0.0)))
     if np.abs(a - a.conj().T).max(initial=0.0) > _HERMITIAN_REL_TOL * scale:
         raise ValidationError("matrix is not Hermitian to working tolerance")
-    try:
-        eigenvalues, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigendecomposition failed: {exc}") from exc
+    eigenvalues, vectors = _lapack(_umath_linalg.eigh_lo, "D->dD", a,
+                                   "Hermitian eigendecomposition failed")
     return eigenvalues[::-1].copy(), vectors[:, ::-1].copy()
 
 
@@ -129,7 +141,8 @@ def _ls_rotation(u: np.ndarray) -> np.ndarray:
 
 
 def general_eigenvalues(a) -> np.ndarray:
-    """All eigenvalues (with multiplicity, unordered) of a square matrix (``np.linalg.eigvals``).
+    """All eigenvalues (with multiplicity, unordered) of a square matrix (``np.linalg.eigvals``'s
+    gufunc).
 
     Raises :class:`ValidationError` for bools, text or non-finite entries.
     """
@@ -138,8 +151,6 @@ def general_eigenvalues(a) -> np.ndarray:
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
     """:func:`general_eigenvalues` of a finite complex matrix, or of each matrix in a stack of
-    shape (..., n, n) in one call (the receiver stacks its two stages' rotations)."""
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+    shape (..., n, n) in one call (the receiver stacks its two stages' rotations, finite by
+    construction): ``np.linalg.eigvals``' own finite check would repeat the caller's."""
+    return _lapack(_umath_linalg.eigvals, "D->D", a, "eigenvalue computation failed")

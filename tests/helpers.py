@@ -35,6 +35,15 @@ COPIES = [pytest.param(f, id=f.__name__) for f in (pickled, copy.deepcopy, copy.
 AS_BUILT_AND_COPIES = [pytest.param(lambda obj: obj, id="as built"), *COPIES]
 
 
+def flagging_invalid(gufunc):
+    """A stand-in for one of numpy.linalg's LAPACK gufuncs that fails as they do: it raises the
+    floating-point invalid flag inside the call (inf - inf), then returns ``gufunc``'s result."""
+    def stub(a, signature):
+        np.subtract(np.inf, np.inf)
+        return gufunc(a, signature=signature)
+    return stub
+
+
 def run_python(*args, timeout, **env_vars):
     """``python ARGS`` in a child process that imports rangesim from ``src`` first, as pytest
     does, so an uninstalled checkout runs it too; ``env_vars`` join its environment."""

@@ -163,6 +163,15 @@ class TestTileLayout:
             TileLayout.uniform(n, 4, 16, 4, 256)
 
 
+def test_block_steps_past_int64_are_the_exact_values_rounded():
+    # 2 * window start + N - 1 wrapped in int64 and read alternating +-4.6e18 here
+    layout = TileLayout.uniform(2**62, 4, 16, 4, 256)
+    steps = layout._leakage_tables[4]
+    exact = [2 * (m * layout.block_len + layout.cp_ranging) + 2**62 - 1 for m in range(4)]
+    assert steps.dtype == float and np.all(steps > 0) and np.all(np.diff(steps) > 0)
+    assert steps.tolist() == [float(step) for step in exact]
+
+
 class TestCodeEntry:
     """The layout's code tables, each code's block phases and per-bin tile phases, against the
     closed form: their product at (v, m) is the code's symbol."""
@@ -274,6 +283,14 @@ class TestChannelFrequencyResponse:
             got = _tile_tap_phasors(layout, 12) @ cir
             want = np.fft.fft(cir, layout.n_subcarriers)[layout.tile_bins.ravel()]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_bins_times_taps_past_int64_keep_their_phase(self):
+        # b t wrapped in int64 past 2**63, which at N = 3 * 2**60 turns a phase by a third
+        n = 3 * 2**60
+        layout = TileLayout.uniform(n, 4, 16, 4, 256)
+        want = [[np.exp(-2j * np.pi * (b * t % n) / n) for t in range(4)]
+                for b in layout.tile_bins.ravel().tolist()]
+        np.testing.assert_allclose(_tile_tap_phasors(layout, 4), want, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("copied", AS_BUILT_AND_COPIES)
     @pytest.mark.parametrize("layout", [small_layout(), reference_layout(), non_uniform_layout()],

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.linalg import _umath_linalg
 
 from rangesim.cxmath import (
+    _eigvals,
     _fb,
     _unit_scaled,
     forward_backward,
@@ -15,6 +17,8 @@ from rangesim.cxmath import (
     ls_rotation,
 )
 from rangesim.errors import DimensionError, NumericalError, RankDeficiencyError, ValidationError
+
+from helpers import flagging_invalid
 
 
 def random_complex(rng, shape):
@@ -171,6 +175,22 @@ class TestHermitianEvd:
                 assert vecs.tobytes() == np.ascontiguousarray(v[:, ::-1]).tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_eigenvalues_are_eigvals_byte_for_byte(k):
+    # the gufunc reached directly gives np.linalg.eigvals' bytes, on one matrix and on a stack
+    # of two (the receiver's rotations) of several scales; with the eigh test above, a numpy
+    # whose private gufuncs move away from its public calls fails here
+    rng = np.random.default_rng(100 + k)
+    for scale in (1e-200, 1e-3, 1.0, 1e150):
+        for _ in range(20):
+            stack = scale * random_complex(rng, (2, k, k))
+            assert _eigvals(stack).tobytes() == np.linalg.eigvals(stack).tobytes()
+            for a in stack:
+                want = np.linalg.eigvals(a).tobytes()
+                assert general_eigenvalues(a).tobytes() == want
+                assert _eigvals(a).tobytes() == want
+
+
 class TestUnitScaled:
     @pytest.mark.parametrize("scale", [2.0**-1000, 2.0**-60, 1.0, 3.0, 2.0**600])
     def test_largest_part_lands_in_half_to_one_by_an_exact_power_of_two(self, scale):
@@ -305,12 +325,34 @@ class TestGeneralEigenvalues:
 
 
 @pytest.mark.parametrize("kernel, lapack_call, message", [
-    (hermitian_evd, "eigh", "Hermitian eigendecomposition failed"),
+    (hermitian_evd, "eigh_lo", "Hermitian eigendecomposition failed"),
     (general_eigenvalues, "eigvals", "eigenvalue computation failed")], ids=["eigh", "eigvals"])
 def test_lapack_failure_becomes_numerical_error(kernel, lapack_call, message, monkeypatch):
-    def fail(a):
-        raise np.linalg.LinAlgError("did not converge")
-
-    monkeypatch.setattr(np.linalg, lapack_call, fail)
+    # numpy's gufuncs report a LAPACK failure as the floating-point invalid flag, raised inside
+    # the call; the kernel's error state must turn that flag into its NumericalError
+    gufunc = getattr(_umath_linalg, lapack_call)
+    monkeypatch.setattr(_umath_linalg, lapack_call, flagging_invalid(gufunc))
     with pytest.raises(NumericalError, match=f"^{message}: did not converge"):
         kernel(np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("kernel, lapack_call", [
+    (hermitian_evd, "eigh_lo"), (general_eigenvalues, "eigvals")], ids=["eigh", "eigvals"])
+def test_overflow_division_and_underflow_inside_lapack_pass(kernel, lapack_call, monkeypatch):
+    # as under numpy.linalg's wrappers: only the invalid flag means failure, whatever the
+    # caller's own error state
+    gufunc = getattr(_umath_linalg, lapack_call)
+
+    def flagging_the_others(a, signature):
+        np.multiply(np.float64(1e308), 10.0), np.divide(np.float64(1.0), 0.0)
+        np.multiply(np.float64(1e-308), 1e-308)
+        return gufunc(a, signature=signature)
+
+    def as_bytes(result):
+        return [x.tobytes() for x in (result if isinstance(result, tuple) else (result,))]
+
+    a = random_hermitian(np.random.default_rng(35), 3)
+    want = as_bytes(kernel(a))
+    monkeypatch.setattr(_umath_linalg, lapack_call, flagging_the_others)
+    with np.errstate(all="raise"):
+        assert as_bytes(kernel(a)) == want

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from rangesim.airmodel import (
     ChannelProfile,
@@ -39,7 +40,7 @@ from rangesim.ranger import (
     tile_snapshots,
 )
 
-from helpers import reference_layout, wrap_half
+from helpers import flagging_invalid, reference_layout, wrap_half
 
 
 def steering(n, freq):
@@ -802,14 +803,12 @@ class TestOneImplementation:
                                                max_cfo=0.05)
 
     def test_a_failed_eigenvalue_call_names_both_rotations(self, monkeypatch):
-        # one eigvals call finds the roots of both stages' rotations
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
+        # one eigvals call finds the roots of both stages' rotations; it fails as numpy's
+        # LAPACK gufunc does, by the floating-point invalid flag
         layout = reference_layout()
         rng = np.random.default_rng(2929)
         obs = synthesize_model_mode(random_users(rng, layout, 3), layout, 0.01, rng)
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(_umath_linalg, "eigvals", flagging_invalid(_umath_linalg.eigvals))
         with pytest.raises(NumericalError,
                            match="^frequency- and timing-stage rotations: eigenvalue computation"):
             range_subchannel(obs, RangerConfig(max_delay=204))

@@ -152,6 +152,43 @@ def test_a_wide_spectrum_ranges_with_tables_that_grow_with_the_tiles():
     assert proc.returncode == 0, proc.stderr
 
 
+# a valid-looking config whose 2**40-tap profile needs 8 TiB, under a 4 GiB address-space cap
+_CAPPED_HUGE_PROFILE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from rangesim.errors import ConfigError
+from rangesim.simlab import SimConfig
+try:
+    SimConfig(n_subcarriers=2**41, cp_ranging=2**41, channel_taps=2**40, max_delay=0,
+              cp_data=2**40 + 1)
+except ConfigError as exc:
+    print(exc)
+"""
+
+
+def test_a_tap_profile_past_memory_is_a_config_error_naming_channel_taps():
+    # it raised a bare MemoryError from the profile's first tap array; the child is capped, so
+    # no allocation reaches the host's memory
+    proc = run_python("-c", _CAPPED_HUGE_PROFILE, timeout=120, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"channel_taps: n_taps {2**40} "), proc.stdout
+
+
+@pytest.mark.parametrize("mode", ["model", "waveform"])
+def test_a_sweep_reaches_lapack_without_numpys_wrappers(mode, monkeypatch):
+    # the receiver calls numpy.linalg's LAPACK gufuncs directly, which saves about 4 us per EVD;
+    # a change that puts np.linalg.eigh or eigvals back on the trial path fails here
+    cfg = SimConfig(trials=3, num_users=3, mode=mode)
+    want = repr(run_sweep(cfg))
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("a numpy.linalg wrapper ran on the trial path")
+
+    monkeypatch.setattr(np.linalg, "eigh", wrapper)
+    monkeypatch.setattr(np.linalg, "eigvals", wrapper)
+    assert repr(run_sweep(cfg)) == want
+
+
 class TestConfigKeepsWhatItValidated:
     def test_layout_and_profile_are_built_once_per_config(self):
         cfg = SimConfig()
