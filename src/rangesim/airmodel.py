@@ -31,17 +31,21 @@ from .errors import (ValidationError, require_finite, require_finite_power, requ
                      require_numbers)
 
 
-# The largest subcarrier count: every bin index and every bin distance b - b' of the leakage
-# tables fits int64.
-_MAX_SUBCARRIERS = 2**62
-_OVERLAP = "tiles overlap; they must be pairwise disjoint"
+# The size domain, checked before anything is allocated.  Deployed OFDMA uses at most 4096
+# subcarriers (NR; IEEE 802.16e 2048), a cyclic prefix of at most a quarter block (1024
+# samples) and a handful of ranging blocks, tile positions and codes.
+MAX_SUBCARRIERS = 2**16  # 16x NR's largest FFT; every bin and bin-times-tap product is exact
+MAX_BLOCKS = 16  # a waveform kernel holds (K, B, B) floats per draw, K < min(blocks, width)
+MAX_TILE_WIDTH = 16
+MAX_TILE_BINS = 1024  # B = n_tiles * tile_width: the kernel takes 8 K B**2 bytes per draw
+MAX_TAPS = 1024  # the longest deployed prefix; the (B, taps) tap phasors take 16 MiB at most
 
 
 def _check_geometry(n_subcarriers: int, n_blocks: int, tile_width: int, cp_ranging: int) -> None:
     """A layout's checks before its tiles: the sizes, and a ranging prefix within the block."""
-    n = require_int("n_subcarriers", n_subcarriers, 1, _MAX_SUBCARRIERS)
-    require_int("n_blocks", n_blocks, 2)
-    require_int("tile_width", tile_width, 2)
+    n = require_int("n_subcarriers", n_subcarriers, 1, MAX_SUBCARRIERS)
+    require_int("n_blocks", n_blocks, 2, MAX_BLOCKS)
+    require_int("tile_width", tile_width, 2, MAX_TILE_WIDTH)
     require_int("ranging prefix", cp_ranging, 0, n)  # at most the block it extends
 
 
@@ -63,15 +67,14 @@ class TileLayout:
 
     def __post_init__(self):
         _check_geometry(self.n_subcarriers, self.n_blocks, self.tile_width, self.cp_ranging)
-        if not self.tile_starts:
-            raise ValidationError("a layout needs at least one tile")
         width = self.tile_width
+        require_int("n_tiles", len(self.tile_starts), 1, MAX_TILE_BINS // width)
         for start in self.tile_starts:
             require_int("tile start", start, 0, self.n_subcarriers - width)
         # disjoint tiles, sorted by start, start at least one tile width apart
         starts = sorted(self.tile_starts)
         if any(b - a < width for a, b in zip(starts, starts[1:])):
-            raise ValidationError(_OVERLAP)
+            raise ValidationError("tiles overlap; they must be pairwise disjoint")
 
     def __reduce__(self):  # copies and pickles rebuild through __post_init__: checked, read-only
         return type(self), astuple(self)
@@ -81,18 +84,11 @@ class TileLayout:
                 spacing=None) -> "TileLayout":
         """Layout with ``n_tiles`` tiles spaced evenly across the spectrum.
 
-        More tiles than fit disjointly (``n_tiles * tile_width > n_subcarriers``) raise the
-        error the layout of all of them would raise, before their starts are listed."""
-        require_int("n_tiles", n_tiles, 1)
-        spacing = n_subcarriers // n_tiles if spacing is None else require_int("spacing", spacing, 1)
+        The sizes are checked before the starts are listed, the tile count against
+        ``MAX_TILE_BINS``; the layout then raises what it raises for those starts."""
         _check_geometry(n_subcarriers, n_blocks, tile_width, cp_ranging)
-        if n_tiles > n_subcarriers // tile_width:
-            last = n_subcarriers - tile_width  # the last start at which a tile fits
-            # the index of the first start past it, if any: the first start the layout rejects
-            first_out = 0 if last < 0 else last // spacing + 1 if spacing else n_tiles
-            if first_out < n_tiles:
-                require_int("tile start", first_out * spacing, 0, last)
-            raise ValidationError(_OVERLAP)  # in range, too many to fit: two of them overlap
+        require_int("n_tiles", n_tiles, 1, MAX_TILE_BINS // tile_width)
+        spacing = n_subcarriers // n_tiles if spacing is None else require_int("spacing", spacing, 1)
         starts = tuple(q * spacing for q in range(n_tiles))
         return cls(n_subcarriers, n_blocks, tile_width, starts, cp_ranging)
 
@@ -141,14 +137,13 @@ class TileLayout:
         over the distinct bin distances d, the index gathering them into the (b', b)
         matrix of d = b - b' over flat tile bins, exp(j pi b / N) per bin, 2 * window
         start + N - 1 per block, and each code's block phases and per-bin tile phases.  They
-        take memory with the tiles, not with the spectrum."""
+        take memory with the tiles, not with the spectrum: (B, B) int64 at most, for the
+        ``MAX_TILE_BINS`` flat tile bins B; every value is exact under the size caps."""
         n, bins = self.n_subcarriers, self.tile_bins.ravel()
         distances = bins[None, :] - bins[:, None]
         distinct, gather = np.unique(distances, return_inverse=True)
         angles = np.pi * distinct / n
-        # exact Python ints, rounded once: in int64 they wrap once N passes about 2**60
-        steps = np.array([float(2 * (m * self.block_len + self.cp_ranging) + n - 1)
-                          for m in range(self.n_blocks)])
+        steps = 2.0 * (np.arange(self.n_blocks) * self.block_len + self.cp_ranging) + (n - 1)
         # code c's symbol at offset v of block m is exp(2j pi c (v / (V - 1) + m / (M - 1)))
         turns, m, v = 2j * np.pi * np.arange(self.max_codes), self.n_blocks, self.tile_width
         block_codes = np.exp(np.multiply.outer(turns, np.arange(m) / (m - 1)))
@@ -173,16 +168,16 @@ class UserTruth:
 @dataclass(frozen=True)
 class ChannelProfile:
     """Exponentially decaying multipath power profile with unit total power, computed once
-    at construction: a decay that is not a positive number (a bool is not) or that overflows
-    float arithmetic (an integer past the float range, or below about n_taps / 1.8e308), and
-    more taps than memory holds, fail there."""
+    at construction: a tap count outside [1, ``MAX_TAPS``], and a decay that is not a positive
+    number (a bool is not) or that overflows float arithmetic (an integer past the float range,
+    or below about n_taps / 1.8e308), fail there."""
 
     n_taps: int
     decay: float
 
     @np.errstate(all="raise", under="ignore")  # far taps may underflow to 0
     def __post_init__(self):
-        require_int("n_taps", self.n_taps, 1)
+        require_int("n_taps", self.n_taps, 1, MAX_TAPS)
         if isinstance(self.decay, (bool, np.bool_)) or not self.decay > 0:
             raise ValidationError(f"decay constant must be a positive number, got {self.decay}")
         try:
@@ -190,8 +185,6 @@ class ChannelProfile:
             variances = raw / raw.sum()
         except (OverflowError, FloatingPointError):
             raise ValidationError(f"decay constant {self.decay!r} gives no finite tap powers")
-        except MemoryError:
-            raise ValidationError(f"n_taps {self.n_taps} gives more tap powers than memory holds")
         variances.flags.writeable = False
         object.__setattr__(self, "_variances", variances)
 
@@ -257,8 +250,8 @@ def _effective_offsets(codes, delays, cfos, layout: TileLayout):
 def _tile_tap_phasors(layout: TileLayout, n_taps: int) -> np.ndarray:
     """exp(-2j pi b t / N) for every flat tile bin b and tap t < n_taps, so that
     ``_tile_tap_phasors(layout, L) @ cir`` is the channel's frequency response on
-    the tiles; shape (n_tiles * tile_width, n_taps), read-only.  b t is formed in float64, as
-    int64 wraps once it passes 2**63; below 2**53 both hold it exactly."""
+    the tiles; shape (n_tiles * tile_width, n_taps), read-only.  b t stays below 2**26 under
+    the size caps, so float64 holds it exactly."""
     taps = np.multiply.outer(layout.tile_bins.ravel().astype(float), np.arange(float(n_taps)))
     phasors = np.exp(-2j * np.pi * taps / layout.n_subcarriers)
     phasors.flags.writeable = False
@@ -279,7 +272,7 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
 
     Checks each user as it goes: the code must be an integer in [0, max_codes), the delay
     a non-negative integer, the CFO finite and the channel a 1-d array of numbers
-    (``require_numbers``); then that no two users share a code and that the taps' total
+    (``require_numbers``) of at most ``MAX_TAPS`` taps; then that no two users share a code and that the taps' total
     power, one BLAS pass, is finite.  Ragged channels are zero-padded to the longest.
     """
     last_code = layout.max_codes - 1
@@ -289,8 +282,9 @@ def _stack_users(users, layout: TileLayout) -> tuple[np.ndarray, ...]:
         delays.append(require_int("delays", u.delay, 0))
         cfos.append(require_finite("CFO", u.cfo))
         taps.append(require_numbers("channel taps", u.cir))
-        if taps[-1].ndim != 1:
-            raise ValidationError(f"a channel must be a 1-d tap array, got shape {taps[-1].shape}")
+        if taps[-1].ndim != 1 or taps[-1].size > MAX_TAPS:
+            raise ValidationError(f"a channel must be a 1-d tap array of at most {MAX_TAPS} taps, "
+                                  f"got shape {taps[-1].shape}")
         ends.append(u.delay + taps[-1].size)
     if len(set(codes)) != len(codes):
         raise ValidationError("active users must carry distinct ranging codes")

@@ -54,7 +54,6 @@ _TILE_KEYS = "n_tiles, tile_width, tile_spacing"  # the keys that place the tile
 _CONFIG_KEYS = {"spacing": "tile_spacing", "tile start": _TILE_KEYS, "tiles overlap;": _TILE_KEYS,
                 "ranging prefix": "cp_ranging", "n_taps": "channel_taps",
                 "decay constant": "channel_decay", "SNR": "snr_list_db"}
-_PREFIX_RULE = "max_delay plus channel_taps must fit inside cp_ranging"
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,9 @@ class SimConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on the first violated invariant, field types first:
-        each integer field (``tile_spacing`` unless None) must be a non-negative integer."""
+        each integer field (``tile_spacing`` unless None) must be a non-negative integer.  The
+        sizes then meet ``airmodel``'s caps where the layout and channel profile are built,
+        before anything is allocated."""
         for name, hint in _FIELD_HINTS.items():
             value = getattr(self, name)
             if value is not None and hint in (int, int | None):
@@ -111,10 +112,6 @@ class SimConfig:
                 raise ConfigError(f"{name} must be {SimConfig.__annotations__[name]}, got {value!r}")
         if not self.snr_list_db:
             raise ConfigError("snr_list_db must hold one or more SNR points")
-        # the taps the channel profile allocates are bounded before it is built; the whole rule
-        # is checked below, after max_delay's own bound
-        if self.channel_taps > self.cp_ranging:
-            raise ConfigError(_PREFIX_RULE)
         try:
             layout = TileLayout.uniform(self.n_subcarriers, self.n_blocks, self.n_tiles,
                                         self.tile_width, self.cp_ranging, spacing=self.tile_spacing)
@@ -131,9 +128,10 @@ class SimConfig:
         _check_max_delay(layout, self.max_delay)
         require_int("num_users", self.num_users, 0, layout.max_codes, ConfigError)
         if self.max_delay + self.channel_taps > self.cp_ranging:
-            raise ConfigError(_PREFIX_RULE)
-        # cp_data must exceed channel_taps or no delay is tolerable
-        require_int("cp_data", self.cp_data, self.channel_taps + 1, error=ConfigError)
+            raise ConfigError("max_delay plus channel_taps must fit inside cp_ranging")
+        # cp_data must exceed channel_taps or no delay is tolerable, and extends a block as
+        # cp_ranging does
+        require_int("cp_data", self.cp_data, self.channel_taps + 1, self.n_subcarriers, ConfigError)
         require_int("trials", self.trials, 1, error=ConfigError)
         if self.mode not in ("model", "waveform"):
             raise ConfigError(f"mode must be 'model' or 'waveform', got {self.mode!r}")

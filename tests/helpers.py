@@ -44,15 +44,10 @@ def flagging_invalid(gufunc):
     return stub
 
 
-def run_python(*args, timeout, **env_vars):
-    """``python ARGS`` in a child process that imports rangesim from ``src`` first, as pytest
-    does, so an uninstalled checkout runs it too; ``env_vars`` join its environment."""
-    env = dict(os.environ, **env_vars)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *map(str, args)],
-                          capture_output=True, text=True, timeout=timeout, env=env)
-
-
 def run_module(*args, timeout):
-    """``python -m rangesim ARGS`` in such a child process."""
-    return run_python("-m", "rangesim", *args, timeout=timeout)
+    """``python -m rangesim ARGS`` in a child process that imports rangesim from ``src`` first,
+    as pytest does, so an uninstalled checkout runs it too."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rangesim", *map(str, args)],
+                          capture_output=True, text=True, timeout=timeout, env=env)

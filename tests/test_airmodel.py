@@ -9,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangesim.airmodel import (
+    MAX_BLOCKS,
+    MAX_SUBCARRIERS,
+    MAX_TAPS,
+    MAX_TILE_BINS,
     ChannelProfile,
     TileLayout,
     TileObservations,
@@ -106,7 +110,7 @@ class TestTileLayout:
                                                          [32, 33, 34, 35], [48, 49, 50, 51]])
 
     def test_empty_layout_rejected(self):
-        with pytest.raises(ValidationError, match="at least one tile"):
+        with pytest.raises(ValidationError, match=r"^n_tiles 0 outside \[1, 256\]$"):
             TileLayout(16, 4, 4, (), 4)
 
     def test_overlapping_tiles_rejected(self):
@@ -128,8 +132,8 @@ class TestTileLayout:
             TileLayout.uniform(64, 4, 4, 4, cp_ranging=100)
 
     def test_uniform_raises_what_the_layout_of_all_its_tiles_raises(self):
-        # more tiles than fit are rejected before their starts are listed, with the error
-        # (first start out of range, else an overlap) that the full layout raises
+        # more tiles than fit raise the error (first start out of range, else an overlap) that
+        # the full layout raises; the tile-bin cap bounds the starts listed
         def outcome(build):
             try:
                 return build().tile_starts
@@ -148,28 +152,19 @@ class TestTileLayout:
                         assert got == want, (n, width, n_tiles, spacing)
 
     def test_overlap_is_read_from_the_sorted_starts(self):
-        # a check whose memory grew with n_subcarriers raised numpy's "array is too big" here
-        huge = TileLayout.uniform(2**62, 4, 16, 4, 256)
-        assert huge.tile_starts[:2] == (0, 2**58) and huge.n_tiles == 16
         assert TileLayout(16, 4, 4, (8, 0, 4), 4).tile_starts == (8, 0, 4)  # any order
-        for starts in ((2**61 + 2, 2**61), (2**61, 0, 2**61 + 3)):
+        for starts in ((2**15 + 2, 2**15), (2**15, 0, 2**15 + 3)):
             with pytest.raises(ValidationError, match="tiles overlap"):
-                TileLayout(2**62, 4, 4, starts, 256)
-
-    @pytest.mark.parametrize("n", [2**62 + 1, 2**64])
-    def test_subcarriers_whose_bins_leave_int64_rejected(self, n):
-        # 2**64 raised a bare TypeError from numpy's casting rules before
-        with pytest.raises(ValidationError, match=rf"^n_subcarriers {n} outside \[1, {2**62}\]$"):
-            TileLayout.uniform(n, 4, 16, 4, 256)
+                TileLayout(MAX_SUBCARRIERS, 4, 4, starts, 256)
 
 
-def test_block_steps_past_int64_are_the_exact_values_rounded():
-    # 2 * window start + N - 1 wrapped in int64 and read alternating +-4.6e18 here
-    layout = TileLayout.uniform(2**62, 4, 16, 4, 256)
+def test_block_steps_at_the_caps_are_the_exact_values():
+    # 2 * window start + N - 1 per block, as a float64 array expression
+    n = MAX_SUBCARRIERS
+    layout = TileLayout.uniform(n, MAX_BLOCKS, 16, 4, n)
+    exact = [2 * (m * layout.block_len + layout.cp_ranging) + n - 1 for m in range(MAX_BLOCKS)]
     steps = layout._leakage_tables[4]
-    exact = [2 * (m * layout.block_len + layout.cp_ranging) + 2**62 - 1 for m in range(4)]
-    assert steps.dtype == float and np.all(steps > 0) and np.all(np.diff(steps) > 0)
-    assert steps.tolist() == [float(step) for step in exact]
+    assert steps.dtype == float and steps.tolist() == exact
 
 
 class TestCodeEntry:
@@ -284,13 +279,15 @@ class TestChannelFrequencyResponse:
             want = np.fft.fft(cir, layout.n_subcarriers)[layout.tile_bins.ravel()]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_bins_times_taps_past_int64_keep_their_phase(self):
-        # b t wrapped in int64 past 2**63, which at N = 3 * 2**60 turns a phase by a third
-        n = 3 * 2**60
-        layout = TileLayout.uniform(n, 4, 16, 4, 256)
-        want = [[np.exp(-2j * np.pi * (b * t % n) / n) for t in range(4)]
-                for b in layout.tile_bins.ravel().tolist()]
-        np.testing.assert_allclose(_tile_tap_phasors(layout, 4), want, rtol=0, atol=1e-9)
+    def test_bins_times_taps_at_the_caps_keep_their_phase(self):
+        # the largest bins and tap indices the caps admit; b t mod N is formed in Python ints
+        n, width = MAX_SUBCARRIERS, 16
+        starts = tuple(range(n - MAX_TILE_BINS, n, width))
+        layout = TileLayout(n, 4, width, starts, n)
+        bins = layout.tile_bins.ravel().tolist()
+        want = np.exp(-2j * np.pi * np.array([[b * t % n for t in range(MAX_TAPS)] for b in bins])
+                      / n)
+        np.testing.assert_allclose(_tile_tap_phasors(layout, MAX_TAPS), want, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("copied", AS_BUILT_AND_COPIES)
     @pytest.mark.parametrize("layout", [small_layout(), reference_layout(), non_uniform_layout()],
@@ -838,7 +835,10 @@ def test_each_stacked_row_is_the_synthesizers_signal(scenario):
     # before, a 2-d channel raised a bare numpy ValueError (non-finite CFOs and taps are
     # rows of test_integer_contract.FINITE_SITES)
     ([(0, 0), (1, 2, 0.01, [[1.0, 1.0], [1.0, 1.0]])], "1-d tap array"),
-], ids=["duplicate code", "code past range", "negative code", "negative delay", "2-d channel"])
+    # the taps' phasors over the tile bins grew with the channel: model mode took any length
+    ([(0, 0, 0.0, np.ones(MAX_TAPS + 1))], r"1-d tap array of at most 1024 taps, got shape \(1025,\)"),
+], ids=["duplicate code", "code past range", "negative code", "negative delay", "2-d channel",
+        "channel past the cap"])
 def test_user_checks_fire_in_both_synthesizers(synthesize, users, message):
     def user(code, delay, cfo=0.0, cir=(1.0,)):
         return UserTruth(code, delay, cfo, np.array(cir, dtype=complex))

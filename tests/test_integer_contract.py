@@ -109,6 +109,8 @@ SITES = {
                               ValidationError, "ranging prefix", 17, np.int64(4)),
     "TileLayout.tile_starts": (lambda v: TileLayout(16, 4, 4, (0, v), 4),
                                ValidationError, "tile start", 13, np.int64(8)),
+    "TileLayout.uniform.n_subcarriers": (lambda v: TileLayout.uniform(v, 4, 4, 4, 16),
+                                         ValidationError, "n_subcarriers", 0, np.int64(64)),
     "TileLayout.uniform.n_tiles": (lambda v: TileLayout.uniform(64, 4, v, 4, 16),
                                    ValidationError, "n_tiles", 0, np.int64(4)),
     "TileLayout.uniform.spacing": (lambda v: TileLayout.uniform(64, 4, 4, 4, 16, spacing=v),
@@ -180,7 +182,7 @@ def test_no_invalid_config_can_be_built(field, value, build):
             replace(SimConfig(), **{field: value})
 
 
-BAD_KINDS = {"bool": True, "fraction": 1.5, "integral float": 3.0, "nan": math.nan}
+BAD_KINDS = {"bool": True, "fraction": 1.5, "integral float": 3.0, "nan": math.nan, "text": "abc"}
 
 
 @pytest.mark.parametrize("kind", [*BAD_KINDS, "out of range"])

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import rangesim
@@ -49,10 +49,11 @@ from rangesim.simlab import (
     write_gnuplot_script,
 )
 from rangesim.simlab import _MAX_WILSON_TRIALS
-from rangesim.airmodel import (ChannelProfile, TileLayout, UserTruth, _tile_tap_phasors,
-                               synthesize_model_mode, synthesize_waveform_mode)
+from rangesim.airmodel import (MAX_BLOCKS, MAX_SUBCARRIERS, MAX_TAPS, MAX_TILE_BINS,
+                               MAX_TILE_WIDTH, ChannelProfile, TileLayout, UserTruth,
+                               _tile_tap_phasors, synthesize_model_mode, synthesize_waveform_mode)
 
-from helpers import COPIES, run_python
+from helpers import COPIES
 
 
 REFERENCE = SimConfig().layout()
@@ -127,51 +128,12 @@ class TestSnrFloor:
     def test_grid_check_admits_a_wide_layout_just_above_the_floor(self, mode):
         # the floor bounds the grid's total power, which range_subchannel checks where a grid is
         # ranged and which keeps every grid a trial ranges unchecked finite in every correlation
-        # sum; a floor from the terms of one correlation sum let this grid's total power overflow
-        cfg = SimConfig(n_blocks=128, n_tiles=8, tile_width=128, max_delay=8, max_cfo=0.001,
-                        mode=mode)
+        # sum; this is the widest layout the size caps admit: 16 blocks of 64 tiles 16 bins wide
+        cfg = SimConfig(n_blocks=MAX_BLOCKS, n_tiles=MAX_TILE_BINS // MAX_TILE_WIDTH,
+                        tile_width=MAX_TILE_WIDTH, max_delay=8, max_cfo=0.001, mode=mode)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_trial(cfg, cfg.layout().snr_floor_db + 0.1, 0)
-
-
-# one 20 dB waveform trial of a valid 2**40-carrier config, under a 4 GiB address-space cap
-_CAPPED_WIDE_TRIAL = """
-import resource
-resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
-from rangesim.simlab import SimConfig, run_trial
-result = run_trial(SimConfig(n_subcarriers=2**40, mode="waveform"), 20.0, 0)
-assert result.report.detected == {user.code for user in result.truth}, result
-"""
-
-
-def test_a_wide_spectrum_ranges_with_tables_that_grow_with_the_tiles():
-    # tables over all 2N - 1 possible bin distances would ask for 15.5 TiB here; the child is
-    # capped, so such a regression fails fast with MemoryError instead of exhausting the host
-    proc = run_python("-c", _CAPPED_WIDE_TRIAL, timeout=120, OPENBLAS_NUM_THREADS="1")
-    assert proc.returncode == 0, proc.stderr
-
-
-# a valid-looking config whose 2**40-tap profile needs 8 TiB, under a 4 GiB address-space cap
-_CAPPED_HUGE_PROFILE = """
-import resource
-resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
-from rangesim.errors import ConfigError
-from rangesim.simlab import SimConfig
-try:
-    SimConfig(n_subcarriers=2**41, cp_ranging=2**41, channel_taps=2**40, max_delay=0,
-              cp_data=2**40 + 1)
-except ConfigError as exc:
-    print(exc)
-"""
-
-
-def test_a_tap_profile_past_memory_is_a_config_error_naming_channel_taps():
-    # it raised a bare MemoryError from the profile's first tap array; the child is capped, so
-    # no allocation reaches the host's memory
-    proc = run_python("-c", _CAPPED_HUGE_PROFILE, timeout=120, OPENBLAS_NUM_THREADS="1")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith(f"channel_taps: n_taps {2**40} "), proc.stdout
 
 
 @pytest.mark.parametrize("mode", ["model", "waveform"])
@@ -1109,7 +1071,7 @@ class TestConfigParsing:
             SimConfig(n_subcarriers=64, n_tiles=4, cp_ranging=100, cp_data=20, max_delay=20)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("channel_taps", 0, "n_taps must be at least 1, got 0"),
+        ("channel_taps", 0, r"n_taps 0 outside \[1, 1024\]"),
         ("tile_spacing", 0, "spacing must be at least 1, got 0"),
         ("cp_ranging", 2000, r"ranging prefix 2000 outside \[0, 1024\]"),
     ], ids=["channel_taps", "tile_spacing", "cp_ranging"])
@@ -1129,28 +1091,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^n_tiles, tile_width, tile_spacing: {message}$"):
             SimConfig(**settings)
 
-    TAPS = "max_delay plus channel_taps must fit inside cp_ranging"
-    OVERLAP = "n_tiles, tile_width, tile_spacing: tiles overlap; they must be pairwise disjoint"
+    # a config at each size cap; one past the cap is the row of the next test with that key
+    AT_THE_CAPS = {
+        "n_subcarriers": dict(n_subcarriers=MAX_SUBCARRIERS),
+        "n_blocks": dict(n_blocks=MAX_BLOCKS, max_cfo=0.01),
+        "tile_width": dict(tile_width=MAX_TILE_WIDTH, max_delay=60),
+        "n_tiles": dict(n_tiles=MAX_TILE_BINS // 4),
+        "channel_taps": dict(n_subcarriers=2048, cp_ranging=MAX_TAPS + 204, channel_taps=MAX_TAPS,
+                             cp_data=MAX_TAPS + 1),
+        "cp_data": dict(cp_data=1024),
+    }
+
+    @pytest.mark.parametrize("key", AT_THE_CAPS)
+    def test_each_size_cap_admits_its_edge(self, key):
+        assert getattr(SimConfig(**self.AT_THE_CAPS[key]), key) == self.AT_THE_CAPS[key][key]
 
     @pytest.mark.parametrize("settings, message", [
-        (dict(channel_taps=2**40), TAPS),
-        (dict(channel_taps=2**64), TAPS),
-        (dict(n_subcarriers=2**64), rf"n_subcarriers {2**64} outside \[1, {2**62}\]"),
-        (dict(n_tiles=2**12), OVERLAP),
-        (dict(n_tiles=10**11), OVERLAP),
-        (dict(n_tiles=10**11, tile_spacing=1),
-         r"n_tiles, tile_width, tile_spacing: tile start 1021 outside \[0, 1020\]"),
-    ], ids=["taps 2**40", "taps 2**64", "carriers 2**64", "tiles 2**12", "tiles 1e11",
-            "tiles 1e11 spaced"])
-    def test_sizes_are_checked_before_anything_is_built(self, settings, message, monkeypatch):
-        # before, these built or tried to build their layout or channel profile: 2**40 taps
-        # raised a bare MemoryError (8 TiB), 2**64 taps a bare ValueError, 2**64 carriers a
-        # TypeError, and 1e11 tiles exhausted memory listing their starts
-        def reached(*args):
-            raise AssertionError("a layout or channel profile was built")
-
-        monkeypatch.setattr(simlab, "ChannelProfile", reached)
-        monkeypatch.setattr(TileLayout, "__post_init__", reached)
+        (dict(n_subcarriers=MAX_SUBCARRIERS + 1), r"n_subcarriers 65537 outside \[1, 65536\]"),
+        (dict(n_subcarriers=2**64), rf"n_subcarriers {2**64} outside \[1, 65536\]"),
+        (dict(n_blocks=MAX_BLOCKS + 1, max_cfo=0.01), r"n_blocks 17 outside \[2, 16\]"),
+        (dict(n_blocks=20000, max_cfo=0.0, mode="model"), r"n_blocks 20000 outside \[2, 16\]"),
+        (dict(tile_width=MAX_TILE_WIDTH + 1, max_delay=60), r"tile_width 17 outside \[2, 16\]"),
+        (dict(n_tiles=MAX_TILE_BINS // 4 + 1), r"n_tiles 257 outside \[1, 256\]"),
+        (dict(n_subcarriers=16384, n_tiles=4096), r"n_tiles 4096 outside \[1, 256\]"),
+        (dict(n_tiles=10**11, tile_spacing=1), r"n_tiles 100000000000 outside \[1, 256\]"),
+        (dict(n_subcarriers=2048, cp_ranging=MAX_TAPS + 205, channel_taps=MAX_TAPS + 1,
+              cp_data=MAX_TAPS + 2), r"channel_taps: n_taps 1025 outside \[1, 1024\]"),
+        (dict(channel_taps=2**40), rf"channel_taps: n_taps {2**40} outside \[1, 1024\]"),
+        (dict(channel_taps=2**64), rf"channel_taps: n_taps {2**64} outside \[1, 1024\]"),
+        (dict(cp_data=1025), r"cp_data 1025 outside \[13, 1024\]"),
+        (dict(cp_data=2**1100), rf"cp_data {2**1100} outside \[13, 1024\]"),
+    ], ids=["carriers +1", "carriers 2**64", "blocks +1", "blocks 20000", "width +1", "tiles +1",
+            "tiles 4096", "tiles 1e11", "taps +1", "taps 2**40", "taps 2**64", "cp_data +1",
+            "cp_data 2**1100"])
+    def test_sizes_are_checked_before_anything_is_built(self, settings, message):
+        # before the caps, 20000 blocks raised a bare MemoryError in the first trial (5.96 GiB
+        # for the correlation), 4096 tiles one from the leakage tables (2.00 GiB), 2**40 taps
+        # one from the channel profile (8 TiB), and a cp_data of 2**1100 a bare OverflowError
+        # in the first timing score; each now fails where the config is built
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -1221,3 +1199,72 @@ class TestConfigParsing:
         assert cfg.layout().tile_starts == tuple(range(0, 320, 40))
         with pytest.raises(ConfigError):  # width 4 tiles at spacing 2 overlap
             parse_config_text("tile_spacing = 2\n")
+
+
+@st.composite
+def valid_configs(draw):
+    """A one-trial, one-SNR config from the whole size domain, edges included: the sizes up to
+    the caps, and every other knob up to the bound its check sets.  ``cp_data`` is also drawn
+    past the block, where the config must reject it; such a draw is not a valid config."""
+    width = draw(st.integers(2, MAX_TILE_WIDTH))
+    n_blocks = draw(st.integers(2, MAX_BLOCKS))
+    n_tiles = draw(st.integers(1, MAX_TILE_BINS // width))
+    n = draw(st.integers(n_tiles * width, MAX_SUBCARRIERS))
+    spacing = draw(st.none() | st.integers(width, max(width, (n - width) // max(n_tiles - 1, 1))))
+    cp_ranging = draw(st.integers(1, n))
+    taps = draw(st.integers(1, min(MAX_TAPS, cp_ranging, n - 1)))
+    layout = TileLayout.uniform(n, n_blocks, n_tiles, width, cp_ranging, spacing=spacing)
+    try:
+        return SimConfig(
+            n_subcarriers=n, n_blocks=n_blocks, n_tiles=n_tiles, tile_width=width,
+            cp_ranging=cp_ranging, tile_spacing=spacing, channel_taps=taps,
+            cp_data=draw(st.integers(taps + 1, n) | st.integers(n + 1, 2**1100)),
+            channel_decay=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+            num_users=draw(st.integers(0, layout.max_codes)),
+            max_cfo=draw(st.floats(0.0, layout.acquisition_bound, exclude_max=True)),
+            max_delay=draw(st.integers(0, min(math.ceil(layout.delay_bound) - 1,
+                                              cp_ranging - taps))),
+            snr_list_db=(draw(st.just(math.inf) | st.floats(layout.snr_floor_db, exclude_min=True,
+                                                            allow_infinity=False)),),
+            trials=1, mode=draw(st.sampled_from(["model", "waveform"])),
+            master_seed=draw(st.integers(0, 2**128)))
+    except ConfigError:  # cp_data past the block, or a decay whose tap powers overflow
+        reject()
+
+
+def _edge_config(widest, mode):
+    """The widest config of the domain, every size and knob at its edge, or the narrowest."""
+    if not widest:
+        return SimConfig(n_subcarriers=2, n_blocks=2, n_tiles=1, tile_width=2, cp_ranging=1,
+                         channel_taps=1, cp_data=2, channel_decay=5e-324, num_users=1, max_cfo=0.0,
+                         max_delay=0, snr_list_db=(sys.float_info.max,), trials=1, mode=mode)
+    n, width = MAX_SUBCARRIERS, MAX_TILE_WIDTH
+    layout = TileLayout.uniform(n, MAX_BLOCKS, MAX_TILE_BINS // width, width, n)
+    return SimConfig(n_subcarriers=n, n_blocks=MAX_BLOCKS, n_tiles=layout.n_tiles, tile_width=width,
+                     cp_ranging=n, channel_taps=MAX_TAPS, cp_data=n,
+                     channel_decay=sys.float_info.max, num_users=layout.max_codes,
+                     max_cfo=math.nextafter(layout.acquisition_bound, 0),
+                     max_delay=math.ceil(layout.delay_bound) - 1,
+                     snr_list_db=(math.nextafter(layout.snr_floor_db, 0),), trials=1, mode=mode,
+                     master_seed=2**128)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(valid_configs())
+@example(_edge_config(True, "waveform"))
+@example(_edge_config(True, "model"))
+@example(_edge_config(False, "waveform"))
+@example(_edge_config(False, "model"))
+def test_every_valid_config_sweeps_to_finite_rows(cfg):
+    # valid in, finite out: a config that validates must not fail, warn or read NaN mid-sweep
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = run_sweep(cfg)
+    finally:  # each cached layout holds its tables: up to 26 MiB at the caps
+        _tile_tap_phasors.cache_clear()
+        simlab._block_draw.cache_clear()
+    assert row.trials == 1
+    values = (row.p_f, row.rmse_eps or 0.0, row.p_err_timing, row.p_f_per_code)
+    assert all(math.isfinite(value) for value in values), row
+
